@@ -14,8 +14,8 @@ Settings resolve in order: built-in toy profile, then ``--config`` file
 (flat ``section.key = value`` lines), then explicit flags.  Every command
 that owns an output directory echoes its resolved settings there.
 
-Exit codes: 0 success, 1 generic failure, 2 usage, 3 missing file,
-4 invalid configuration, 5 malformed data.
+Exit codes: 0 success, 1 generic failure (including training divergence),
+2 usage, 3 missing file, 4 invalid configuration, 5 malformed data.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from .tensor import gradient_audit, seeded_rng
 from .training import (
     CheckpointError,
     TrainConfig,
+    TrainingDivergedError,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -258,11 +259,19 @@ def cmd_synth(args) -> int:
 
 
 def _load_split(data_dir: Path):
-    train_recs = load_corpus(data_dir / "train.jsonl")
-    val_recs = load_corpus(data_dir / "val.jsonl")
+    paths = (data_dir / "train.jsonl", data_dir / "val.jsonl")
+    train_recs, val_recs = (load_corpus(path) for path in paths)
     if not train_recs or not val_recs:
         raise CorpusFormatError(f"{data_dir}: train or val split is empty")
     vocab = load_vocab(data_dir / "vocab.json")
+    for path, records in zip(paths, (train_recs, val_recs)):
+        for r in records:
+            bad = [t for s in r.sentences for t in s if not 0 <= t < vocab.size]
+            if bad:
+                raise CorpusFormatError(
+                    f"{path}: record {r.id!r}: token id {bad[0]} outside "
+                    f"vocabulary of size {vocab.size}"
+                )
     return train_recs, val_recs, vocab
 
 
@@ -479,16 +488,13 @@ def run(argv=None) -> int:
     except (CorpusFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except IsADirectoryError as exc:
+    except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
-    except OSError as exc:
+    except (OSError, TrainingDivergedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

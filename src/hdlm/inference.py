@@ -6,6 +6,10 @@ token; the first real token comes from feeding BOS).  Sentences end when the
 decoder emits EOS or hits the word cap; the paragraph ends when the stop
 probability strictly exceeds its threshold (the stopping sentence is still
 emitted) or at the sentence cap.
+
+The whole record list decodes as one batch on the forward ops training
+uses, with no tape: records leave the batch as they stop, and word rows as
+they emit EOS.
 """
 
 from __future__ import annotations
@@ -18,7 +22,14 @@ import numpy as np
 
 from .data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError
 from .layers import embed
-from .model import ModelConfig, ModelParams, encode_image, sentence_step, word_step
+from .model import (
+    ModelConfig,
+    ModelParams,
+    encode_image_batch,
+    sentence_step_batch,
+    stack_features,
+    word_step,
+)
 from .tensor import Tensor, zeros
 
 BRANCH_VALUES = ("abnormal", "normal")
@@ -49,73 +60,76 @@ class GeneratedReport:
     abnormal_probs: list[float]
 
 
-def _prob(logit) -> float:
-    return float(1.0 / (1.0 + np.exp(-logit.data)))
+def _probs(logits: Tensor) -> np.ndarray:
+    """Logistic of [S, 1] logits as a plain [S] array (no tape record)."""
+    return 1.0 / (1.0 + np.exp(-logits.data[:, 0]))
 
 
-def greedy_decode_sentence(params: ModelParams, topic: Tensor, branch: str, max_words: int) -> list[int]:
-    """Argmax decoding of one sentence from a topic vector.
+def _decode_words(params: ModelParams, branch: str, topics: Tensor, max_words: int) -> list[list[int]]:
+    """Argmax decoding of one sentence per topic row, all rows in lockstep.
 
-    Returns up to ``max_words`` token ids; the terminal EOS is included only
-    when the decoder emitted it within the cap.
+    Each row yields up to ``max_words`` token ids; its terminal EOS is
+    included only when the decoder emitted it within the cap, and the row
+    leaves the batch once it has.
     """
-    cell, _ = params.word_branch(branch)
-    h = zeros((1, cell.hidden_size))
-    c = zeros((1, cell.hidden_size))
-    x = Tensor(topic.data.reshape(1, -1))
-    _, h, c = word_step(params, branch, x, h, c)  # topic step, logits unused
-    tokens: list[int] = []
-    prev = BOS_ID
+    count = topics.shape[0]
+    hidden = params.word_branch(branch)[0].hidden_size
+    _, h, c = word_step(params, branch, topics, zeros((count, hidden)), zeros((count, hidden)))
+    sentences: list[list[int]] = [[] for _ in range(count)]
+    live = np.arange(count)
+    prev = np.full(count, BOS_ID)
     for _ in range(max_words):
-        logits, h, c = word_step(params, branch, embed(params.embedding, [prev]), h, c)
-        token = int(np.argmax(logits.data[0]))
-        tokens.append(token)
-        if token == EOS_ID:
+        logits, h, c = word_step(params, branch, embed(params.embedding, prev), h, c)
+        tokens = np.argmax(logits.data, axis=1)
+        for row, token in zip(live, tokens.tolist()):
+            sentences[row].append(token)
+        going = tokens != EOS_ID
+        if not going.any():
             break
-        prev = token
-    return tokens
-
-
-def generate_report(
-    params: ModelParams,
-    config: ModelConfig,
-    features,
-    limits: GenerationLimits,
-    record_id: str = "",
-) -> GeneratedReport:
-    """Decode one report from an [L, C] feature map."""
-    feats = np.asarray(features, dtype=np.float64)
-    v_e, _ = encode_image(params, Tensor(feats))
-    h = zeros((config.hidden_dim,))
-    c = zeros((config.hidden_dim,))
-    sentences: list[list[int]] = []
-    branches: list[str] = []
-    stop_probs: list[float] = []
-    abnormal_probs: list[float] = []
-    for _ in range(limits.max_sentences):
-        h, c, topic, stop_logit, abn_logit = sentence_step(params, v_e, h, c)
-        p_stop = _prob(stop_logit)
-        p_abn = _prob(abn_logit)
-        branch = (
-            "abnormal"
-            if config.dual_enabled and p_abn > limits.branch_threshold
-            else "normal"
-        )
-        sentences.append(greedy_decode_sentence(params, topic, branch, limits.max_words))
-        branches.append(branch)
-        stop_probs.append(p_stop)
-        abnormal_probs.append(p_abn)
-        if p_stop > limits.stop_threshold:
-            break
-    return GeneratedReport(record_id, sentences, branches, stop_probs, abnormal_probs)
+        live, prev = live[going], tokens[going]
+        h, c = Tensor(h.data[going]), Tensor(c.data[going])
+    return sentences
 
 
 def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: GenerationLimits) -> list[GeneratedReport]:
-    """One generated report per record, in record order."""
-    return [
-        generate_report(params, config, r.feature_map(), limits, record_id=r.id)
-        for r in records
-    ]
+    """One greedy report per record, in record order, decoded as one batch.
+
+    Every sentence step advances the records still going together; each
+    step's sentences are then decoded together per word branch.  A record
+    drops out of the batch after the sentence whose stop probability exceeds
+    the threshold.
+    """
+    if not records:
+        return []
+    reports = [GeneratedReport(r.id, [], [], [], []) for r in records]
+    locations = config.locations
+    v_e, _ = encode_image_batch(params, Tensor(stack_features(config, records)), locations)
+    h = zeros((len(records), config.hidden_dim))
+    c = zeros((len(records), config.hidden_dim))
+    live = np.arange(len(records))
+    for _ in range(limits.max_sentences):
+        h, c, topic, stop_logits, abn_logits = sentence_step_batch(params, v_e, locations, h, c)
+        p_stop = _probs(stop_logits)
+        p_abn = _probs(abn_logits)
+        abnormal = (p_abn > limits.branch_threshold) & config.dual_enabled
+        for branch, chosen in (("abnormal", abnormal), ("normal", ~abnormal)):
+            rows = np.flatnonzero(chosen)
+            if rows.size == 0:
+                continue
+            words = _decode_words(params, branch, Tensor(topic.data[rows]), limits.max_words)
+            for row, sentence in zip(rows, words):
+                report = reports[live[row]]
+                report.sentences.append(sentence)
+                report.branches.append(branch)
+                report.stop_probs.append(float(p_stop[row]))
+                report.abnormal_probs.append(float(p_abn[row]))
+        going = p_stop <= limits.stop_threshold
+        if not going.any():
+            break
+        live = live[going]
+        v_e = Tensor(v_e.data[np.repeat(going, locations)])
+        h, c = Tensor(h.data[going]), Tensor(c.data[going])
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@ additive soft attention over spatial locations.
 
 Layer parameters are plain ``Tensor`` leaves grouped in small dataclasses;
 each exposes ``named(prefix)`` so the model can assemble a flat, uniquely
-named parameter dictionary for checkpointing.  Functional ops accept either
-single vectors (rank 1) or batched rows (rank 2) and return matching rank.
+named parameter dictionary for checkpointing.  Functional ops take batched
+rows (rank 2); a single example is a one-row batch, and rank-1 input raises
+``ShapeError``.
 
 Initialization follows one convention throughout: uniform in
 [-INIT_RANGE, INIT_RANGE] from a seeded generator, except LSTM forget-gate
@@ -43,16 +44,6 @@ def _uniform(rng: np.random.Generator, shape) -> Tensor:
     return Tensor(rng.uniform(-INIT_RANGE, INIT_RANGE, size=shape))
 
 
-def _as_rows(x: Tensor) -> tuple[Tensor, bool]:
-    if x.data.ndim == 1:
-        return reshape(x, (1, x.shape[0])), True
-    return x, False
-
-
-def _maybe_squeeze(x: Tensor, squeeze: bool) -> Tensor:
-    return reshape(x, (x.shape[1],)) if squeeze else x
-
-
 @dataclass
 class LinearLayer:
     """y = x W^T (+ bias)."""
@@ -65,11 +56,11 @@ class LinearLayer:
         return cls(_uniform(rng, (out_dim, in_dim)), _uniform(rng, (out_dim,)) if bias else None)
 
     def apply(self, x: Tensor) -> Tensor:
-        rows, squeeze = _as_rows(x)
-        y = matmul(rows, transpose(self.weight))
+        """[S, in] rows -> [S, out] rows."""
+        y = matmul(x, transpose(self.weight))
         if self.bias is not None:
             y = add_bias(y, self.bias)
-        return _maybe_squeeze(y, squeeze)
+        return y
 
     __call__ = apply
 
@@ -115,24 +106,22 @@ class LSTMCellParams:
 
 
 def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step: c' = f*c + i*g, h' = o*tanh(c')."""
-    xr, squeeze = _as_rows(x)
-    hr, _ = _as_rows(h)
-    cr, _ = _as_rows(c)
+    """One LSTM step on [S, ·] rows: c' = f*c + i*g, h' = o*tanh(c')."""
     hs = params.hidden_size
-    if xr.shape[1] != params.input_size or hr.shape[1] != hs or cr.shape != hr.shape:
+    if (x.data.ndim != 2 or h.data.ndim != 2 or x.shape[1] != params.input_size
+            or h.shape != (x.shape[0], hs) or c.shape != h.shape):
         raise ShapeError(
             f"lstm_step shapes x={x.shape} h={h.shape} c={c.shape} do not fit "
             f"cell (I={params.input_size}, H={hs})"
         )
-    z = add_bias(add(matmul(xr, transpose(params.w_input)), matmul(hr, transpose(params.w_recur))), params.bias)
+    z = add_bias(add(matmul(x, transpose(params.w_input)), matmul(h, transpose(params.w_recur))), params.bias)
     i = sigmoid(slice_cols(z, 0, hs))
     f = sigmoid(slice_cols(z, hs, 2 * hs))
     g = tanh(slice_cols(z, 2 * hs, 3 * hs))
     o = sigmoid(slice_cols(z, 3 * hs, 4 * hs))
-    c_new = add(mul(f, cr), mul(i, g))
+    c_new = add(mul(f, c), mul(i, g))
     h_new = mul(o, tanh(c_new))
-    return _maybe_squeeze(h_new, squeeze), _maybe_squeeze(c_new, squeeze)
+    return h_new, c_new
 
 
 @dataclass
@@ -192,10 +181,10 @@ def soft_attention_batch(
     Returns (context [B, D], weights [B, L]).
     """
     if locations < 1:
-        raise ShapeError("soft_attention needs at least one location")
+        raise ShapeError("soft_attention_batch needs at least one location")
     if v_e.data.ndim != 2 or h_prev.data.ndim != 2 or v_e.shape[0] != h_prev.shape[0] * locations:
         raise ShapeError(
-            f"soft_attention batch shapes do not agree: v_e={v_e.shape}, "
+            f"soft_attention_batch shapes do not agree: v_e={v_e.shape}, "
             f"h_prev={h_prev.shape}, locations={locations}"
         )
     batch = h_prev.shape[0]
@@ -205,12 +194,3 @@ def soft_attention_batch(
     weights = softmax_lastdim(scores)
     context = sum_rowgroups(mul_colvec(v_e, reshape(weights, (batch * locations, 1))), locations)
     return context, weights
-
-
-def soft_attention(params: AttentionParams, v_e: Tensor, h_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """Single-example attention: v_e [L, D], h_prev [H] -> (context [D], weights [L])."""
-    if v_e.data.ndim != 2 or v_e.shape[0] < 1:
-        raise ShapeError(f"soft_attention needs a nonempty [L, D] feature grid, got {v_e.shape}")
-    h_rows, _ = _as_rows(h_prev)
-    context, weights = soft_attention_batch(params, v_e, h_rows, v_e.shape[0])
-    return reshape(context, (context.shape[1],)), reshape(weights, (weights.shape[1],))

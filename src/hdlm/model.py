@@ -170,19 +170,29 @@ class ModelParams:
 # forward pieces
 
 
+def stack_features(config: ModelConfig, records) -> np.ndarray:
+    """Stack every record's [L, C] feature map into one [B*L, C] array.
+
+    Each map must match the model's grid; a record with a different ``L``
+    would otherwise be silently grouped with its neighbours' locations.
+    """
+    want = (config.locations, config.channels)
+    feats = []
+    for r in records:
+        feat = r.feature_map()
+        if feat.shape != want:
+            raise ShapeError(
+                f"record {r.id!r}: feature map {feat.shape} does not match model {want}"
+            )
+        feats.append(feat)
+    return np.concatenate(feats, axis=0)
+
+
 def encode_image_batch(params: ModelParams, features: Tensor, locations: int) -> tuple[Tensor, Tensor]:
     """[B*L, C] stacked features -> (location embeddings [B*L, D], means [B, D])."""
     v_e = params.img_embed(features)
     v_hat = scale(sum_rowgroups(v_e, locations), 1.0 / locations)
     return v_e, v_hat
-
-
-def encode_image(params: ModelParams, features: Tensor) -> tuple[Tensor, Tensor]:
-    """[L, C] features -> (location embeddings [L, D], mean embedding [D])."""
-    if features.data.ndim != 2:
-        raise ShapeError(f"feature map must be rank 2, got {features.shape}")
-    v_e, v_hat = encode_image_batch(params, features, features.shape[0])
-    return v_e, reshape(v_hat, (v_hat.shape[1],))
 
 
 def sentence_step_batch(
@@ -201,32 +211,6 @@ def sentence_step_batch(
     return h_new, c_new, topic, stop, abnormal
 
 
-def sentence_step(
-    params: ModelParams, v_e: Tensor, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """Single-record step: v_e [L, D], h and c [H].
-
-    Returns (h' [H], c' [H], topic [D], stop logit scalar, abnormal logit
-    scalar).
-    """
-    hidden = h.shape[0]
-    out = sentence_step_batch(
-        params,
-        v_e,
-        v_e.shape[0],
-        reshape(h, (1, hidden)),
-        reshape(c, (1, hidden)),
-    )
-    h_new, c_new, topic, stop, abnormal = out
-    return (
-        reshape(h_new, (hidden,)),
-        reshape(c_new, (hidden,)),
-        reshape(topic, (topic.shape[1],)),
-        reshape(stop, ()),
-        reshape(abnormal, ()),
-    )
-
-
 def word_step(
     params: ModelParams, branch: str, x: Tensor, h: Tensor, c: Tensor
 ) -> tuple[Tensor, Tensor, Tensor]:
@@ -234,37 +218,6 @@ def word_step(
     cell, proj = params.word_branch(branch)
     h_new, c_new = lstm_step(cell, x, h, c)
     return proj(h_new), h_new, c_new
-
-
-def word_forward(params: ModelParams, topic: Tensor, gold: list[int], branch: str) -> Tensor:
-    """Teacher-forced decode of one sentence, returning logits [N, V].
-
-    ``gold`` is the full target sequence starting with BOS and ending with
-    EOS (length N).  Step 0 consumes the topic vector and its logits carry no
-    training signal; step t >= 1 consumes the embedding of gold[t-1] and row
-    t scores the prediction of gold[t].
-    """
-    if len(gold) == 0:
-        raise ValueError("word_forward needs a nonempty gold sequence")
-    cell, _ = params.word_branch(branch)
-    hidden = cell.hidden_size
-    h = zeros((1, hidden))
-    c = zeros((1, hidden))
-    x = reshape(topic, (1, topic.shape[0]))
-    rows = []
-    for t in range(len(gold)):
-        if t > 0:
-            x = embed(params.embedding, [gold[t - 1]])
-        logits, h, c = word_step(params, branch, x, h, c)
-        rows.append(logits)
-    return concat_rows(rows)
-
-
-def mti_predict(params: ModelParams, features: Tensor) -> np.ndarray:
-    """Tag probabilities for one [L, C] feature map."""
-    _, v_hat = encode_image(params, features)
-    logits = params.mti_head(v_hat)
-    return 1.0 / (1.0 + np.exp(-logits.data))
 
 
 # ---------------------------------------------------------------------------
@@ -284,18 +237,6 @@ class LossBundle:
     def numbers(self) -> dict[str, float]:
         keys = ("stop", "hierarchical", "abnormal", "mti", "total")
         return {k: float(getattr(self, k).data) for k in keys}
-
-
-def _validate_batch(config: ModelConfig, records) -> None:
-    if len(records) == 0:
-        raise ValueError("compute_losses needs a nonempty batch")
-    want = (config.locations, config.channels)
-    for r in records:
-        feat = r.feature_map()
-        if feat.shape != want:
-            raise ShapeError(
-                f"record {r.id!r}: feature map {feat.shape} does not match model {want}"
-            )
 
 
 def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: int, specs) -> Tensor:
@@ -333,12 +274,13 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     ``dual_enabled`` off, the abnormal term is a detached zero and the
     abnormal branch contributes no computation at all.
     """
-    _validate_batch(config, records)
+    if len(records) == 0:
+        raise ValueError("compute_losses needs a nonempty batch")
     batch = len(records)
     lengths = np.array([len(r.sentences) for r in records])
     depth = int(lengths.max())
 
-    stacked = np.concatenate([r.feature_map() for r in records], axis=0)
+    stacked = stack_features(config, records)
     v_e, v_hat = encode_image_batch(params, Tensor(stacked), config.locations)
 
     h = zeros((batch, config.hidden_dim))

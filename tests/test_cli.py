@@ -265,3 +265,30 @@ def test_invalid_setting_value_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("synth.records = 0\n")
     assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")
+def test_training_divergence_exit_code(tmp_path, tiny_cfg, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    hot = tmp_path / "hot.cfg"
+    hot.write_text(TINY + "train.learning_rate = 1e300\n")
+    capsys.readouterr()
+    assert run(["train", str(data), "--config", str(hot), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert "error: non-finite loss at iteration 2" in err
+    assert "Traceback" not in err
+
+
+def test_out_of_vocabulary_token_exit_code(tmp_path, tiny_cfg, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    lines = (data / "train.jsonl").read_text().splitlines()
+    first = json.loads(lines[0])
+    first["sentences"][0][0] = 9999
+    lines[0] = json.dumps(first)
+    (data / "train.jsonl").write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert run(["train", str(data), "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 5
+    err = capsys.readouterr().err
+    assert "train.jsonl" in err and repr(first["id"]) in err and "9999" in err

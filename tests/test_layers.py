@@ -7,7 +7,7 @@ import pytest
 
 from hdlm import layers as L
 from hdlm import tensor as T
-from hdlm.tensor import Tensor, Tape, backward, finite_difference_check
+from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
 
 def sigmoid(x):
@@ -45,15 +45,15 @@ def zero_cell(input_dim, hidden_dim, forget_bias=0.0):
 
 def test_lstm_step_all_zero():
     cell = zero_cell(3, 2)
-    h, c = L.lstm_step(cell, Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
-    np.testing.assert_array_equal(h.data, np.zeros(2))
-    np.testing.assert_array_equal(c.data, np.zeros(2))
+    h, c = L.lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
+    np.testing.assert_array_equal(h.data, np.zeros((1, 2)))
+    np.testing.assert_array_equal(c.data, np.zeros((1, 2)))
 
 
 def test_lstm_step_forget_bias_scales_cell():
     cell = zero_cell(3, 2, forget_bias=1.0)
-    c0 = np.array([1.0, 1.0])
-    _, c = L.lstm_step(cell, Tensor(np.zeros(3)), Tensor(np.zeros(2)), Tensor(c0))
+    c0 = np.array([[1.0, 1.0]])
+    _, c = L.lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 2))), Tensor(c0))
     np.testing.assert_allclose(c.data, sigmoid(1.0) * c0, atol=1e-12)
 
 
@@ -61,18 +61,18 @@ def test_lstm_step_matches_gate_oracle():
     rng = T.seeded_rng(42)
     cell = L.LSTMCellParams.create(5, 3, rng)
     x, h, c = rng.normal(size=5), rng.normal(size=3), rng.normal(size=3)
-    got_h, got_c = L.lstm_step(cell, Tensor(x), Tensor(h), Tensor(c))
+    got_h, got_c = L.lstm_step(cell, Tensor(x[None]), Tensor(h[None]), Tensor(c[None]))
     want_h, want_c = lstm_gate_oracle(cell.w_input.data, cell.w_recur.data, cell.bias.data, x, h, c)
-    np.testing.assert_allclose(got_h.data, want_h, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(got_c.data, want_c, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(got_h.data[0], want_h, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(got_c.data[0], want_c, atol=1e-12, rtol=0)
 
 
 def test_lstm_step_cell_bound():
     rng = T.seeded_rng(7)
     cell = L.LSTMCellParams.create(4, 6, rng)
-    c = rng.normal(size=6) * 3
+    c = rng.normal(size=(1, 6)) * 3
     for _ in range(20):
-        x, h = rng.normal(size=4) * 5, rng.normal(size=6)
+        x, h = rng.normal(size=(1, 4)) * 5, rng.normal(size=(1, 6))
         _, c_new = L.lstm_step(cell, Tensor(x), Tensor(h), Tensor(c))
         assert np.all(np.abs(c_new.data) <= np.abs(c) + 1.0 + 1e-12)
         c = c_new.data
@@ -81,7 +81,7 @@ def test_lstm_step_cell_bound():
 def test_lstm_step_shape_mismatch():
     cell = zero_cell(3, 2)
     with pytest.raises(T.ShapeError):
-        L.lstm_step(cell, Tensor(np.zeros(4)), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+        L.lstm_step(cell, Tensor(np.zeros((1, 4))), Tensor(np.zeros((1, 2))), Tensor(np.zeros((1, 2))))
 
 
 def test_lstm_step_gradients_pass_fd():
@@ -95,8 +95,20 @@ def test_lstm_step_gradients_pass_fd():
         h2, c2 = L.lstm_step(cell, x, h, c)
         return T.sum_all(T.mul(h2, c2))
 
-    params = [cell.w_input, cell.w_recur, cell.bias, x, h, c]
-    assert finite_difference_check(f, params, eps=1e-5) <= 1e-4
+    params = {"w_input": cell.w_input, "w_recur": cell.w_recur, "bias": cell.bias,
+              "x": x, "h": h, "c": c}
+    assert max(gradient_audit(f, params, atol=0.0).values()) <= 1e-4
+
+
+def test_rank1_input_raises_shape_error():
+    cell = zero_cell(3, 2)
+    row = Tensor(np.zeros((1, 2)))
+    with pytest.raises(T.ShapeError):
+        L.lstm_step(cell, Tensor(np.zeros(3)), row, row)
+    with pytest.raises(T.ShapeError):
+        L.lstm_step(cell, Tensor(np.zeros((1, 3))), Tensor(np.zeros(2)), Tensor(np.zeros(2)))
+    with pytest.raises(T.ShapeError):
+        L.LinearLayer.create(2, 3, T.seeded_rng(0))(Tensor(np.zeros(3)))
 
 
 def test_lstm_forget_bias_initialized_to_one():
@@ -113,9 +125,9 @@ def test_attention_identical_locations_uniform():
     params = L.AttentionParams.create(4, 3, 2, rng)
     row = rng.normal(size=3)
     v_e = Tensor(np.tile(row, (5, 1)))
-    context, weights = L.soft_attention(params, v_e, Tensor(rng.normal(size=2)))
-    np.testing.assert_allclose(weights.data, np.full(5, 0.2), atol=1e-12)
-    np.testing.assert_allclose(context.data, row, atol=1e-12)
+    context, weights = L.soft_attention_batch(params, v_e, Tensor(rng.normal(size=(1, 2))), 5)
+    np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
+    np.testing.assert_allclose(context.data[0], row, atol=1e-12)
 
 
 def test_attention_zero_score_vector_means_mean():
@@ -123,9 +135,9 @@ def test_attention_zero_score_vector_means_mean():
     params = L.AttentionParams.create(4, 3, 2, rng)
     params.score.data[:] = 0.0
     v = rng.normal(size=(6, 3))
-    context, weights = L.soft_attention(params, Tensor(v), Tensor(np.zeros(2)))
-    np.testing.assert_allclose(weights.data, np.full(6, 1 / 6), atol=1e-12)
-    np.testing.assert_allclose(context.data, v.mean(axis=0), atol=1e-12)
+    context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(np.zeros((1, 2))), 6)
+    np.testing.assert_allclose(weights.data, np.full((1, 6), 1 / 6), atol=1e-12)
+    np.testing.assert_allclose(context.data[0], v.mean(axis=0), atol=1e-12)
 
 
 def test_attention_two_location_hand_oracle():
@@ -143,9 +155,9 @@ def test_attention_two_location_hand_oracle():
     e = np.exp(np.array(scores) - max(scores))
     w = e / e.sum()
     want_context = w[0] * v[0] + w[1] * v[1]
-    context, weights = L.soft_attention(params, Tensor(v), Tensor(h))
-    np.testing.assert_allclose(weights.data, w, atol=1e-12, rtol=0)
-    np.testing.assert_allclose(context.data, want_context, atol=1e-12, rtol=0)
+    context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(h[None]), 2)
+    np.testing.assert_allclose(weights.data[0], w, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(context.data[0], want_context, atol=1e-12, rtol=0)
 
 
 def test_attention_weights_simplex_and_hull():
@@ -153,8 +165,8 @@ def test_attention_weights_simplex_and_hull():
     params = L.AttentionParams.create(5, 4, 3, rng)
     for _ in range(25):
         v = rng.normal(size=(7, 4)) * 3
-        h = rng.normal(size=3)
-        context, weights = L.soft_attention(params, Tensor(v), Tensor(h))
+        h = rng.normal(size=(1, 3))
+        context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(h), 7)
         assert np.all(weights.data >= 0)
         assert abs(weights.data.sum() - 1.0) <= 1e-12
         assert np.all(context.data >= v.min(axis=0) - 1e-10)
@@ -164,21 +176,22 @@ def test_attention_weights_simplex_and_hull():
 def test_attention_empty_locations_rejected():
     params = L.AttentionParams.create(4, 3, 2, T.seeded_rng(0))
     with pytest.raises(T.ShapeError):
-        L.soft_attention(params, Tensor(np.zeros((0, 3))), Tensor(np.zeros(2)))
+        L.soft_attention_batch(params, Tensor(np.zeros((0, 3))), Tensor(np.zeros((1, 2))), 0)
 
 
 def test_attention_gradients_pass_fd():
     rng = T.seeded_rng(13)
     params = L.AttentionParams.create(3, 4, 2, rng)
     v = Tensor(rng.normal(size=(5, 4)))
-    h = Tensor(rng.normal(size=2))
+    h = Tensor(rng.normal(size=(1, 2)))
 
     def f():
-        context, _ = L.soft_attention(params, v, h)
+        context, _ = L.soft_attention_batch(params, v, h, 5)
         return T.sum_all(T.mul(context, context))
 
-    leaves = [params.w_location, params.w_state, params.score, v, h]
-    assert finite_difference_check(f, leaves, eps=1e-5) <= 1e-4
+    leaves = {"w_location": params.w_location, "w_state": params.w_state,
+              "score": params.score, "v": v, "h": h}
+    assert max(gradient_audit(f, leaves, atol=0.0).values()) <= 1e-4
 
 
 def test_attention_batch_agrees_with_single():
@@ -188,9 +201,9 @@ def test_attention_batch_agrees_with_single():
     h = rng.normal(size=(2, 5))
     ctx_b, w_b = L.soft_attention_batch(params, Tensor(v.reshape(12, 3)), Tensor(h), 6)
     for b in range(2):
-        ctx, w = L.soft_attention(params, Tensor(v[b]), Tensor(h[b]))
-        np.testing.assert_allclose(ctx_b.data[b], ctx.data, atol=1e-12)
-        np.testing.assert_allclose(w_b.data[b], w.data, atol=1e-12)
+        ctx, w = L.soft_attention_batch(params, Tensor(v[b]), Tensor(h[b:b + 1]), 6)
+        np.testing.assert_allclose(ctx_b.data[b], ctx.data[0], atol=1e-12)
+        np.testing.assert_allclose(w_b.data[b], w.data[0], atol=1e-12)
 
 
 # --- embeddings -----------------------------------------------------------------
@@ -226,7 +239,7 @@ def test_embed_gather_passes_fd():
         e = L.embed(table, ids)
         return T.sum_all(T.mul(e, e))
 
-    assert finite_difference_check(f, [table.matrix], eps=1e-5) <= 1e-4
+    assert max(gradient_audit(f, {"matrix": table.matrix}, atol=0.0).values()) <= 1e-4
 
 
 # --- linear ---------------------------------------------------------------------
@@ -235,9 +248,9 @@ def test_embed_gather_passes_fd():
 def test_linear_matches_direct_product():
     rng = T.seeded_rng(6)
     lin = L.LinearLayer.create(3, 4, rng)
-    x = rng.normal(size=4)
+    x = rng.normal(size=(2, 4))
     got = lin(Tensor(x))
-    np.testing.assert_allclose(got.data, lin.weight.data @ x + lin.bias.data, atol=1e-12)
+    np.testing.assert_allclose(got.data, x @ lin.weight.data.T + lin.bias.data, atol=1e-12)
 
 
 def test_linear_without_bias():

@@ -12,12 +12,11 @@ from hdlm.model import (
     ModelConfig,
     ModelParams,
     compute_losses,
-    encode_image,
-    mti_predict,
-    sentence_step,
-    word_forward,
+    encode_image_batch,
+    sentence_step_batch,
 )
 from hdlm.tensor import Tape, Tensor, backward, gradient_audit, seeded_rng, zeros
+from oracles import encode_record, sentence_step_one, word_forward
 
 
 def toy_config(**kw):
@@ -121,11 +120,13 @@ def test_stop_and_topic_layers_have_no_bias():
 def test_encode_image_matches_numpy():
     cfg = toy_config()
     params = ModelParams.create(cfg, seed=3)
-    feats = seeded_rng(8).normal(size=(cfg.locations, cfg.channels))
-    v_e, v_hat = encode_image(params, Tensor(feats))
-    want = feats @ params.img_embed.weight.data.T + params.img_embed.bias.data
+    feats = seeded_rng(8).normal(size=(2, cfg.locations, cfg.channels))
+    stacked = feats.reshape(-1, cfg.channels)
+    v_e, v_hat = encode_image_batch(params, Tensor(stacked), cfg.locations)
+    want = stacked @ params.img_embed.weight.data.T + params.img_embed.bias.data
     assert np.allclose(v_e.data, want, atol=1e-12)
-    assert np.allclose(v_hat.data, want.mean(axis=0), atol=1e-12)
+    means = want.reshape(2, cfg.locations, -1).mean(axis=1)
+    assert np.allclose(v_hat.data, means, atol=1e-12)
 
 
 def test_sentence_step_matches_hand_composition():
@@ -136,8 +137,8 @@ def test_sentence_step_matches_hand_composition():
     h0 = rng.normal(size=cfg.hidden_dim) * 0.2
     c0 = rng.normal(size=cfg.hidden_dim) * 0.2
 
-    h1, c1, topic, stop, abn = sentence_step(
-        params, Tensor(v_e_arr.copy()), Tensor(h0.copy()), Tensor(c0.copy())
+    h1, c1, topic, stop, abn = sentence_step_batch(
+        params, Tensor(v_e_arr.copy()), cfg.locations, Tensor(h0[None]), Tensor(c0[None])
     )
 
     def sig(v):
@@ -170,11 +171,11 @@ def test_sentence_step_matches_hand_composition():
     )
     abn_want = params.abnormal_head.weight.data @ h_want + params.abnormal_head.bias.data
 
-    assert np.allclose(h1.data, h_want, atol=1e-12)
-    assert np.allclose(c1.data, c_want, atol=1e-12)
-    assert np.allclose(topic.data, topic_want, atol=1e-12)
-    assert abs(float(stop.data) - stop_want[0]) < 1e-12
-    assert abs(float(abn.data) - abn_want[0]) < 1e-12
+    assert np.allclose(h1.data[0], h_want, atol=1e-12)
+    assert np.allclose(c1.data[0], c_want, atol=1e-12)
+    assert np.allclose(topic.data[0], topic_want, atol=1e-12)
+    assert abs(stop.data[0, 0] - stop_want[0]) < 1e-12
+    assert abs(abn.data[0, 0] - abn_want[0]) < 1e-12
 
 
 def test_word_forward_hand_unroll():
@@ -183,7 +184,7 @@ def test_word_forward_hand_unroll():
     rng = seeded_rng(11)
     topic = rng.normal(size=cfg.embed_dim)
     gold = [BOS_ID, 4, 6, EOS_ID]
-    logits = word_forward(params, Tensor(topic.copy()), gold, "normal").data
+    logits = word_forward(params, Tensor(topic[None]), gold, "normal").data
     assert logits.shape == (len(gold), cfg.vocab_size)
 
     def sig(v):
@@ -205,7 +206,7 @@ def test_word_forward_hand_unroll():
 def test_word_forward_is_teacher_forced():
     cfg = toy_config()
     params = ModelParams.create(cfg, seed=7)
-    topic = Tensor(seeded_rng(12).normal(size=cfg.embed_dim))
+    topic = Tensor(seeded_rng(12).normal(size=(1, cfg.embed_dim)))
     a = word_forward(params, topic, [BOS_ID, 4, 5, EOS_ID], "normal").data
     b = word_forward(params, topic, [BOS_ID, 6, 5, EOS_ID], "normal").data
     # rows 0 and 1 precede the first differing input token
@@ -215,7 +216,7 @@ def test_word_forward_is_teacher_forced():
 
 def test_word_forward_errors():
     params = ModelParams.create(toy_config(), seed=0)
-    topic = zeros((5,))
+    topic = zeros((1, 5))
     with pytest.raises(ValueError, match="nonempty"):
         word_forward(params, topic, [], "normal")
     with pytest.raises(ValueError, match="sideways"):
@@ -225,17 +226,17 @@ def test_word_forward_errors():
 def test_word_forward_zero_params_is_uniform():
     cfg = toy_config()
     params = zeroed(ModelParams.create(cfg, seed=0))
-    logits = word_forward(params, zeros((cfg.embed_dim,)), [BOS_ID, 4, EOS_ID], "abnormal")
+    logits = word_forward(params, zeros((1, cfg.embed_dim)), [BOS_ID, 4, EOS_ID], "abnormal")
     assert np.array_equal(logits.data, np.zeros((3, cfg.vocab_size)))
 
 
-def test_mti_predict_zero_params_is_half():
+def test_mti_head_zero_params_is_half():
     cfg = toy_config()
     params = zeroed(ModelParams.create(cfg, seed=0))
-    feats = Tensor(seeded_rng(1).normal(size=(cfg.locations, cfg.channels)))
-    probs = mti_predict(params, feats)
-    assert probs.shape == (cfg.mti_labels,)
-    assert np.array_equal(probs, np.full(cfg.mti_labels, 0.5))
+    _, v_hat = encode_record(params, seeded_rng(1).normal(size=(cfg.locations, cfg.channels)))
+    logits = params.mti_head(v_hat).data
+    assert logits.shape == (1, cfg.mti_labels)
+    assert np.array_equal(1.0 / (1.0 + np.exp(-logits)), np.full((1, cfg.mti_labels), 0.5))
 
 
 # ---------------------------------------------------------------------------
@@ -279,16 +280,16 @@ def test_loss_weights_scale_their_terms():
 def naive_losses(params, config, records):
     stop_t = word_t = abn_t = mti_t = 0.0
     for r in records:
-        v_e, v_hat = encode_image(params, Tensor(r.feature_map()))
-        h = zeros((config.hidden_dim,))
-        c = zeros((config.hidden_dim,))
+        v_e, v_hat = encode_record(params, r.feature_map())
+        h = zeros((1, config.hidden_dim))
+        c = zeros((1, config.hidden_dim))
         last = len(r.sentences) - 1
         for m, sent in enumerate(r.sentences):
-            h, c, topic, stop, abn = sentence_step(params, v_e, h, c)
-            stop_t += _softplus_ce(float(stop.data), 1.0 if m == last else 0.0)
+            h, c, topic, stop, abn = sentence_step_one(params, v_e, h, c)
+            stop_t += _softplus_ce(stop, 1.0 if m == last else 0.0)
             branch = "normal"
             if config.dual_enabled:
-                abn_t += _softplus_ce(float(abn.data), float(r.abnormal_flags[m]))
+                abn_t += _softplus_ce(abn, float(r.abnormal_flags[m]))
                 branch = "abnormal" if r.abnormal_flags[m] else "normal"
             gold = [BOS_ID] + list(sent)
             logits = word_forward(params, topic, gold, branch).data
@@ -296,7 +297,7 @@ def naive_losses(params, config, records):
                 row = logits[t]
                 m_ = row.max()
                 word_t += m_ + math.log(np.exp(row - m_).sum()) - row[gold[t]]
-        z = params.mti_head(v_hat).data
+        z = params.mti_head(v_hat).data[0]
         y = r.multi_hot(config.mti_labels)
         mti_t += sum(_softplus_ce(float(zk), float(yk)) for zk, yk in zip(z, y))
     b = len(records)
