@@ -1,6 +1,6 @@
 """Corpus handling: tokenization, vocabulary, report records, frequency
-statistics, embedding-distance abnormality annotation, and a synthetic
-long-tail corpus generator.
+statistics, embedding-distance abnormality annotation, a synthetic
+long-tail corpus generator, and the JSON-lines codec every run file uses.
 
 Token id conventions are global: PAD=0, BOS=1, EOS=2, UNK=3.  Stored
 sentences always end with EOS and never contain BOS.
@@ -33,7 +33,7 @@ class ConfigError(ValueError):
 
 
 class CorpusFormatError(ValueError):
-    """A corpus, feature, or embedding file is malformed."""
+    """A corpus, feature, vocabulary, embedding, or run file is malformed."""
 
 
 # ---------------------------------------------------------------------------
@@ -101,8 +101,13 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 
 
 def load_vocab(path) -> Vocabulary:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    tokens = payload["tokens"]
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError as e:
+        raise CorpusFormatError(f"{path}: invalid JSON ({e.msg})") from None
+    tokens = payload.get("tokens") if isinstance(payload, dict) else None
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise CorpusFormatError(f"{path}: expected a JSON object with a \"tokens\" string list")
     if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
         raise CorpusFormatError(f"{path}: vocabulary does not start with the reserved tokens")
     return Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, payload.get("min_frequency", 1))
@@ -157,15 +162,6 @@ class ReportRecord:
 
 # ---------------------------------------------------------------------------
 # statistics
-
-
-def record_sentences_as_strings(records, vocab: Vocabulary) -> list[tuple[str, ...]]:
-    """All sentences across records as token-string tuples, EOS stripped."""
-    out = []
-    for r in records:
-        for sent in r.sentences:
-            out.append(tuple(vocab.decode(sent)))
-    return out
 
 
 def sentence_frequency_table(sentences) -> list[tuple[tuple, int]]:
@@ -419,6 +415,8 @@ def load_features(path) -> np.ndarray:
         blob = fh.read()
     if blob[:4] != FEATURE_MAGIC:
         raise CorpusFormatError(f"{path}: bad feature magic {blob[:4]!r}")
+    if len(blob) < 16:
+        raise CorpusFormatError(f"{path}: truncated header ({len(blob)} of 16 bytes)")
     version, loc, chan = struct.unpack_from("<III", blob, 4)
     if version != FEATURE_VERSION:
         raise CorpusFormatError(f"{path}: unsupported feature version {version}")
@@ -427,6 +425,37 @@ def load_features(path) -> np.ndarray:
         raise CorpusFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16)
     return flat.astype(np.float64).reshape(loc, chan)
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines files: one object per line, shared by every run file
+
+
+def write_jsonl(path, objects) -> None:
+    """Write each object as one JSON line; no objects give an empty file."""
+    Path(path).write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+
+
+def read_jsonl(path, fields=()):
+    """Yield ``(lineno, obj)`` for every nonblank line of ``path``.
+
+    Invalid JSON, a line that is not a JSON object, or an object missing
+    one of ``fields`` raises :class:`CorpusFormatError` naming ``path:line``.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+            if not isinstance(obj, dict):
+                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+            missing = set(fields) - obj.keys()
+            if missing:
+                raise CorpusFormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+            yield lineno, obj
 
 
 # ---------------------------------------------------------------------------
@@ -444,44 +473,29 @@ def save_corpus(path, records) -> None:
         feat_dir.mkdir(parents=True, exist_ok=True)
         rel = f"features/{r.id}.fmap"
         save_features(path.parent / rel, r.feature_ref)
-        lines.append(
-            json.dumps(
-                {
-                    "id": r.id,
-                    "sentences": r.sentences,
-                    "abnormal": [bool(b) for b in r.abnormal_flags],
-                    "mti": list(r.mti_labels),
-                    "feature": rel,
-                }
-            )
-        )
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+        lines.append({
+            "id": r.id,
+            "sentences": r.sentences,
+            "abnormal": [bool(b) for b in r.abnormal_flags],
+            "mti": list(r.mti_labels),
+            "feature": rel,
+        })
+    write_jsonl(path, lines)
 
 
 def load_corpus(path) -> list[ReportRecord]:
     """Read a JSON-lines corpus, inlining each record's feature map."""
     path = Path(path)
     records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            try:
-                missing = {"id", "sentences", "abnormal", "mti", "feature"} - obj.keys()
-                if missing:
-                    raise ValueError(f"missing fields {sorted(missing)}")
-                record = ReportRecord(
-                    id=obj["id"],
-                    sentences=[[int(t) for t in s] for s in obj["sentences"]],
-                    abnormal_flags=[bool(b) for b in obj["abnormal"]],
-                    mti_labels=tuple(int(x) for x in obj["mti"]),
-                    feature_ref=load_features(path.parent / obj["feature"]),
-                )
-            except (ValueError, TypeError, CorpusFormatError) as e:
-                raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
-            records.append(record)
+    for lineno, obj in read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature")):
+        try:
+            records.append(ReportRecord(
+                id=obj["id"],
+                sentences=[[int(t) for t in s] for s in obj["sentences"]],
+                abnormal_flags=[bool(b) for b in obj["abnormal"]],
+                mti_labels=tuple(int(x) for x in obj["mti"]),
+                feature_ref=load_features(path.parent / obj["feature"]),
+            ))
+        except (ValueError, TypeError) as e:
+            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
     return records

@@ -14,15 +14,14 @@ they emit EOS.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass
-from pathlib import Path
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError
+from .data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError, read_jsonl, write_jsonl
 from .layers import embed
 from .model import (
+    BRANCH_NAMES,
     ModelConfig,
     ModelParams,
     encode_image_batch,
@@ -31,8 +30,6 @@ from .model import (
     word_step,
 )
 from .tensor import Tensor, zeros
-
-BRANCH_VALUES = ("abnormal", "normal")
 
 
 @dataclass
@@ -138,50 +135,26 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
 
 
 def save_generated(path, reports) -> None:
-    lines = []
-    for r in reports:
-        lines.append(
-            json.dumps(
-                {
-                    "id": r.id,
-                    "sentences": r.sentences,
-                    "branches": r.branches,
-                    "stop_probs": r.stop_probs,
-                    "abnormal_probs": r.abnormal_probs,
-                }
-            )
-        )
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_jsonl(path, map(asdict, reports))
 
 
 def load_generated(path) -> list[GeneratedReport]:
-    path = Path(path)
+    fields = ("id", "sentences", "branches", "stop_probs", "abnormal_probs")
     reports = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            missing = {"id", "sentences", "branches", "stop_probs", "abnormal_probs"} - obj.keys()
-            if missing:
-                raise CorpusFormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            bad = [b for b in obj["branches"] if b not in BRANCH_VALUES]
+    for lineno, obj in read_jsonl(path, fields):
+        try:
+            bad = [b for b in obj["branches"] if b not in BRANCH_NAMES]
             if bad:
-                raise CorpusFormatError(f"{path}:{lineno}: unknown branch {bad[0]!r}")
-            counts = {len(obj["sentences"]), len(obj["branches"]),
-                      len(obj["stop_probs"]), len(obj["abnormal_probs"])}
-            if len(counts) != 1:
-                raise CorpusFormatError(f"{path}:{lineno}: per-sentence lists disagree in length")
-            reports.append(
-                GeneratedReport(
-                    id=obj["id"],
-                    sentences=[[int(t) for t in s] for s in obj["sentences"]],
-                    branches=list(obj["branches"]),
-                    stop_probs=[float(v) for v in obj["stop_probs"]],
-                    abnormal_probs=[float(v) for v in obj["abnormal_probs"]],
-                )
-            )
+                raise ValueError(f"unknown branch {bad[0]!r}")
+            if len({len(obj[name]) for name in fields[1:]}) != 1:
+                raise ValueError("per-sentence lists disagree in length")
+            reports.append(GeneratedReport(
+                id=obj["id"],
+                sentences=[[int(t) for t in s] for s in obj["sentences"]],
+                branches=list(obj["branches"]),
+                stop_probs=[float(v) for v in obj["stop_probs"]],
+                abnormal_probs=[float(v) for v in obj["abnormal_probs"]],
+            ))
+        except (ValueError, TypeError) as e:
+            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
     return reports

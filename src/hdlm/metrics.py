@@ -12,7 +12,7 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .data import EOS_ID
@@ -302,16 +302,7 @@ class MetricsReport:
     distinct: list[int] = field(default_factory=list)
 
     def as_dict(self) -> dict:
-        return {
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "bleu3": self.bleu3,
-            "bleu4": self.bleu4,
-            "rouge_l": self.rouge_l,
-            "cider_d": self.cider_d,
-            "meteor": self.meteor,
-            "distinct": list(self.distinct),
-        }
+        return asdict(self)
 
 
 def compute_metrics(pairs, paragraphs=None) -> MetricsReport:

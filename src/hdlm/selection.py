@@ -9,9 +9,10 @@ exactly that stock paragraph, which is useful as a floor in analyses.
 
 from __future__ import annotations
 
-import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
+
+from .data import CorpusFormatError, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -101,37 +102,21 @@ def mode_baseline(records) -> list[list[int]]:
 
 
 def save_history(path, history) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in history:
-            fh.write(json.dumps({
-                "iteration": record.iteration,
-                "bleu4": record.bleu4,
-                "distinct": list(record.distinct),
-                "path": record.path,
-            }) + "\n")
+    write_jsonl(path, map(asdict, history))
 
 
 def load_history(path) -> list[CheckpointRecord]:
     history = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: invalid JSON ({exc.msg})") from exc
-            missing = {"iteration", "bleu4", "distinct"} - obj.keys()
-            if missing:
-                raise ValueError(
-                    f"{path}:{lineno}: missing fields {sorted(missing)}"
-                )
+    for lineno, obj in read_jsonl(path, ("iteration", "bleu4", "distinct")):
+        try:
             history.append(CheckpointRecord(
                 iteration=int(obj["iteration"]),
                 bleu4=float(obj["bleu4"]),
                 distinct=tuple(int(v) for v in obj["distinct"]),
                 path=obj.get("path"),
             ))
+        except (ValueError, TypeError) as e:
+            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
     return history
 
 

@@ -12,7 +12,7 @@ All data is float64.  Gradients accumulate additively when a node fans out.
 from __future__ import annotations
 
 import threading
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,6 +23,7 @@ __all__ = [
     "DomainError",
     "TapeError",
     "backward",
+    "collect_gradients",
     "gradient_audit",
     "matmul",
     "softmax_lastdim",
@@ -73,13 +74,12 @@ def seeded_rng(seed: int) -> np.random.Generator:
 
 
 class Tensor:
-    """A dense float64 array plus an optional link into the active tape."""
+    """A dense float64 array; tapes look it up by identity."""
 
-    __slots__ = ("data", "node")
+    __slots__ = ("data",)
 
     def __init__(self, data) -> None:
         self.data = np.asarray(data, dtype=np.float64)
-        self.node: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,9 +93,6 @@ class Tensor:
         if self.data.size != 1:
             raise ShapeError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
@@ -126,9 +123,8 @@ class Tape:
     """Ordered record of the operations of one forward pass.
 
     Node ids are local to the tape.  Tensors first seen by the tape (leaves
-    such as parameters, or constants) are registered on use; their ``node``
-    attribute is set so callers can look their gradients up after
-    :func:`backward`.
+    such as parameters, or constants) are registered on use; ``node_of``
+    gives the id to look their gradients up by after :func:`backward`.
     """
 
     def __init__(self) -> None:
@@ -142,7 +138,6 @@ class Tape:
             nid = len(self._keep)
             self._ids[id(t)] = nid
             self._keep.append(t)
-            t.node = nid
         return nid
 
     def record(self, out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
@@ -187,6 +182,16 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             acc = grads.get(nid)
             grads[nid] = g_in if acc is None else acc + g_in
     return {nid: Tensor(g) for nid, g in grads.items()}
+
+
+def collect_gradients(tape: Tape, grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+    """Gradients by parameter name, zero-filled where the loss never touched
+    the parameter."""
+    out = {}
+    for name, t in named_params.items():
+        g = grads.get(tape.node_of(t))
+        out[name] = g.data if g is not None else np.zeros_like(t.data)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -480,17 +485,6 @@ def sigmoid_ce(logits: Tensor, targets) -> Tensor:
 # finite differences
 
 
-def _analytic_grads(f: Callable[[], Tensor], params: Iterable[Tensor]) -> dict[int, np.ndarray]:
-    with Tape() as tape:
-        out = f()
-    grads = backward(tape, out)
-    result = {}
-    for p in params:
-        g = grads.get(tape.node_of(p))
-        result[id(p)] = g.data if g is not None else np.zeros_like(p.data)
-    return result
-
-
 def _probe_coords(n: int, max_coords: int | None, rng: np.random.Generator) -> np.ndarray:
     if max_coords is None or n <= max_coords:
         return np.arange(n)
@@ -518,12 +512,13 @@ def gradient_audit(
     giving the plain worst relative error over every probed coordinate.
     ``f`` must be deterministic and read the parameter tensors in place.
     """
-    params = list(named_params.values())
-    analytic = _analytic_grads(f, params)
+    with Tape() as tape:
+        out = f()
+    analytic = collect_gradients(tape, backward(tape, out), named_params)
     rng = seeded_rng(seed)
     report: dict[str, float] = {}
     for name, p in named_params.items():
-        a_flat = analytic[id(p)].reshape(-1)
+        a_flat = analytic[name].reshape(-1)
         flat = p.data.reshape(-1)
         worst = 0.0
         for i in _probe_coords(flat.size, max_coords, rng):

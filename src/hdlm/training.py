@@ -20,9 +20,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ConfigError
+from .data import ConfigError, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
-from .tensor import Tape, Tensor, backward, seeded_rng
+from .tensor import Tape, Tensor, backward, collect_gradients, seeded_rng
 
 CHECKPOINT_MAGIC = b"HDLM"
 CHECKPOINT_VERSION = 1
@@ -91,16 +91,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
         for g in grads.values():
             g *= factor
     return total
-
-
-def collect_gradients(tape: Tape, grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients by parameter name, zero-filled where the loss never touched
-    the parameter."""
-    out = {}
-    for name, t in named_params.items():
-        g = grads.get(tape.node_of(t))
-        out[name] = g.data if g is not None else np.zeros_like(t.data)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +193,7 @@ def train(
 
 
 def load_training_log(path) -> list[dict]:
-    entries = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                entries.append(json.loads(line))
-    return entries
+    return [entry for _, entry in read_jsonl(path)]
 
 
 # ---------------------------------------------------------------------------

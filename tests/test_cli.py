@@ -255,6 +255,64 @@ def test_malformed_history_exit_code(tmp_path):
     assert run(["select", str(bad)]) == 5
 
 
+def _insert_line(path, lineno, text):
+    lines = path.read_text().splitlines()
+    lines.insert(lineno - 1, text)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:{lineno}:"
+
+
+def _val_line_is_a_list(data, tmp):
+    where = _insert_line(data / "val.jsonl", 2, "[1, 2]")
+    return ["train", str(data), "--out", str(tmp / "run")], f"{where} expected a JSON object"
+
+
+def _generated_line_is_a_number(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text("5\n")
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: expected a JSON object"
+
+
+def _history_line_is_a_string(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_text('"x"\n')
+    return ["select", str(history)], f"{history}:1: expected a JSON object"
+
+
+def _history_distinct_is_a_number(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_text('{"iteration": 0, "bleu4": 0.5, "distinct": [4]}\n'
+                       '{"iteration": 1, "bleu4": 0.1, "distinct": 3}\n')
+    return ["select", str(history)], f"{history}:2: "
+
+
+def _feature_header_truncated(data, tmp):
+    first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+    (data / first["feature"]).write_bytes(b"FMAP" + bytes(6))
+    return (["train", str(data), "--out", str(tmp / "run")],
+            f"{data / 'train.jsonl'}:1: {data / first['feature']}: truncated header")
+
+
+def _vocab_without_tokens(data, tmp):
+    (data / "vocab.json").write_text('{"min_frequency": 1}')
+    return ["train", str(data), "--out", str(tmp / "run")], f"{data / 'vocab.json'}: expected a JSON object"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
+    _history_distinct_is_a_number, _feature_header_truncated, _vocab_without_tokens,
+], ids=lambda corrupt: corrupt.__name__.strip("_"))
+def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    argv, expected = corrupt(data, tmp_path)
+    capsys.readouterr()
+    assert run(argv) == 5
+    err = capsys.readouterr().err
+    assert f"error: {expected}" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as info:
         run([])

@@ -23,7 +23,7 @@ from hdlm.data import (
     load_embeddings,
     load_features,
     load_vocab,
-    record_sentences_as_strings,
+    read_jsonl,
     save_corpus,
     save_features,
     save_vocab,
@@ -31,6 +31,7 @@ from hdlm.data import (
     split_corpus,
     synth_corpus,
     tokenize,
+    write_jsonl,
 )
 
 
@@ -113,6 +114,20 @@ def test_load_vocab_rejects_missing_reserved(tmp_path):
         load_vocab(path)
 
 
+@pytest.mark.parametrize("text, message", [
+    ("{bad", "invalid JSON"),
+    ("[]", "expected a JSON object"),
+    ('{"min_frequency": 1}', "expected a JSON object"),
+    ('{"tokens": 5}', "expected a JSON object"),
+    ('{"tokens": [[1]]}', "expected a JSON object"),
+])
+def test_load_vocab_rejects_non_object_or_missing_tokens(tmp_path, text, message):
+    path = tmp_path / "vocab.json"
+    path.write_text(text)
+    with pytest.raises(CorpusFormatError, match=rf"vocab\.json: {message}"):
+        load_vocab(path)
+
+
 # ---------------------------------------------------------------------------
 # records
 
@@ -181,12 +196,6 @@ def test_count_below_fraction():
     table = [(("a",), 5), (("b",), 2), (("c",), 1)]
     assert count_below(table, 3) == (2, 2 / 3)
     assert count_below([], 3) == (0, 0.0)
-
-
-def test_record_sentences_strip_eos():
-    vocab = build_vocab([["hi", "there"]])
-    rec = _record(sentences=[vocab.encode_sentence(["hi", "there"])])
-    assert record_sentences_as_strings([rec], vocab) == [("hi", "there")]
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +325,7 @@ def test_synth_features_sum_patterns_plus_noise():
 def test_synth_skews_toward_head_sentences():
     out = synth_corpus(SynthConfig(seed=11, records=300))
     table = sentence_frequency_table(
-        record_sentences_as_strings(out.records, out.vocab)
+        out.vocab.decode(sent) for rec in out.records for sent in rec.sentences
     )
     assert table[0][1] >= 5 * table[-1][1]
     _, frac = count_below(table, 3)
@@ -382,6 +391,13 @@ def test_feature_truncated_payload(tmp_path):
         load_features(path)
 
 
+def test_feature_truncated_header(tmp_path):
+    path = tmp_path / "x.fmap"
+    path.write_bytes(b"FMAP" + bytes(6))
+    with pytest.raises(CorpusFormatError, match="truncated header"):
+        load_features(path)
+
+
 def test_feature_bad_version(tmp_path):
     path = tmp_path / "x.fmap"
     save_features(path, np.ones((1, 1)))
@@ -395,6 +411,37 @@ def test_feature_bad_version(tmp_path):
 def test_feature_requires_rank_two():
     with pytest.raises(ValueError, match="rank 2"):
         save_features("/tmp/never-written.fmap", np.ones(3))
+
+
+# ---------------------------------------------------------------------------
+# JSON-lines codec
+
+
+def test_jsonl_round_trip_skips_blank_lines(tmp_path):
+    path = tmp_path / "x.jsonl"
+    write_jsonl(path, [{"b": 1, "a": [2]}, {"c": None}])
+    assert path.read_text() == '{"b": 1, "a": [2]}\n{"c": null}\n'
+    path.write_text(path.read_text() + "\n  \n" + '{"d": 3}\n')
+    assert list(read_jsonl(path)) == [(1, {"b": 1, "a": [2]}), (2, {"c": None}), (5, {"d": 3})]
+
+
+def test_write_jsonl_empty_is_empty_file(tmp_path):
+    path = tmp_path / "x.jsonl"
+    write_jsonl(path, [])
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("line, message", [
+    ("{bad", "invalid JSON"),
+    ("[1, 2]", "expected a JSON object"),
+    ('"x"', "expected a JSON object"),
+    ('{"a": 1}', r"missing fields \['b'\]"),
+])
+def test_read_jsonl_errors_name_path_and_line(tmp_path, line, message):
+    path = tmp_path / "x.jsonl"
+    path.write_text('{"a": 1, "b": 2}\n' + line + "\n")
+    with pytest.raises(CorpusFormatError, match=rf"x\.jsonl:2: {message}"):
+        list(read_jsonl(path, ("a", "b")))
 
 
 # ---------------------------------------------------------------------------

@@ -231,3 +231,10 @@ def test_load_generated_errors_name_lines(tmp_path):
     path.write_text('{"id": "a", "sentences": [[1]]}\n')
     with pytest.raises(CorpusFormatError, match="missing fields"):
         load_generated(path)
+    path.write_text("5\n")
+    with pytest.raises(CorpusFormatError, match=":1: expected a JSON object"):
+        load_generated(path)
+    path.write_text('{"id": "a", "sentences": 5, "branches": [], '
+                    '"stop_probs": [], "abnormal_probs": []}\n')
+    with pytest.raises(CorpusFormatError, match=":1: "):
+        load_generated(path)

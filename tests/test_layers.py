@@ -220,7 +220,7 @@ def test_embed_repeated_id_accumulates_gradient():
     with Tape() as tape:
         loss = T.sum_all(L.embed(table, [3, 3]))
     grads = backward(tape, loss)
-    g = grads[table.matrix.node].data
+    g = grads[tape.node_of(table.matrix)].data
     np.testing.assert_array_equal(g[3], np.full(2, 2.0))
     assert np.all(g[[0, 1, 2, 4]] == 0)
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdlm.data import EOS_ID, ReportRecord
+from hdlm.data import EOS_ID, CorpusFormatError, ReportRecord
 from hdlm.selection import (
     CheckpointRecord,
     load_history,
@@ -127,6 +127,15 @@ def test_load_history_reports_line_numbers(tmp_path):
     path = tmp_path / "history.jsonl"
     path.write_text('{"iteration": 1, "bleu4": 0.5, "distinct": [4]}\nnot json\n')
     with pytest.raises(ValueError, match=r"history\.jsonl:2"):
+        load_history(path)
+
+
+@pytest.mark.parametrize("line", ['"x"', '{"iteration": 1, "bleu4": 0.1, "distinct": 3}',
+                                  '{"iteration": -1, "bleu4": 0.1, "distinct": [3]}'])
+def test_load_history_bad_line_is_format_error(tmp_path, line):
+    path = tmp_path / "history.jsonl"
+    path.write_text(line + "\n")
+    with pytest.raises(CorpusFormatError, match=r"history\.jsonl:1: "):
         load_history(path)
 
 

@@ -135,7 +135,7 @@ def test_backward_sum_gives_ones():
     with Tape() as tape:
         loss = T.sum_all(x)
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[x.node].data, np.ones((2, 3)))
+    np.testing.assert_array_equal(grads[tape.node_of(x)].data, np.ones((2, 3)))
 
 
 def test_backward_square_gives_two_x():
@@ -143,7 +143,7 @@ def test_backward_square_gives_two_x():
     with Tape() as tape:
         loss = T.sum_all(T.mul(x, x))
     grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[x.node].data, [3.0], atol=1e-12)
+    np.testing.assert_allclose(grads[tape.node_of(x)].data, [3.0], atol=1e-12)
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -167,7 +167,7 @@ def test_backward_fanout_accumulates():
     with Tape() as tape:
         loss = T.sum_all(T.add(T.scale(x, 3.0), T.scale(x, 4.0)))
     grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[x.node].data, [7.0], atol=1e-12)
+    np.testing.assert_allclose(grads[tape.node_of(x)].data, [7.0], atol=1e-12)
 
 
 def test_backward_composite_lstm_like_step_matches_fd():
