@@ -195,31 +195,41 @@ class EmbeddingFile:
     dim: int
 
 
+def _nonblank_lines(path):
+    """Yield ``(lineno, text)`` for every nonblank line of ``path``; a line
+    that is not UTF-8 raises :class:`CorpusFormatError` naming ``path:line``."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError:
+                raise CorpusFormatError(f"{path}:{lineno}: invalid UTF-8") from None
+            if line.strip():
+                yield lineno, line
+
+
 def load_embeddings(path) -> EmbeddingFile:
     """Text format: one line per word, ``word v1 v2 ... vd``."""
     vectors: dict[str, np.ndarray] = {}
     dim = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            parts = line.split()
-            word = parts[0]
-            try:
-                vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
-            except ValueError:
-                raise CorpusFormatError(f"{path}:{lineno}: non-numeric embedding value") from None
-            if vec.size == 0:
-                raise CorpusFormatError(f"{path}:{lineno}: no vector components")
-            if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: vector of dim {vec.size}, expected {dim}"
-                )
-            if not np.linalg.norm(vec) > 0:
-                raise CorpusFormatError(f"{path}:{lineno}: zero-norm vector for {word!r}")
-            vectors[word] = vec
+    for lineno, line in _nonblank_lines(path):
+        parts = line.split()
+        word = parts[0]
+        try:
+            vec = np.array([float(v) for v in parts[1:]], dtype=np.float64)
+        except ValueError:
+            raise CorpusFormatError(f"{path}:{lineno}: non-numeric embedding value") from None
+        if vec.size == 0:
+            raise CorpusFormatError(f"{path}:{lineno}: no vector components")
+        if dim is None:
+            dim = vec.size
+        elif vec.size != dim:
+            raise CorpusFormatError(
+                f"{path}:{lineno}: vector of dim {vec.size}, expected {dim}"
+            )
+        if not np.linalg.norm(vec) > 0:
+            raise CorpusFormatError(f"{path}:{lineno}: zero-norm vector for {word!r}")
+        vectors[word] = vec
     if not vectors:
         raise CorpusFormatError(f"{path}: empty embedding file")
     return EmbeddingFile(vectors, dim)
@@ -439,23 +449,21 @@ def write_jsonl(path, objects) -> None:
 def read_jsonl(path, fields=()):
     """Yield ``(lineno, obj)`` for every nonblank line of ``path``.
 
-    Invalid JSON, a line that is not a JSON object, or an object missing
-    one of ``fields`` raises :class:`CorpusFormatError` naming ``path:line``.
+    Invalid UTF-8 or JSON, a line that is not a JSON object, or an object
+    missing one of ``fields`` raises :class:`CorpusFormatError` naming
+    ``path:line``.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
-            missing = set(fields) - obj.keys()
-            if missing:
-                raise CorpusFormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-            yield lineno, obj
+    for lineno, line in _nonblank_lines(path):
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        if not isinstance(obj, dict):
+            raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
+        missing = set(fields) - obj.keys()
+        if missing:
+            raise CorpusFormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
+        yield lineno, obj
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError, read_jsonl, write_jsonl
-from .layers import embed
+from .layers import attention_keys, embed
 from .model import (
     BRANCH_NAMES,
     ModelConfig,
@@ -101,11 +101,12 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
     reports = [GeneratedReport(r.id, [], [], [], []) for r in records]
     locations = config.locations
     v_e, _ = encode_image_batch(params, Tensor(stack_features(config, records)), locations)
+    keys = attention_keys(params.attn, v_e)
     h = zeros((len(records), config.hidden_dim))
     c = zeros((len(records), config.hidden_dim))
     live = np.arange(len(records))
     for _ in range(limits.max_sentences):
-        h, c, topic, stop_logits, abn_logits = sentence_step_batch(params, v_e, locations, h, c)
+        h, c, topic, stop_logits, abn_logits = sentence_step_batch(params, v_e, keys, locations, h, c)
         p_stop = _probs(stop_logits)
         p_abn = _probs(abn_logits)
         abnormal = (p_abn > limits.branch_threshold) & config.dual_enabled
@@ -124,7 +125,8 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
         if not going.any():
             break
         live = live[going]
-        v_e = Tensor(v_e.data[np.repeat(going, locations)])
+        rows = np.repeat(going, locations)
+        v_e, keys = Tensor(v_e.data[rows]), Tensor(keys.data[rows])
         h, c = Tensor(h.data[going]), Tensor(c.data[going])
     return reports
 

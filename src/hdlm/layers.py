@@ -24,17 +24,15 @@ from .tensor import (
     add,
     add_bias,
     gather_rows,
-    matmul,
+    linear,
     mul,
-    mul_colvec,
     repeat_rows,
     reshape,
     sigmoid,
     slice_cols,
     softmax_lastdim,
-    sum_rowgroups,
     tanh,
-    transpose,
+    weighted_sum_rowgroups,
 )
 
 INIT_RANGE = 0.08
@@ -57,7 +55,7 @@ class LinearLayer:
 
     def apply(self, x: Tensor) -> Tensor:
         """[S, in] rows -> [S, out] rows."""
-        y = matmul(x, transpose(self.weight))
+        y = linear(x, self.weight)
         if self.bias is not None:
             y = add_bias(y, self.bias)
         return y
@@ -114,7 +112,14 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
             f"lstm_step shapes x={x.shape} h={h.shape} c={c.shape} do not fit "
             f"cell (I={params.input_size}, H={hs})"
         )
-    z = add_bias(add(matmul(x, transpose(params.w_input)), matmul(h, transpose(params.w_recur))), params.bias)
+    return lstm_update(params, linear(x, params.w_input), h, c)
+
+
+def lstm_update(params: LSTMCellParams, x_proj: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """``lstm_step`` from input rows already multiplied by ``w_input^T``, so a
+    teacher-forced sequence can project all of its inputs in one product."""
+    hs = params.hidden_size
+    z = add_bias(add(x_proj, linear(h, params.w_recur)), params.bias)
     i = sigmoid(slice_cols(z, 0, hs))
     f = sigmoid(slice_cols(z, hs, 2 * hs))
     g = tanh(slice_cols(z, 2 * hs, 3 * hs))
@@ -172,25 +177,32 @@ class AttentionParams:
         ]
 
 
+def attention_keys(params: AttentionParams, v_e: Tensor) -> Tensor:
+    """Location keys ``v_e W_loc^T`` [B*L, A]; they do not depend on the
+    sentence state, so one product serves every sentence step of a batch."""
+    return linear(v_e, params.w_location)
+
+
 def soft_attention_batch(
-    params: AttentionParams, v_e: Tensor, h_prev: Tensor, locations: int
+    params: AttentionParams, v_e: Tensor, keys: Tensor, h_prev: Tensor, locations: int
 ) -> tuple[Tensor, Tensor]:
     """Attend over ``locations`` consecutive rows per batch element.
 
-    v_e: [B*L, D] stacked location embeddings; h_prev: [B, H].
+    v_e: [B*L, D] stacked location embeddings; keys: their
+    ``attention_keys`` [B*L, A]; h_prev: [B, H].
     Returns (context [B, D], weights [B, L]).
     """
     if locations < 1:
         raise ShapeError("soft_attention_batch needs at least one location")
-    if v_e.data.ndim != 2 or h_prev.data.ndim != 2 or v_e.shape[0] != h_prev.shape[0] * locations:
+    if (v_e.data.ndim != 2 or h_prev.data.ndim != 2 or v_e.shape[0] != h_prev.shape[0] * locations
+            or keys.shape != (v_e.shape[0], params.score.shape[0])):
         raise ShapeError(
-            f"soft_attention_batch shapes do not agree: v_e={v_e.shape}, "
+            f"soft_attention_batch shapes do not agree: v_e={v_e.shape}, keys={keys.shape}, "
             f"h_prev={h_prev.shape}, locations={locations}"
         )
     batch = h_prev.shape[0]
     attn_dim = params.score.shape[0]
-    pre = add(matmul(v_e, transpose(params.w_location)), repeat_rows(matmul(h_prev, transpose(params.w_state)), locations))
-    scores = reshape(matmul(tanh(pre), reshape(params.score, (attn_dim, 1))), (batch, locations))
+    pre = add(keys, repeat_rows(linear(h_prev, params.w_state), locations))
+    scores = reshape(linear(tanh(pre), reshape(params.score, (1, attn_dim))), (batch, locations))
     weights = softmax_lastdim(scores)
-    context = sum_rowgroups(mul_colvec(v_e, reshape(weights, (batch * locations, 1))), locations)
-    return context, weights
+    return weighted_sum_rowgroups(v_e, weights), weights

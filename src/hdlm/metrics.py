@@ -12,10 +12,10 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .data import EOS_ID
+from .data import EOS_ID, CorpusFormatError
 
 
 @dataclass
@@ -325,12 +325,23 @@ def save_metrics(path, report: MetricsReport) -> None:
 
 
 def load_metrics(path) -> MetricsReport:
-    obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    return MetricsReport(
-        bleu1=obj["bleu1"], bleu2=obj["bleu2"], bleu3=obj["bleu3"], bleu4=obj["bleu4"],
-        rouge_l=obj["rouge_l"], cider_d=obj["cider_d"], meteor=obj["meteor"],
-        distinct=[int(v) for v in obj["distinct"]],
-    )
+    """Read a ``save_metrics`` file; a malformed one raises
+    :class:`CorpusFormatError` naming ``path``."""
+    try:
+        obj = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:
+        raise CorpusFormatError(f"{path}: invalid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise CorpusFormatError(f"{path}: expected a JSON object")
+    values = {}
+    for name in (f.name for f in fields(MetricsReport)):
+        if name not in obj:
+            raise CorpusFormatError(f"{path}: missing metric {name!r}")
+        try:
+            values[name] = [int(v) for v in obj[name]] if name == "distinct" else float(obj[name])
+        except (ValueError, TypeError):
+            raise CorpusFormatError(f"{path}: metric {name!r} is not numeric: {obj[name]!r}") from None
+    return MetricsReport(**values)
 
 
 def render_table(report: MetricsReport) -> str:

@@ -29,8 +29,10 @@ from .layers import (
     EmbeddingTable,
     LinearLayer,
     LSTMCellParams,
+    attention_keys,
     embed,
     lstm_step,
+    lstm_update,
     soft_attention_batch,
 )
 from .tensor import (
@@ -39,6 +41,7 @@ from .tensor import (
     add,
     concat_rows,
     gather_rows,
+    linear,
     logsumexp_lastdim,
     mul_const,
     relu,
@@ -47,6 +50,7 @@ from .tensor import (
     seeded_rng,
     select_positions,
     sigmoid_ce,
+    slice_rows,
     sub,
     sum_all,
     sum_rowgroups,
@@ -196,14 +200,15 @@ def encode_image_batch(params: ModelParams, features: Tensor, locations: int) ->
 
 
 def sentence_step_batch(
-    params: ModelParams, v_e: Tensor, locations: int, h: Tensor, c: Tensor
+    params: ModelParams, v_e: Tensor, keys: Tensor, locations: int, h: Tensor, c: Tensor
 ) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
     """Advance the sentence LSTM one step for a whole batch.
 
+    ``keys`` is ``attention_keys(params.attn, v_e)``, computed once per batch.
     Returns (h', c', topic [B, D], stop logits [B, 1], abnormal logits [B, 1]).
     The stop logit mixes the previous and the new hidden state.
     """
-    context, _ = soft_attention_batch(params.attn, v_e, h, locations)
+    context, _ = soft_attention_batch(params.attn, v_e, keys, h, locations)
     h_new, c_new = lstm_step(params.sent_lstm, context, h, c)
     topic = relu(params.topic(h_new))
     stop = params.stop_out(tanh(add(params.stop_prev(h), params.stop_cur(h_new))))
@@ -248,15 +253,21 @@ def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: i
     cell, proj = params.word_branch(branch)
     golds = [[BOS_ID] + list(sent) for _, _, sent in specs]
     count = len(specs)
-    x = gather_rows(topics, [m * batch + b for b, m, _ in specs])
+    longest = max(len(g) for g in golds)
+    # step 0 consumes the topic (its logits are unused), step t >= 1 the
+    # embedding of gold[t-1]; all steps' inputs are projected in one product
+    ids_in = [g[t - 1] if t < len(g) else 0 for t in range(1, longest) for g in golds]
+    x = concat_rows([
+        gather_rows(topics, [m * batch + b for b, m, _ in specs]),
+        embed(params.embedding, ids_in),
+    ])
+    x_proj = linear(x, cell.w_input)
     h = zeros((count, cell.hidden_size))
     c = zeros((count, cell.hidden_size))
-    h, c = lstm_step(cell, x, h, c)  # consumes the topic; logits unused
-    longest = max(len(g) for g in golds)
+    h, c = lstm_update(cell, slice_rows(x_proj, 0, count), h, c)
     total = None
     for t in range(1, longest):
-        ids_in = [g[t - 1] if t < len(g) else 0 for g in golds]
-        h, c = lstm_step(cell, embed(params.embedding, ids_in), h, c)
+        h, c = lstm_update(cell, slice_rows(x_proj, t * count, (t + 1) * count), h, c)
         logits = proj(h)
         targets = [g[t] if t < len(g) else 0 for g in golds]
         mask = np.array([1.0 if t < len(g) else 0.0 for g in golds])
@@ -282,6 +293,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
 
     stacked = stack_features(config, records)
     v_e, v_hat = encode_image_batch(params, Tensor(stacked), config.locations)
+    keys = attention_keys(params.attn, v_e)
 
     h = zeros((batch, config.hidden_dim))
     c = zeros((batch, config.hidden_dim))
@@ -290,7 +302,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     topic_blocks = []
     for m in range(depth):
         h, c, topic, stop_logits, abn_logits = sentence_step_batch(
-            params, v_e, config.locations, h, c
+            params, v_e, keys, config.locations, h, c
         )
         topic_blocks.append(topic)
         exists = (m < lengths).astype(np.float64)

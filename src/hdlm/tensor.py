@@ -26,6 +26,7 @@ __all__ = [
     "collect_gradients",
     "gradient_audit",
     "matmul",
+    "linear",
     "softmax_lastdim",
     "tanh",
     "sigmoid",
@@ -38,13 +39,13 @@ __all__ = [
     "scale",
     "mul_const",
     "add_bias",
-    "mul_colvec",
-    "transpose",
     "reshape",
     "slice_cols",
+    "slice_rows",
     "concat_rows",
     "repeat_rows",
     "sum_rowgroups",
+    "weighted_sum_rowgroups",
     "sum_all",
     "gather_rows",
     "select_positions",
@@ -172,6 +173,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     if loss.size != 1:
         raise TapeError(f"loss must be scalar-valued, got shape {loss.shape}")
     grads: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.data)}
+    # A grad_fn may hand one array to several inputs (``add`` passes ``g`` to
+    # both), so a node's first gradient is only borrowed.  The second
+    # contribution copies it into an array the node owns; later ones add in
+    # place.
+    owned: set[int] = set()
     for entry in reversed(tape.entries):
         g_out = grads.get(entry.out_id)
         if g_out is None:
@@ -180,7 +186,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             if g_in is None:
                 continue
             acc = grads.get(nid)
-            grads[nid] = g_in if acc is None else acc + g_in
+            if acc is None:
+                grads[nid] = g_in
+            elif nid in owned:
+                acc += g_in
+            else:
+                grads[nid] = np.add(acc, g_in, out=np.empty_like(acc))
+                owned.add(nid)
     return {nid: Tensor(g) for nid, g in grads.items()}
 
 
@@ -211,13 +223,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+def linear(x: Tensor, w: Tensor) -> Tensor:
+    """[S, I] rows times the transpose of an [O, I] weight, giving [S, O]."""
+    X, W = x.data, w.data
+    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
+        raise ShapeError(f"linear shapes do not agree: {X.shape} x {W.shape}^T")
+    out = Tensor(X @ W.T)
+
+    def grad(g):
+        return g @ W, g.T @ X
+
+    _record(out, (x, w), grad)
     return out
+
+
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    # the tanh form never overflows, so it needs no sign split
+    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def tanh(x: Tensor) -> Tensor:
@@ -326,23 +348,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul_colvec(x: Tensor, w: Tensor) -> Tensor:
-    """Scale each row of [S, K] ``x`` by the matching entry of [S, 1] ``w``."""
-    if x.data.ndim != 2 or w.shape != (x.shape[0], 1):
-        raise ShapeError(f"mul_colvec shapes do not agree: {x.shape} * {w.shape}")
-    out = Tensor(x.data * w.data)
-    _record(out, (x, w), lambda g: (g * w.data, (g * x.data).sum(axis=1, keepdims=True)))
-    return out
-
-
-def transpose(x: Tensor) -> Tensor:
-    if x.data.ndim != 2:
-        raise ShapeError(f"transpose needs rank 2, got shape {x.shape}")
-    out = Tensor(x.data.T)
-    _record(out, (x,), lambda g: (g.T,))
-    return out
-
-
 def reshape(x: Tensor, shape) -> Tensor:
     old = x.shape
     out = Tensor(x.data.reshape(shape))
@@ -358,6 +363,20 @@ def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
     def grad(g):
         full = np.zeros((x.shape[0], x.shape[1]))
         full[:, start:stop] = g
+        return (full,)
+
+    _record(out, (x,), grad)
+    return out
+
+
+def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
+    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
+    out = Tensor(x.data[start:stop])
+
+    def grad(g):
+        full = np.zeros(x.shape)
+        full[start:stop] = g
         return (full,)
 
     _record(out, (x,), grad)
@@ -403,6 +422,24 @@ def sum_rowgroups(x: Tensor, group_size: int) -> Tensor:
     k = x.shape[1]
     out = Tensor(x.data.reshape(groups, group_size, k).sum(axis=1))
     _record(out, (x,), lambda g: (np.repeat(g, group_size, axis=0),))
+    return out
+
+
+def weighted_sum_rowgroups(x: Tensor, weights: Tensor) -> Tensor:
+    """[G*K, D] rows and [G, K] weights -> [G, D]: each group's rows summed
+    with its own weights."""
+    if x.data.ndim != 2 or weights.data.ndim != 2 or x.shape[0] != weights.size:
+        raise ShapeError(f"weighted_sum_rowgroups shapes do not agree: {x.shape} and {weights.shape}")
+    groups, size = weights.shape
+    x3 = x.data.reshape(groups, size, x.shape[1])
+    w = weights.data
+    out = Tensor(np.matmul(w[:, None, :], x3)[:, 0, :])
+
+    def grad(g):
+        g_x = (w[:, :, None] * g[:, None, :]).reshape(x.shape)
+        return g_x, np.matmul(x3, g[:, :, None])[:, :, 0]
+
+    _record(out, (x, weights), grad)
     return out
 
 

@@ -3,16 +3,39 @@
 The package runs every forward pass batched.  These helpers walk one record,
 one sentence and one word at a time instead, on the same ops (one example is
 a one-row batch), so tests can hold the batched losses and the batched
-decoder to a plainly sequential definition.
+decoder to a plainly sequential definition.  Attention keeps its first
+formulation: the location keys are recomputed at every sentence step, and
+the context is pooled through a [L, D] weighted copy of the locations.
 """
 
 import numpy as np
 
 from hdlm.data import BOS_ID, EOS_ID
 from hdlm.inference import GeneratedReport
-from hdlm.layers import embed
-from hdlm.model import encode_image_batch, sentence_step_batch, word_step
-from hdlm.tensor import Tensor, concat_rows, zeros
+from hdlm.layers import embed, lstm_step
+from hdlm.model import encode_image_batch, word_step
+from hdlm.tensor import (
+    Tensor,
+    _record,
+    add,
+    concat_rows,
+    gather_rows,
+    linear,
+    logsumexp_lastdim,
+    matmul,
+    relu,
+    repeat_rows,
+    reshape,
+    scale,
+    select_positions,
+    sigmoid_ce,
+    softmax_lastdim,
+    sub,
+    sum_all,
+    sum_rowgroups,
+    tanh,
+    zeros,
+)
 
 
 def encode_record(params, features):
@@ -21,13 +44,42 @@ def encode_record(params, features):
     return encode_image_batch(params, Tensor(feats), feats.shape[0])
 
 
-def sentence_step_one(params, v_e, h, c):
+def mul_colvec(x, w):
+    """Scale each row of [S, K] ``x`` by the matching entry of [S, 1] ``w``."""
+    out = Tensor(x.data * w.data)
+    _record(out, (x, w), lambda g: (g * w.data, (g * x.data).sum(axis=1, keepdims=True)))
+    return out
+
+
+def soft_attention_per_step(attn, v_e, h_prev, locations):
+    """Additive attention that recomputes ``v_e W_loc^T`` on every call.
+
+    v_e: [B*L, D]; h_prev: [B, H].  Returns (context [B, D], weights [B, L]).
+    """
+    batch = h_prev.shape[0]
+    attn_dim = attn.score.shape[0]
+    pre = add(linear(v_e, attn.w_location), repeat_rows(linear(h_prev, attn.w_state), locations))
+    scores = reshape(matmul(tanh(pre), reshape(attn.score, (attn_dim, 1))), (batch, locations))
+    weights = softmax_lastdim(scores)
+    context = sum_rowgroups(mul_colvec(v_e, reshape(weights, (batch * locations, 1))), locations)
+    return context, weights
+
+
+def sentence_step_ref(params, v_e, h, c):
     """One sentence step for one record: v_e [L, D], h and c [1, H].
 
-    Returns (h', c', topic [1, D], stop logit, abnormal logit) with the two
-    logits as floats.
+    Returns (h', c', topic [1, D], stop logit [1, 1], abnormal logit [1, 1]).
     """
-    h, c, topic, stop, abn = sentence_step_batch(params, v_e, v_e.shape[0], h, c)
+    context, _ = soft_attention_per_step(params.attn, v_e, h, v_e.shape[0])
+    h_new, c_new = lstm_step(params.sent_lstm, context, h, c)
+    topic = relu(params.topic(h_new))
+    stop = params.stop_out(tanh(add(params.stop_prev(h), params.stop_cur(h_new))))
+    return h_new, c_new, topic, stop, params.abnormal_head(h_new)
+
+
+def sentence_step_one(params, v_e, h, c):
+    """``sentence_step_ref`` with the two logits as floats."""
+    h, c, topic, stop, abn = sentence_step_ref(params, v_e, h, c)
     return h, c, topic, float(stop.data[0, 0]), float(abn.data[0, 0])
 
 
@@ -53,6 +105,44 @@ def word_forward(params, topic, gold, branch):
         logits, h, c = word_step(params, branch, x, h, c)
         rows.append(logits)
     return concat_rows(rows)
+
+
+def _sum(terms):
+    total = terms[0]
+    for term in terms[1:]:
+        total = add(total, term)
+    return total
+
+
+def reference_total_loss(params, config, records):
+    """``compute_losses(...).total`` on the tape, one record, sentence and
+    word at a time: per-step attention keys and one ``lstm_step`` per word."""
+    stop, abnormal, words, tags = [], [], [], []
+    for r in records:
+        v_e, v_hat = encode_record(params, r.feature_map())
+        h = zeros((1, config.hidden_dim))
+        c = zeros((1, config.hidden_dim))
+        last = len(r.sentences) - 1
+        for m, sent in enumerate(r.sentences):
+            h, c, topic, stop_logit, abn_logit = sentence_step_ref(params, v_e, h, c)
+            stop.append(sigmoid_ce(stop_logit, [[1.0 if m == last else 0.0]]))
+            branch = "normal"
+            if config.dual_enabled:
+                abnormal.append(sigmoid_ce(abn_logit, [[float(r.abnormal_flags[m])]]))
+                branch = "abnormal" if r.abnormal_flags[m] else "normal"
+            gold = [BOS_ID] + list(sent)
+            logits = gather_rows(word_forward(params, topic, gold, branch), range(1, len(gold)))
+            words.append(sub(logsumexp_lastdim(logits), select_positions(logits, gold[1:])))
+        tags.append(sigmoid_ce(params.mti_head(v_hat), r.multi_hot(config.mti_labels)[None]))
+    inv = 1.0 / len(records)
+    total = _sum([
+        scale(_sum([sum_all(t) for t in stop]), config.lambda_stop * inv),
+        scale(_sum([sum_all(t) for t in words]), config.lambda_hierarchical * inv),
+        scale(_sum([sum_all(t) for t in tags]), config.lambda_mti * inv),
+    ])
+    if config.dual_enabled:
+        total = add(total, scale(_sum([sum_all(t) for t in abnormal]), config.lambda_abnormal * inv))
+    return total
 
 
 def greedy_decode_sentence(params, topic, branch, max_words):

@@ -286,6 +286,12 @@ def _history_distinct_is_a_number(data, tmp):
     return ["select", str(history)], f"{history}:2: "
 
 
+def _history_line_is_invalid_utf8(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_bytes(b'{"iteration": 0, "bleu4": 0.5, "distinct": [4]}\n\xff\xfe\n')
+    return ["select", str(history)], f"{history}:2: invalid UTF-8"
+
+
 def _feature_header_truncated(data, tmp):
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
     (data / first["feature"]).write_bytes(b"FMAP" + bytes(6))
@@ -300,7 +306,8 @@ def _vocab_without_tokens(data, tmp):
 
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
-    _history_distinct_is_a_number, _feature_header_truncated, _vocab_without_tokens,
+    _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
+    _vocab_without_tokens,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

@@ -270,6 +270,13 @@ def test_load_embeddings_rejects_non_numeric(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_invalid_utf8_names_line(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_bytes(b"alpha 1.0 2.0\n\nbeta\xff 0.5 -0.5\n")
+    with pytest.raises(CorpusFormatError, match=r"emb\.txt:3: invalid UTF-8"):
+        load_embeddings(path)
+
+
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
@@ -442,6 +449,15 @@ def test_read_jsonl_errors_name_path_and_line(tmp_path, line, message):
     path.write_text('{"a": 1, "b": 2}\n' + line + "\n")
     with pytest.raises(CorpusFormatError, match=rf"x\.jsonl:2: {message}"):
         list(read_jsonl(path, ("a", "b")))
+
+
+def test_read_jsonl_invalid_utf8_names_path_and_line(tmp_path):
+    path = tmp_path / "x.jsonl"
+    path.write_bytes('{"a": "é"}\r\n'.encode("utf-8") + b"\xff\xfe\n")
+    rows = read_jsonl(path)
+    assert next(rows) == (1, {"a": "é"})
+    with pytest.raises(CorpusFormatError, match=r"x\.jsonl:2: invalid UTF-8"):
+        next(rows)
 
 
 # ---------------------------------------------------------------------------

@@ -120,12 +120,16 @@ def test_lstm_forget_bias_initialized_to_one():
 # --- attention -----------------------------------------------------------------
 
 
+def attend(params, v_e, h_prev, locations):
+    return L.soft_attention_batch(params, v_e, L.attention_keys(params, v_e), h_prev, locations)
+
+
 def test_attention_identical_locations_uniform():
     rng = T.seeded_rng(3)
     params = L.AttentionParams.create(4, 3, 2, rng)
     row = rng.normal(size=3)
     v_e = Tensor(np.tile(row, (5, 1)))
-    context, weights = L.soft_attention_batch(params, v_e, Tensor(rng.normal(size=(1, 2))), 5)
+    context, weights = attend(params, v_e, Tensor(rng.normal(size=(1, 2))), 5)
     np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
     np.testing.assert_allclose(context.data[0], row, atol=1e-12)
 
@@ -135,7 +139,7 @@ def test_attention_zero_score_vector_means_mean():
     params = L.AttentionParams.create(4, 3, 2, rng)
     params.score.data[:] = 0.0
     v = rng.normal(size=(6, 3))
-    context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(np.zeros((1, 2))), 6)
+    context, weights = attend(params, Tensor(v), Tensor(np.zeros((1, 2))), 6)
     np.testing.assert_allclose(weights.data, np.full((1, 6), 1 / 6), atol=1e-12)
     np.testing.assert_allclose(context.data[0], v.mean(axis=0), atol=1e-12)
 
@@ -155,7 +159,7 @@ def test_attention_two_location_hand_oracle():
     e = np.exp(np.array(scores) - max(scores))
     w = e / e.sum()
     want_context = w[0] * v[0] + w[1] * v[1]
-    context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(h[None]), 2)
+    context, weights = attend(params, Tensor(v), Tensor(h[None]), 2)
     np.testing.assert_allclose(weights.data[0], w, atol=1e-12, rtol=0)
     np.testing.assert_allclose(context.data[0], want_context, atol=1e-12, rtol=0)
 
@@ -166,7 +170,7 @@ def test_attention_weights_simplex_and_hull():
     for _ in range(25):
         v = rng.normal(size=(7, 4)) * 3
         h = rng.normal(size=(1, 3))
-        context, weights = L.soft_attention_batch(params, Tensor(v), Tensor(h), 7)
+        context, weights = attend(params, Tensor(v), Tensor(h), 7)
         assert np.all(weights.data >= 0)
         assert abs(weights.data.sum() - 1.0) <= 1e-12
         assert np.all(context.data >= v.min(axis=0) - 1e-10)
@@ -176,7 +180,7 @@ def test_attention_weights_simplex_and_hull():
 def test_attention_empty_locations_rejected():
     params = L.AttentionParams.create(4, 3, 2, T.seeded_rng(0))
     with pytest.raises(T.ShapeError):
-        L.soft_attention_batch(params, Tensor(np.zeros((0, 3))), Tensor(np.zeros((1, 2))), 0)
+        attend(params, Tensor(np.zeros((0, 3))), Tensor(np.zeros((1, 2))), 0)
 
 
 def test_attention_gradients_pass_fd():
@@ -186,7 +190,7 @@ def test_attention_gradients_pass_fd():
     h = Tensor(rng.normal(size=(1, 2)))
 
     def f():
-        context, _ = L.soft_attention_batch(params, v, h, 5)
+        context, _ = attend(params, v, h, 5)
         return T.sum_all(T.mul(context, context))
 
     leaves = {"w_location": params.w_location, "w_state": params.w_state,
@@ -194,14 +198,25 @@ def test_attention_gradients_pass_fd():
     assert max(gradient_audit(f, leaves, atol=0.0).values()) <= 1e-4
 
 
+def test_attention_rejects_keys_of_another_shape():
+    rng = T.seeded_rng(2)
+    params = L.AttentionParams.create(4, 3, 2, rng)
+    v = Tensor(rng.normal(size=(6, 3)))
+    keys = L.attention_keys(params, v)
+    with pytest.raises(T.ShapeError, match="keys"):
+        L.soft_attention_batch(params, v, Tensor(keys.data[:3]), Tensor(np.zeros((1, 2))), 6)
+    with pytest.raises(T.ShapeError, match="keys"):
+        L.soft_attention_batch(params, v, Tensor(keys.data[:, :3]), Tensor(np.zeros((1, 2))), 6)
+
+
 def test_attention_batch_agrees_with_single():
     rng = T.seeded_rng(19)
     params = L.AttentionParams.create(4, 3, 5, rng)
     v = rng.normal(size=(2, 6, 3))
     h = rng.normal(size=(2, 5))
-    ctx_b, w_b = L.soft_attention_batch(params, Tensor(v.reshape(12, 3)), Tensor(h), 6)
+    ctx_b, w_b = attend(params, Tensor(v.reshape(12, 3)), Tensor(h), 6)
     for b in range(2):
-        ctx, w = L.soft_attention_batch(params, Tensor(v[b]), Tensor(h[b:b + 1]), 6)
+        ctx, w = attend(params, Tensor(v[b]), Tensor(h[b:b + 1]), 6)
         np.testing.assert_allclose(ctx_b.data[b], ctx.data[0], atol=1e-12)
         np.testing.assert_allclose(w_b.data[b], w.data[0], atol=1e-12)
 

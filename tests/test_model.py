@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from hdlm.data import BOS_ID, EOS_ID, ConfigError, ReportRecord
+from hdlm.layers import attention_keys
 from hdlm.model import (
     LossBundle,
     ModelConfig,
@@ -15,8 +16,16 @@ from hdlm.model import (
     encode_image_batch,
     sentence_step_batch,
 )
-from hdlm.tensor import Tape, Tensor, backward, gradient_audit, seeded_rng, zeros
-from oracles import encode_record, sentence_step_one, word_forward
+from hdlm.tensor import (
+    Tape,
+    Tensor,
+    backward,
+    collect_gradients,
+    gradient_audit,
+    seeded_rng,
+    zeros,
+)
+from oracles import encode_record, reference_total_loss, sentence_step_one, word_forward
 
 
 def toy_config(**kw):
@@ -137,8 +146,10 @@ def test_sentence_step_matches_hand_composition():
     h0 = rng.normal(size=cfg.hidden_dim) * 0.2
     c0 = rng.normal(size=cfg.hidden_dim) * 0.2
 
+    v_e = Tensor(v_e_arr.copy())
     h1, c1, topic, stop, abn = sentence_step_batch(
-        params, Tensor(v_e_arr.copy()), cfg.locations, Tensor(h0[None]), Tensor(c0[None])
+        params, v_e, attention_keys(params.attn, v_e), cfg.locations,
+        Tensor(h0[None]), Tensor(c0[None]),
     )
 
     def sig(v):
@@ -415,6 +426,54 @@ def test_compute_losses_is_deterministic():
     records = toy_batch(cfg)
     assert compute_losses(params, cfg, records).numbers() == \
         compute_losses(params, cfg, records).numbers()
+
+
+def random_case(seed, dual):
+    """A random toy model (weights scaled out of the near-linear init range)
+    and a random batch that mixes branches and sentence lengths."""
+    rng = seeded_rng(seed)
+    dims = rng.integers(2, 7, size=5)
+    cfg = ModelConfig(
+        vocab_size=int(rng.integers(6, 12)), mti_labels=int(dims[0]), channels=int(dims[1]),
+        embed_dim=int(dims[2]), hidden_dim=int(dims[3]), locations=int(dims[4]),
+        lambda_stop=float(rng.uniform(0.5, 2.0)), lambda_hierarchical=float(rng.uniform(0.5, 2.0)),
+        lambda_abnormal=float(rng.uniform(0.5, 2.0)), lambda_mti=float(rng.uniform(0.5, 2.0)),
+        dual_enabled=dual,
+    )
+    params = ModelParams.create(cfg, seed=seed)
+    for t in params.named_parameters().values():
+        t.data *= 8.0
+    records = []
+    for k in range(int(rng.integers(1, 5))):
+        count = int(rng.integers(1, 5))
+        sentences = [
+            [int(v) for v in rng.integers(4, cfg.vocab_size, size=int(rng.integers(0, 6)))] + [EOS_ID]
+            for _ in range(count)
+        ]
+        flags = [bool(v) for v in rng.integers(0, 2, size=count)]
+        labels = tuple(sorted({int(v) for v in rng.integers(0, cfg.mti_labels, size=2)}))
+        records.append(make_record(f"r{k}", cfg, sentences, flags, labels, seed=100 * seed + k))
+    return cfg, params, records
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_gradients_match_per_step_reference(dual):
+    # the reference recomputes the attention keys at every sentence step,
+    # pools through a weighted copy of the locations, and runs one
+    # lstm_step per word; the batched path hoists all three
+    for seed in range(8):
+        cfg, params, records = random_case(seed, dual)
+        named = params.named_parameters()
+        with Tape() as tape:
+            total = compute_losses(params, cfg, records).total
+        got = collect_gradients(tape, backward(tape, total), named)
+        with Tape() as tape:
+            ref = reference_total_loss(params, cfg, records)
+        want = collect_gradients(tape, backward(tape, ref), named)
+        assert abs(total.item() - ref.item()) <= 1e-12 * abs(ref.item()), seed
+        for name in named:
+            bound = 1e-12 * np.abs(want[name]).max()
+            assert np.abs(got[name] - want[name]).max() <= bound, (seed, name)
 
 
 def test_full_model_gradients_match_finite_differences():

@@ -72,6 +72,31 @@ def test_matmul_shape_error_names_both_shapes():
         T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
+def test_linear_against_triple_loop_oracle():
+    rng = T.seeded_rng(12)
+    x = rng.normal(size=(3, 4))
+    w = rng.normal(size=(2, 4))
+    got = T.linear(Tensor(x), Tensor(w)).data
+    np.testing.assert_allclose(got, matmul_oracle(x, w.T), atol=1e-12, rtol=0)
+
+
+def test_linear_shape_error_names_both_shapes():
+    with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
+        T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def test_linear_weight_gradient_is_contiguous():
+    # clipping and Adam stream over it; a strided transpose view is slow there
+    rng = T.seeded_rng(13)
+    x = Tensor(rng.normal(size=(5, 3)))
+    w = Tensor(rng.normal(size=(4, 3)))
+    with Tape() as tape:
+        loss = T.sum_all(T.linear(x, w))
+    g = backward(tape, loss)[tape.node_of(w)].data
+    assert g.flags.c_contiguous
+    np.testing.assert_allclose(g, np.tile(x.data.sum(axis=0), (4, 1)), atol=1e-12, rtol=0)
+
+
 # --- activations -------------------------------------------------------------
 
 
@@ -96,6 +121,34 @@ def test_log_domain_error():
 def test_sigmoid_stable_at_large_magnitudes():
     y = T.sigmoid(Tensor([800.0, -800.0])).data
     assert y[0] == 1.0 and y[1] == 0.0 and np.all(np.isfinite(y))
+
+
+def masked_sigmoid_oracle(x):
+    """The logistic split by sign so that ``exp`` never overflows."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def test_sigmoid_tanh_form_matches_masked_formula():
+    x = np.concatenate([np.linspace(-50.0, 50.0, 200001), [-745.0, 745.0]])
+    want = masked_sigmoid_oracle(x)
+    got = T.sigmoid(Tensor(x)).data
+    # the forms differ by at most 2^-52 (two ulps just below 1.0) ...
+    assert np.abs(got - want).max() <= np.finfo(np.float64).eps
+    # ... and most of that is the masked formula's own rounding
+    if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps:
+        exact = 1.0 / (1.0 + np.exp(-x.astype(np.longdouble)))
+        assert np.abs(got - exact).max() <= np.abs(want - exact).max()
+    # sigmoid_ce's gradient is sigmoid(z) - y
+    z = Tensor(x)
+    with Tape() as tape:
+        loss = T.sum_all(T.sigmoid_ce(z, np.zeros_like(x)))
+    g = backward(tape, loss)[tape.node_of(z)].data
+    np.testing.assert_array_equal(g, got)
 
 
 # --- softmax -----------------------------------------------------------------
@@ -170,6 +223,24 @@ def test_backward_fanout_accumulates():
     np.testing.assert_allclose(grads[tape.node_of(x)].data, [7.0], atol=1e-12)
 
 
+def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
+    # ``add`` hands one gradient array to both of its inputs; y then receives
+    # two more contributions, which must not leak into x's gradient
+    x = Tensor([1.0, 2.0])
+    y = Tensor([3.0, 4.0])
+    with Tape() as tape:
+        u = T.scale(y, 3.0)
+        t = T.mul_const(y, [7.0, 11.0])
+        s = T.add(x, y)
+        loss = T.sum_all(T.add(T.add(T.mul_const(s, [2.0, 5.0]), t), u))
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[tape.node_of(x)].data, [2.0, 5.0])
+    np.testing.assert_array_equal(grads[tape.node_of(y)].data, [12.0, 19.0])
+    np.testing.assert_array_equal(grads[tape.node_of(s)].data, [2.0, 5.0])
+    np.testing.assert_array_equal(grads[tape.node_of(t)].data, [1.0, 1.0])
+    np.testing.assert_array_equal(grads[tape.node_of(u)].data, [1.0, 1.0])
+
+
 def test_backward_composite_lstm_like_step_matches_fd():
     rng = T.seeded_rng(3)
     w = Tensor(rng.normal(size=(4, 5)) * 0.4)
@@ -179,7 +250,7 @@ def test_backward_composite_lstm_like_step_matches_fd():
     c = Tensor(rng.normal(size=(1, 4)))
 
     def f():
-        z = T.add(T.matmul(x, T.transpose(w)), T.matmul(h, T.transpose(u)))
+        z = T.add(T.linear(x, w), T.linear(h, u))
         i = T.sigmoid(z)
         g = T.tanh(z)
         c2 = T.add(T.mul(i, g), c)
@@ -229,7 +300,6 @@ def _op_cases(rng):
     a = Tensor(rng.normal(size=(4, 5)))
     b = Tensor(rng.normal(size=(5, 3)))
     s = Tensor(rng.normal(size=(4, 5)))
-    w = Tensor(rng.normal(size=(4, 1)))
     bias = Tensor(rng.normal(size=5))
     pos_x = Tensor(np.abs(rng.normal(size=(3, 4))) + 0.2)
     wide = Tensor(rng.normal(size=(3, 6)))
@@ -237,8 +307,11 @@ def _op_cases(rng):
     pos = rng.integers(0, 6, size=3)
     targets = rng.uniform(0.0, 1.0, size=(4, 5))
     parts = [Tensor(rng.normal(size=(2, 3))), Tensor(rng.normal(size=(3, 3)))]
+    w_out = Tensor(rng.normal(size=(3, 5)))
+    pool = Tensor(rng.normal(size=(2, 2)))
     return {
         "matmul": ([a, b], lambda: T.matmul(a, b)),
+        "linear": ([a, w_out], lambda: T.linear(a, w_out)),
         "tanh": ([a], lambda: T.tanh(a)),
         "sigmoid": ([a], lambda: T.sigmoid(a)),
         "relu": ([a], lambda: T.relu(a)),
@@ -252,13 +325,13 @@ def _op_cases(rng):
         "scale": ([a], lambda: T.scale(a, -1.7)),
         "mul_const": ([a], lambda: T.mul_const(a, np.sign(s.data) + 0.5)),
         "add_bias": ([a, bias], lambda: T.add_bias(a, bias)),
-        "mul_colvec": ([a, w], lambda: T.mul_colvec(a, w)),
-        "transpose": ([a], lambda: T.transpose(a)),
         "reshape": ([a], lambda: T.reshape(a, (2, 10))),
         "slice_cols": ([a], lambda: T.slice_cols(a, 1, 4)),
+        "slice_rows": ([a], lambda: T.slice_rows(a, 1, 3)),
         "concat_rows": (parts, lambda: T.concat_rows(parts)),
         "repeat_rows": ([a], lambda: T.repeat_rows(a, 3)),
         "sum_rowgroups": ([a], lambda: T.sum_rowgroups(a, 2)),
+        "weighted_sum_rowgroups": ([a, pool], lambda: T.weighted_sum_rowgroups(a, pool)),
         "gather_rows": ([a], lambda: T.gather_rows(a, idx)),
         "select_positions": ([wide], lambda: T.select_positions(wide, pos)),
         "logsumexp_lastdim": ([wide], lambda: T.logsumexp_lastdim(wide)),
