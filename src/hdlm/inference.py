@@ -100,7 +100,7 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
         return []
     reports = [GeneratedReport(r.id, [], [], [], []) for r in records]
     locations = config.locations
-    v_e, _ = encode_image_batch(params, Tensor(stack_features(config, records)), locations)
+    v_e, _ = encode_image_batch(params, stack_features(config, records), locations)
     keys = attention_keys(params.attn, v_e)
     h = zeros((len(records), config.hidden_dim))
     c = zeros((len(records), config.hidden_dim))

@@ -23,11 +23,10 @@ from .tensor import (
     Tensor,
     add,
     add_bias,
+    additive_scores,
     gather_rows,
     linear,
     mul,
-    repeat_rows,
-    reshape,
     sigmoid,
     slice_cols,
     softmax_lastdim,
@@ -53,8 +52,8 @@ class LinearLayer:
     def create(cls, out_dim: int, in_dim: int, rng: np.random.Generator, bias: bool = True):
         return cls(_uniform(rng, (out_dim, in_dim)), _uniform(rng, (out_dim,)) if bias else None)
 
-    def apply(self, x: Tensor) -> Tensor:
-        """[S, in] rows -> [S, out] rows."""
+    def apply(self, x: Tensor | np.ndarray) -> Tensor:
+        """[S, in] rows -> [S, out] rows; a plain-array ``x`` is a constant."""
         y = linear(x, self.weight)
         if self.bias is not None:
             y = add_bias(y, self.bias)
@@ -200,9 +199,5 @@ def soft_attention_batch(
             f"soft_attention_batch shapes do not agree: v_e={v_e.shape}, keys={keys.shape}, "
             f"h_prev={h_prev.shape}, locations={locations}"
         )
-    batch = h_prev.shape[0]
-    attn_dim = params.score.shape[0]
-    pre = add(keys, repeat_rows(linear(h_prev, params.w_state), locations))
-    scores = reshape(linear(tanh(pre), reshape(params.score, (1, attn_dim))), (batch, locations))
-    weights = softmax_lastdim(scores)
+    weights = softmax_lastdim(additive_scores(keys, linear(h_prev, params.w_state), params.score))
     return weighted_sum_rowgroups(v_e, weights), weights

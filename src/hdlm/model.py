@@ -192,8 +192,9 @@ def stack_features(config: ModelConfig, records) -> np.ndarray:
     return np.concatenate(feats, axis=0)
 
 
-def encode_image_batch(params: ModelParams, features: Tensor, locations: int) -> tuple[Tensor, Tensor]:
-    """[B*L, C] stacked features -> (location embeddings [B*L, D], means [B, D])."""
+def encode_image_batch(params: ModelParams, features: np.ndarray, locations: int) -> tuple[Tensor, Tensor]:
+    """[B*L, C] stacked features, a constant array -> (location embeddings
+    [B*L, D], means [B, D])."""
     v_e = params.img_embed(features)
     v_hat = scale(sum_rowgroups(v_e, locations), 1.0 / locations)
     return v_e, v_hat
@@ -291,8 +292,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     lengths = np.array([len(r.sentences) for r in records])
     depth = int(lengths.max())
 
-    stacked = stack_features(config, records)
-    v_e, v_hat = encode_image_batch(params, Tensor(stacked), config.locations)
+    v_e, v_hat = encode_image_batch(params, stack_features(config, records), config.locations)
     keys = attention_keys(params.attn, v_e)
 
     h = zeros((batch, config.hidden_dim))

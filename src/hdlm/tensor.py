@@ -1,8 +1,9 @@
 """Dense float64 tensors with define-by-run reverse-mode differentiation.
 
 A ``Tape`` records one forward pass: enter it as a context manager, run the
-forward math, then call :func:`backward` on a scalar result to get gradients
-keyed by node id.  Tapes are rebuilt on every pass and are cheap to discard.
+forward math, then call :func:`backward` on a scalar result to get the
+gradients of its leaves keyed by node id.  The walk uses the tape up, so
+each tape serves one ``backward``; tapes are rebuilt on every pass.
 Forward values are identical whether or not a tape is active, so the same
 code path serves training, inference, and finite-difference probing.
 
@@ -20,8 +21,8 @@ __all__ = [
     "Tensor",
     "Tape",
     "ShapeError",
-    "DomainError",
     "TapeError",
+    "additive_scores",
     "backward",
     "collect_gradients",
     "gradient_audit",
@@ -31,8 +32,6 @@ __all__ = [
     "tanh",
     "sigmoid",
     "relu",
-    "exp",
-    "log",
     "add",
     "sub",
     "mul",
@@ -43,7 +42,6 @@ __all__ = [
     "slice_cols",
     "slice_rows",
     "concat_rows",
-    "repeat_rows",
     "sum_rowgroups",
     "weighted_sum_rowgroups",
     "sum_all",
@@ -58,10 +56,6 @@ __all__ = [
 
 class ShapeError(ValueError):
     """Operands whose shapes do not fit the operation."""
-
-
-class DomainError(ValueError):
-    """Input outside an operation's mathematical domain."""
 
 
 class TapeError(RuntimeError):
@@ -103,6 +97,17 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
+class _Outer:
+    """The gradient ``g^T x`` of a ``linear`` weight, kept as its factors so
+    that ``backward`` can stack every use of the weight into one product."""
+
+    __slots__ = ("g", "x")
+
+    def __init__(self, g, x):
+        self.g = g
+        self.x = x
+
+
 class _TapeEntry:
     __slots__ = ("out_id", "input_ids", "grad_fn")
 
@@ -130,8 +135,9 @@ class Tape:
 
     def __init__(self) -> None:
         self.entries: list[_TapeEntry] = []
+        self.walked = False
         self._ids: dict[int, int] = {}
-        self._keep: list[Tensor] = []
+        self._keep: list[Tensor | None] = []
 
     def _register(self, t: Tensor) -> int:
         nid = self._ids.get(id(t))
@@ -147,6 +153,14 @@ class Tape:
 
     def node_of(self, t: Tensor) -> int | None:
         return self._ids.get(id(t))
+
+    def _pop(self) -> _TapeEntry:
+        """Remove the last entry and forget its output tensor."""
+        entry = self.entries.pop()
+        out = self._keep[entry.out_id]
+        self._keep[entry.out_id] = None
+        del self._ids[id(out)]
+        return entry
 
     def __enter__(self) -> "Tape":
         stack = getattr(_state, "stack", None)
@@ -166,24 +180,55 @@ def _record(out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
 
 
 def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Walk the tape in reverse from a scalar ``loss``; return node id -> gradient."""
+    """Walk the tape in reverse from a scalar ``loss``; return leaf node id ->
+    gradient.
+
+    The walk uses the tape up: each entry leaves the tape as it runs, which
+    frees the forward values only it held, and each intermediate gradient
+    is dropped once its entry has read it.  A second walk raises
+    ``TapeError``.
+    """
+    if tape.walked:
+        raise TapeError("backward already walked this tape; record a new one")
     loss_id = tape.node_of(loss)
     if loss_id is None:
         raise TapeError("loss tensor was not recorded on this tape")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar-valued, got shape {loss.shape}")
+    tape.walked = True
     grads: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.data)}
     # A grad_fn may hand one array to several inputs (``add`` passes ``g`` to
     # both), so a node's first gradient is only borrowed.  The second
     # contribution copies it into an array the node owns; later ones add in
     # place.
     owned: set[int] = set()
-    for entry in reversed(tape.entries):
-        g_out = grads.get(entry.out_id)
+    outers: dict[int, list[_Outer]] = {}
+
+    def take(nid: int) -> np.ndarray | None:
+        # a node's gradient is complete when it is first read: stack its
+        # weight-gradient factors into one product and add the rest
+        g = grads.pop(nid, None)
+        parts = outers.pop(nid, None)
+        if parts:
+            if len(parts) == 1:
+                prod = parts[0].g.T @ parts[0].x
+            else:
+                prod = np.concatenate([p.g for p in parts]).T @ np.concatenate([p.x for p in parts])
+            if g is not None:
+                prod += g
+            g = prod
+        return g
+
+    while tape.entries:
+        entry = tape._pop()
+        g_out = take(entry.out_id)
         if g_out is None:
             continue
         for nid, g_in in zip(entry.input_ids, entry.grad_fn(g_out)):
             if g_in is None:
+                continue
+            if isinstance(g_in, _Outer):
+                outers.setdefault(nid, []).append(g_in)
                 continue
             acc = grads.get(nid)
             if acc is None:
@@ -193,7 +238,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
             else:
                 grads[nid] = np.add(acc, g_in, out=np.empty_like(acc))
                 owned.add(nid)
-    return {nid: Tensor(g) for nid, g in grads.items()}
+    return {nid: Tensor(take(nid)) for nid in set(grads) | set(outers)}
 
 
 def collect_gradients(tape: Tape, grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
@@ -223,17 +268,22 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def linear(x: Tensor, w: Tensor) -> Tensor:
-    """[S, I] rows times the transpose of an [O, I] weight, giving [S, O]."""
-    X, W = x.data, w.data
+def linear(x: Tensor | np.ndarray, w: Tensor) -> Tensor:
+    """[S, I] rows times the transpose of an [O, I] weight, giving [S, O].
+
+    A plain-array ``x`` is a constant and gets no gradient.  The weight's
+    gradient ``g^T x`` goes to ``backward`` as its two factors.
+    """
+    constant = not isinstance(x, Tensor)
+    X = np.asarray(x, dtype=np.float64) if constant else x.data
+    W = w.data
     if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
         raise ShapeError(f"linear shapes do not agree: {X.shape} x {W.shape}^T")
     out = Tensor(X @ W.T)
-
-    def grad(g):
-        return g @ W, g.T @ X
-
-    _record(out, (x, w), grad)
+    if constant:
+        _record(out, (w,), lambda g: (_Outer(g, X),))
+    else:
+        _record(out, (x, w), lambda g: (g @ W, _Outer(g, X)))
     return out
 
 
@@ -261,22 +311,6 @@ def relu(x: Tensor) -> Tensor:
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))
     _record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
-def exp(x: Tensor) -> Tensor:
-    y = np.exp(x.data)
-    out = Tensor(y)
-    _record(out, (x,), lambda g: (g * y,))
-    return out
-
-
-def log(x: Tensor) -> Tensor:
-    xd = x.data
-    if np.any(xd <= 0):
-        raise DomainError("log requires strictly positive inputs")
-    out = Tensor(np.log(xd))
-    _record(out, (x,), lambda g: (g / xd,))
     return out
 
 
@@ -404,16 +438,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def repeat_rows(x: Tensor, times: int) -> Tensor:
-    """[G, K] -> [G*times, K], each row repeated ``times`` consecutive times."""
-    if x.data.ndim != 2 or times < 1:
-        raise ShapeError(f"repeat_rows needs rank 2 and times >= 1, got {x.shape}, {times}")
-    g_rows, k = x.shape
-    out = Tensor(np.repeat(x.data, times, axis=0))
-    _record(out, (x,), lambda g: (g.reshape(g_rows, times, k).sum(axis=1),))
-    return out
-
-
 def sum_rowgroups(x: Tensor, group_size: int) -> Tensor:
     """[G*group_size, K] -> [G, K], summing each consecutive group of rows."""
     if x.data.ndim != 2 or group_size < 1 or x.shape[0] % group_size:
@@ -440,6 +464,31 @@ def weighted_sum_rowgroups(x: Tensor, weights: Tensor) -> Tensor:
         return g_x, np.matmul(x3, g[:, :, None])[:, :, 0]
 
     _record(out, (x, weights), grad)
+    return out
+
+
+def additive_scores(keys: Tensor, query: Tensor, score: Tensor) -> Tensor:
+    """Additive attention scores ``tanh(key + query of its group) . score``:
+    [G*K, A] keys, [G, A] queries and an [A] score vector give [G, K]."""
+    Kd, Q, s = keys.data, query.data, score.data
+    if (Kd.ndim != 2 or Q.ndim != 2 or s.ndim != 1 or Q.shape[0] == 0
+            or Kd.shape[0] % Q.shape[0] or Kd.shape[1] != s.shape[0] or Q.shape[1] != s.shape[0]):
+        raise ShapeError(
+            f"additive_scores shapes do not agree: keys {Kd.shape}, query {Q.shape}, score {s.shape}"
+        )
+    groups, attn = Q.shape
+    t = Kd.reshape(groups, -1, attn) + Q[:, None, :]
+    np.tanh(t, out=t)
+    out = Tensor((t.reshape(-1, attn) @ s[:, None]).reshape(groups, -1))
+
+    def grad(g):
+        d = np.multiply(t, t)
+        np.subtract(1.0, d, out=d)
+        d *= s
+        d *= g[:, :, None]
+        return d.reshape(Kd.shape), d.sum(axis=1), g.reshape(-1) @ t.reshape(-1, attn)
+
+    _record(out, (keys, query, score), grad)
     return out
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 
@@ -66,26 +67,43 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     A zero gradient on fresh state is an exact no-op, so parameters whose
-    loss terms were absent this batch stay bitwise unchanged.
+    loss terms were absent this batch stay bitwise unchanged.  Temporaries
+    go to two scratch buffers, in the operation order of
+    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.
     """
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
+    size = max((t.data.size for t in named_params.values()), default=0)
+    scratch_a, scratch_b = np.empty(size), np.empty(size)
     for name, tensor in named_params.items():
         g = grads[name]
         m = state.m[name]
         v = state.v[name]
+        a = scratch_a[:g.size].reshape(g.shape)
+        b = scratch_b[:g.size].reshape(g.shape)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += np.multiply(g, 1.0 - beta1, out=a)
         v *= beta2
-        v += (1.0 - beta2) * g * g
-        tensor.data -= learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+        np.multiply(g, 1.0 - beta2, out=a)
+        v += np.multiply(a, g, out=a)
+        np.divide(m, c1, out=a)
+        a *= learning_rate
+        np.divide(v, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        tensor.data -= np.divide(a, b, out=a)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place to a global L2 norm of at most
     ``max_norm``; returns the pre-clip norm."""
-    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    scratch = np.empty(max((g.size for g in grads.values()), default=0))
+    total = math.sqrt(sum(
+        float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
+        for g in grads.values()
+    ))
     if total > max_norm and total > 0.0:
         factor = max_norm / total
         for g in grads.values():
@@ -147,8 +165,9 @@ def train(
 
     Shuffles with a single generator seeded once, so the batch sequence is a
     pure function of the seed.  ``eval_hook(iteration, params)`` fires at the
-    configured batch boundaries.  Per-iteration losses are appended to the
-    history and, when ``log_path`` is given, streamed as JSON lines.
+    configured batch boundaries.  Per-iteration losses, the pre-clip
+    gradient norm and whether it was clipped are appended to the history
+    and, when ``log_path`` is given, streamed as JSON lines.
     """
     if len(records) == 0:
         raise ValueError("train needs a nonempty record list")
@@ -177,10 +196,11 @@ def train(
                         f"(epoch {epoch + 1}, batch {k})"
                     )
                 grads = collect_gradients(tape, backward(tape, bundle.total), named)
-                clip_gradients(grads, config.clip_norm)
+                grad_norm = clip_gradients(grads, config.clip_norm)
                 adam_step(named, grads, state, config.learning_rate)
                 iteration += 1
-                entry = {"iteration": iteration, **numbers}
+                entry = {"iteration": iteration, **numbers,
+                         "grad_norm": grad_norm, "clipped": grad_norm > config.clip_norm}
                 history.append(entry)
                 if log_fh is not None:
                     log_fh.write(json.dumps(entry) + "\n")
@@ -220,17 +240,26 @@ def _checkpoint_entries(params: ModelParams, config: ModelConfig, adam: AdamStat
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     iteration: int, adam: AdamState | None = None) -> None:
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, iteration))
-        for name, arr in _checkpoint_entries(params, config, adam):
-            name_b = name.encode("utf-8")
-            arr = np.asarray(arr, dtype=np.float64)
-            fh.write(struct.pack("<I", len(name_b)))
-            fh.write(name_b)
-            fh.write(struct.pack("<I", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            fh.write(arr.astype("<f8").tobytes())
+    """Write through a temporary file in the same directory and rename it
+    over ``path``, so a failed write leaves any previous file as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, iteration))
+            for name, arr in _checkpoint_entries(params, config, adam):
+                name_b = name.encode("utf-8")
+                arr = np.asarray(arr, dtype=np.float64)
+                fh.write(struct.pack("<I", len(name_b)))
+                fh.write(name_b)
+                fh.write(struct.pack("<I", arr.ndim))
+                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                fh.write(arr.astype("<f8").tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

@@ -4,9 +4,14 @@ The package runs every forward pass batched.  These helpers walk one record,
 one sentence and one word at a time instead, on the same ops (one example is
 a one-row batch), so tests can hold the batched losses and the batched
 decoder to a plainly sequential definition.  Attention keeps its first
-formulation: the location keys are recomputed at every sentence step, and
+formulation: the location keys are recomputed at every sentence step, the
+scores are built from a repeated query, ``tanh`` and a matrix product, and
 the context is pooled through a [L, D] weighted copy of the locations.
+The optimizer keeps its first formulation too, with a fresh array for every
+intermediate.
 """
+
+import math
 
 import numpy as np
 
@@ -15,6 +20,7 @@ from hdlm.inference import GeneratedReport
 from hdlm.layers import embed, lstm_step
 from hdlm.model import encode_image_batch, word_step
 from hdlm.tensor import (
+    ShapeError,
     Tensor,
     _record,
     add,
@@ -24,7 +30,6 @@ from hdlm.tensor import (
     logsumexp_lastdim,
     matmul,
     relu,
-    repeat_rows,
     reshape,
     scale,
     select_positions,
@@ -41,7 +46,17 @@ from hdlm.tensor import (
 def encode_record(params, features):
     """[L, C] features -> (location embeddings [L, D], mean embedding [1, D])."""
     feats = np.asarray(features, dtype=np.float64)
-    return encode_image_batch(params, Tensor(feats), feats.shape[0])
+    return encode_image_batch(params, feats, feats.shape[0])
+
+
+def repeat_rows(x, times):
+    """[G, K] -> [G*times, K], each row repeated ``times`` consecutive times."""
+    if x.data.ndim != 2 or times < 1:
+        raise ShapeError(f"repeat_rows needs rank 2 and times >= 1, got {x.shape}, {times}")
+    g_rows, k = x.shape
+    out = Tensor(np.repeat(x.data, times, axis=0))
+    _record(out, (x,), lambda g: (g.reshape(g_rows, times, k).sum(axis=1),))
+    return out
 
 
 def mul_colvec(x, w):
@@ -191,3 +206,30 @@ def generate_report(params, config, features, limits, record_id=""):
         if p_stop > limits.stop_threshold:
             break
     return report
+
+
+def adam_step_reference(named_params, grads, state, learning_rate,
+                        beta1=0.9, beta2=0.999, eps=1e-8):
+    """``hdlm.training.adam_step`` as first written: each term a fresh array."""
+    state.t += 1
+    c1 = 1.0 - beta1 ** state.t
+    c2 = 1.0 - beta2 ** state.t
+    for name, tensor in named_params.items():
+        g = grads[name]
+        m = state.m[name]
+        v = state.v[name]
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += (1.0 - beta2) * g * g
+        tensor.data -= learning_rate * (m / c1) / (np.sqrt(v / c2) + eps)
+
+
+def clip_gradients_reference(grads, max_norm):
+    """``hdlm.training.clip_gradients`` as first written."""
+    total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+    if total > max_norm and total > 0.0:
+        factor = max_norm / total
+        for g in grads.values():
+            g *= factor
+    return total

@@ -131,7 +131,7 @@ def test_encode_image_matches_numpy():
     params = ModelParams.create(cfg, seed=3)
     feats = seeded_rng(8).normal(size=(2, cfg.locations, cfg.channels))
     stacked = feats.reshape(-1, cfg.channels)
-    v_e, v_hat = encode_image_batch(params, Tensor(stacked), cfg.locations)
+    v_e, v_hat = encode_image_batch(params, stacked, cfg.locations)
     want = stacked @ params.img_embed.weight.data.T + params.img_embed.bias.data
     assert np.allclose(v_e.data, want, atol=1e-12)
     means = want.reshape(2, cfg.locations, -1).mean(axis=1)

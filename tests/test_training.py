@@ -24,6 +24,8 @@ from hdlm.training import (
     train,
 )
 
+from oracles import adam_step_reference, clip_gradients_reference
+
 
 def small_config(**kw):
     base = dict(vocab_size=10, mti_labels=2, channels=3, embed_dim=4,
@@ -79,6 +81,30 @@ def test_adam_matches_reference_equations():
         adam_step(named, {"w": g}, state, learning_rate=0.01)
     assert np.allclose(p.data, adam_oracle(start, gs, 0.01), atol=1e-12)
     assert state.t == 7
+
+
+def test_adam_and_clip_bitwise_equal_to_first_formulation():
+    # the scratch-buffer update must round exactly as the one that built a
+    # fresh array for every term; "still" never gets a gradient
+    rng = seeded_rng(17)
+    shapes = {"big": (5, 7), "row": (7,), "still": (3, 2), "cell": ()}
+    starts = {n: rng.normal(size=s) for n, s in shapes.items()}
+    ours = {n: Tensor(a.copy()) for n, a in starts.items()}
+    ref = {n: Tensor(a.copy()) for n, a in starts.items()}
+    ours_state, ref_state = AdamState.create(ours), AdamState.create(ref)
+    for step in range(3):
+        grads = {n: rng.normal(size=s) * 10.0 ** (step - 1) for n, s in shapes.items()}
+        grads["still"] = np.zeros(shapes["still"])
+        ref_grads = {n: g.copy() for n, g in grads.items()}
+        assert clip_gradients(grads, 4.0) == clip_gradients_reference(ref_grads, 4.0)
+        adam_step(ours, grads, ours_state, learning_rate=0.03)
+        adam_step_reference(ref, ref_grads, ref_state, learning_rate=0.03)
+        for n in shapes:
+            assert grads[n].tobytes() == ref_grads[n].tobytes(), (step, n)
+            assert ours[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
+            assert ours_state.m[n].tobytes() == ref_state.m[n].tobytes(), (step, n)
+            assert ours_state.v[n].tobytes() == ref_state.v[n].tobytes(), (step, n)
+    assert ours["still"].data.tobytes() == starts["still"].tobytes()
 
 
 def test_adam_first_step_is_signlike():
@@ -200,7 +226,24 @@ def test_train_writes_jsonl_log(tmp_path):
                    log_path=log)
     entries = load_training_log(log)
     assert entries == result.history
-    assert set(entries[0]) == {"iteration", "stop", "hierarchical", "abnormal", "mti", "total"}
+    assert set(entries[0]) == {"iteration", "stop", "hierarchical", "abnormal", "mti", "total",
+                               "grad_norm", "clipped"}
+    for e in entries:
+        assert type(e["grad_norm"]) is float and e["grad_norm"] > 0.0
+        assert type(e["clipped"]) is bool
+
+
+def test_train_log_records_clipping():
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=4)
+    records = small_records(cfg, count=4)
+    loose = train(params, cfg, records, TrainConfig(batch_size=2, epochs=1, seed=0))
+    params = ModelParams.create(cfg, seed=4)
+    norm = loose.history[0]["grad_norm"]
+    tight = train(params, cfg, records,
+                  TrainConfig(batch_size=2, epochs=1, seed=0, clip_norm=norm / 2))
+    assert not loose.history[0]["clipped"]
+    assert tight.history[0]["clipped"] and tight.history[0]["grad_norm"] == norm
 
 
 def test_train_divergence_names_batch():
@@ -256,6 +299,22 @@ def test_checkpoint_without_optimizer_state(tmp_path):
     iteration, adam = load_checkpoint(path, fresh, cfg)
     assert iteration == 0 and adam is None
     assert np.array_equal(fresh.embedding.matrix.data, params.embedding.matrix.data)
+
+
+def test_failed_checkpoint_write_keeps_previous_file(tmp_path):
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=12)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, params, cfg, iteration=1)
+    before = path.read_bytes()
+    params.embedding.matrix.data += 1.0
+    # empty Adam moments fail the write after every parameter is written
+    with pytest.raises(KeyError):
+        save_checkpoint(path, params, cfg, iteration=2, adam=AdamState(m={}, v={}))
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["model.ckpt"]
+    save_checkpoint(path, params, cfg, iteration=2)
+    assert load_checkpoint(path, ModelParams.create(cfg, seed=0), cfg) == (2, None)
 
 
 def test_checkpoint_rejects_config_mismatch(tmp_path):
