@@ -8,16 +8,16 @@ survive.
 import numpy as np
 
 from hdlm import Tape, Tensor, backward, seeded_rng
-from hdlm.tensor import gradient_audit, matmul, relu, sum_all
+from hdlm.tensor import gradient_audit, linear, relu, sum_all
 
 
 def main():
     rng = seeded_rng(0)
     w = Tensor(rng.normal(size=(3, 4)))
-    x = Tensor(rng.normal(size=(4, 2)))
+    x = Tensor(rng.normal(size=(2, 4)))  # two input rows
 
     with Tape() as tape:
-        loss = sum_all(relu(matmul(w, x)))
+        loss = sum_all(relu(linear(x, w)))
     grads = backward(tape, loss)
 
     print("loss:", f"{loss.item():.6f}")
@@ -26,7 +26,7 @@ def main():
 
     # the same closure, audited numerically coordinate by coordinate
     def f():
-        return sum_all(relu(matmul(w, x)))
+        return sum_all(relu(linear(x, w)))
 
     report = gradient_audit(f, {"w": w, "x": x})
     for name, err in report.items():

@@ -143,6 +143,8 @@ class ReportRecord:
             if not sent or sent[-1] != EOS_ID:
                 raise ValueError(f"record {self.id!r}: sentence {k} does not end with EOS")
         self.mti_labels = tuple(sorted(set(int(x) for x in self.mti_labels)))
+        if self.mti_labels and self.mti_labels[0] < 0:
+            raise ValueError(f"record {self.id!r}: negative label {self.mti_labels[0]}")
 
     def multi_hot(self, label_count: int) -> np.ndarray:
         out = np.zeros(label_count, dtype=np.float64)
@@ -497,10 +499,13 @@ def load_corpus(path) -> list[ReportRecord]:
     records = []
     for lineno, obj in read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature")):
         try:
+            bad = [b for b in obj["abnormal"] if not isinstance(b, bool)]
+            if bad:
+                raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")
             records.append(ReportRecord(
                 id=obj["id"],
                 sentences=[[int(t) for t in s] for s in obj["sentences"]],
-                abnormal_flags=[bool(b) for b in obj["abnormal"]],
+                abnormal_flags=list(obj["abnormal"]),
                 mti_labels=tuple(int(x) for x in obj["mti"]),
                 feature_ref=load_features(path.parent / obj["feature"]),
             ))

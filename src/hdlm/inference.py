@@ -25,6 +25,7 @@ from .model import (
     ModelConfig,
     ModelParams,
     encode_image_batch,
+    sentence_heads,
     sentence_step_batch,
     stack_features,
     word_step,
@@ -106,7 +107,9 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
     c = zeros((len(records), config.hidden_dim))
     live = np.arange(len(records))
     for _ in range(limits.max_sentences):
-        h, c, topic, stop_logits, abn_logits = sentence_step_batch(params, v_e, keys, locations, h, c)
+        h_prev = h
+        h, c = sentence_step_batch(params, v_e, keys, locations, h, c)
+        topic, stop_logits, abn_logits = sentence_heads(params, h_prev, h)
         p_stop = _probs(stop_logits)
         p_abn = _probs(abn_logits)
         abnormal = (p_abn > limits.branch_threshold) & config.dual_enabled

@@ -26,11 +26,9 @@ from .tensor import (
     additive_scores,
     gather_rows,
     linear,
-    mul,
-    sigmoid,
-    slice_cols,
+    lstm_cell_state,
+    lstm_hidden,
     softmax_lastdim,
-    tanh,
     weighted_sum_rowgroups,
 )
 
@@ -117,15 +115,9 @@ def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[
 def lstm_update(params: LSTMCellParams, x_proj: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
     """``lstm_step`` from input rows already multiplied by ``w_input^T``, so a
     teacher-forced sequence can project all of its inputs in one product."""
-    hs = params.hidden_size
     z = add_bias(add(x_proj, linear(h, params.w_recur)), params.bias)
-    i = sigmoid(slice_cols(z, 0, hs))
-    f = sigmoid(slice_cols(z, hs, 2 * hs))
-    g = tanh(slice_cols(z, 2 * hs, 3 * hs))
-    o = sigmoid(slice_cols(z, 3 * hs, 4 * hs))
-    c_new = add(mul(f, c), mul(i, g))
-    h_new = mul(o, tanh(c_new))
-    return h_new, c_new
+    c_new = lstm_cell_state(z, c)
+    return lstm_hidden(z, c_new), c_new
 
 
 @dataclass

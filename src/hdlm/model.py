@@ -45,7 +45,6 @@ from .tensor import (
     logsumexp_lastdim,
     mul_const,
     relu,
-    reshape,
     scale,
     seeded_rng,
     select_positions,
@@ -202,19 +201,21 @@ def encode_image_batch(params: ModelParams, features: np.ndarray, locations: int
 
 def sentence_step_batch(
     params: ModelParams, v_e: Tensor, keys: Tensor, locations: int, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-    """Advance the sentence LSTM one step for a whole batch.
-
-    ``keys`` is ``attention_keys(params.attn, v_e)``, computed once per batch.
-    Returns (h', c', topic [B, D], stop logits [B, 1], abnormal logits [B, 1]).
-    The stop logit mixes the previous and the new hidden state.
-    """
+) -> tuple[Tensor, Tensor]:
+    """Advance the sentence LSTM one step for a whole batch: attend, then
+    update.  ``keys`` is ``attention_keys(params.attn, v_e)``, computed once
+    per batch.  Returns (h', c')."""
     context, _ = soft_attention_batch(params.attn, v_e, keys, h, locations)
-    h_new, c_new = lstm_step(params.sent_lstm, context, h, c)
+    return lstm_step(params.sent_lstm, context, h, c)
+
+
+def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[Tensor, Tensor, Tensor]:
+    """(topic [S, D], stop logits [S, 1], abnormal logits [S, 1]) for rows of
+    sentence states ``h_new``, one step of a batch or every step stacked.
+    The stop logit also reads ``h_prev``, the state before each row."""
     topic = relu(params.topic(h_new))
-    stop = params.stop_out(tanh(add(params.stop_prev(h), params.stop_cur(h_new))))
-    abnormal = params.abnormal_head(h_new)
-    return h_new, c_new, topic, stop, abnormal
+    stop = params.stop_out(tanh(add(params.stop_prev(h_prev), params.stop_cur(h_new))))
+    return topic, stop, params.abnormal_head(h_new)
 
 
 def word_step(
@@ -266,16 +267,16 @@ def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: i
     h = zeros((count, cell.hidden_size))
     c = zeros((count, cell.hidden_size))
     h, c = lstm_update(cell, slice_rows(x_proj, 0, count), h, c)
-    total = None
+    states = []
     for t in range(1, longest):
         h, c = lstm_update(cell, slice_rows(x_proj, t * count, (t + 1) * count), h, c)
-        logits = proj(h)
-        targets = [g[t] if t < len(g) else 0 for g in golds]
-        mask = np.array([1.0 if t < len(g) else 0.0 for g in golds])
-        ce = sub(logsumexp_lastdim(logits), select_positions(logits, targets))
-        term = sum_all(mul_const(ce, mask))
-        total = term if total is None else add(total, term)
-    return total
+        states.append(h)
+    # the output head runs once on every step's states
+    logits = proj(concat_rows(states))
+    targets = [g[t] if t < len(g) else 0 for t in range(1, longest) for g in golds]
+    mask = np.array([1.0 if t < len(g) else 0.0 for t in range(1, longest) for g in golds])
+    ce = sub(logsumexp_lastdim(logits), select_positions(logits, targets))
+    return sum_all(mul_const(ce, mask))
 
 
 def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBundle:
@@ -297,42 +298,34 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
 
     h = zeros((batch, config.hidden_dim))
     c = zeros((batch, config.hidden_dim))
-    stop_sum = None
-    abnormal_sum = None
-    topic_blocks = []
-    for m in range(depth):
-        h, c, topic, stop_logits, abn_logits = sentence_step_batch(
-            params, v_e, keys, config.locations, h, c
-        )
-        topic_blocks.append(topic)
-        exists = (m < lengths).astype(np.float64)
-        is_last = (m == lengths - 1).astype(np.float64)
-        stop_ce = sigmoid_ce(reshape(stop_logits, (batch,)), is_last)
-        term = sum_all(mul_const(stop_ce, exists))
-        stop_sum = term if stop_sum is None else add(stop_sum, term)
-        if config.dual_enabled:
-            flags = np.array(
-                [
-                    float(r.abnormal_flags[m]) if m < len(r.sentences) else 0.0
-                    for r in records
-                ]
-            )
-            abn_ce = sigmoid_ce(reshape(abn_logits, (batch,)), flags)
-            term = sum_all(mul_const(abn_ce, exists))
-            abnormal_sum = term if abnormal_sum is None else add(abnormal_sum, term)
+    states = [h]
+    for _ in range(depth):
+        h, c = sentence_step_batch(params, v_e, keys, config.locations, h, c)
+        states.append(h)
+    # the heads run once on every step's states; row m * batch + b is
+    # record b's sentence m
+    topics, stop_logits, abn_logits = sentence_heads(
+        params, concat_rows(states[:-1]), concat_rows(states[1:])
+    )
+    step = np.arange(depth)[:, None]
+    exists = (step < lengths).astype(np.float64).reshape(-1, 1)
+    is_last = (step == lengths - 1).astype(np.float64).reshape(-1, 1)
+    stop_sum = sum_all(mul_const(sigmoid_ce(stop_logits, is_last), exists))
+    if config.dual_enabled:
+        flags = np.zeros((depth, batch))
+        for b, r in enumerate(records):
+            flags[:len(r.sentences), b] = r.abnormal_flags
+        abn_ce = sigmoid_ce(abn_logits, flags.reshape(-1, 1))
+        abnormal_sum = sum_all(mul_const(abn_ce, exists))
 
-    topics = concat_rows(topic_blocks)
     routes = {name: [] for name in BRANCH_NAMES}
     for b, r in enumerate(records):
         for m, sent in enumerate(r.sentences):
             abnormal = config.dual_enabled and r.abnormal_flags[m]
             routes["abnormal" if abnormal else "normal"].append((b, m, sent))
-    word_sum = None
-    for branch in BRANCH_NAMES:
-        if not routes[branch]:
-            continue
-        term = _branch_word_loss(params, branch, topics, batch, routes[branch])
-        word_sum = term if word_sum is None else add(word_sum, term)
+    word_terms = [_branch_word_loss(params, branch, topics, batch, specs)
+                  for branch, specs in routes.items() if specs]
+    word_sum = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
 
     targets = np.stack([r.multi_hot(config.mti_labels) for r in records])
     mti_sum = sum_all(sigmoid_ce(params.mti_head(v_hat), targets))

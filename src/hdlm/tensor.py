@@ -26,20 +26,17 @@ __all__ = [
     "backward",
     "collect_gradients",
     "gradient_audit",
-    "matmul",
     "linear",
+    "lstm_cell_state",
+    "lstm_hidden",
     "softmax_lastdim",
     "tanh",
-    "sigmoid",
     "relu",
     "add",
     "sub",
-    "mul",
     "scale",
     "mul_const",
     "add_bias",
-    "reshape",
-    "slice_cols",
     "slice_rows",
     "concat_rows",
     "sum_rowgroups",
@@ -255,19 +252,6 @@ def collect_gradients(tape: Tape, grads, named_params: dict[str, Tensor]) -> dic
 # operations
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeError(f"matmul shapes do not agree: {A.shape} x {B.shape}")
-    out = Tensor(A @ B)
-
-    def grad(g):
-        return g @ B.T, A.T @ g
-
-    _record(out, (a, b), grad)
-    return out
-
-
 def linear(x: Tensor | np.ndarray, w: Tensor) -> Tensor:
     """[S, I] rows times the transpose of an [O, I] weight, giving [S, O].
 
@@ -299,10 +283,49 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def sigmoid(x: Tensor) -> Tensor:
-    y = _stable_sigmoid(x.data)
-    out = Tensor(y)
-    _record(out, (x,), lambda g: (g * y * (1.0 - y),))
+def _gate_width(op: str, z: Tensor, c: Tensor) -> int:
+    if z.data.ndim != 2 or z.shape[1] % 4 or c.shape != (z.shape[0], z.shape[1] // 4):
+        raise ShapeError(f"{op} needs [S, 4H] gates and an [S, H] cell, got {z.shape} and {c.shape}")
+    return z.shape[1] // 4
+
+
+def lstm_cell_state(z: Tensor, c: Tensor) -> Tensor:
+    """The LSTM cell update c' = σ(z_f)·c + σ(z_i)·tanh(z_g) from [S, 4H]
+    gate pre-activations in the order input, forget, cell, output."""
+    hs = _gate_width("lstm_cell_state", z, c)
+    Z, C = z.data, c.data
+    i = _stable_sigmoid(Z[:, :hs])
+    f = _stable_sigmoid(Z[:, hs:2 * hs])
+    g = np.tanh(Z[:, 2 * hs:3 * hs])
+    out = Tensor(f * C + i * g)
+
+    def grad(gc):
+        # products in the order of the unfused sigmoid/tanh/mul chain, so
+        # the gradients stay bitwise equal to it
+        gz = np.zeros(Z.shape)
+        gz[:, :hs] = gc * g * i * (1.0 - i)
+        gz[:, hs:2 * hs] = gc * C * f * (1.0 - f)
+        gz[:, 2 * hs:3 * hs] = gc * i * (1.0 - g * g)
+        return gz, gc * f
+
+    _record(out, (z, c), grad)
+    return out
+
+
+def lstm_hidden(z: Tensor, c: Tensor) -> Tensor:
+    """The LSTM output h' = σ(z_o)·tanh(c') from [S, 4H] gate
+    pre-activations and the updated [S, H] cell."""
+    hs = _gate_width("lstm_hidden", z, c)
+    o = _stable_sigmoid(z.data[:, 3 * hs:])
+    t = np.tanh(c.data)
+    out = Tensor(o * t)
+
+    def grad(gh):
+        gz = np.zeros(z.shape)
+        gz[:, 3 * hs:] = gh * t * o * (1.0 - o)
+        return gz, gh * o * (1.0 - t * t)
+
+    _record(out, (z, c), grad)
     return out
 
 
@@ -349,13 +372,6 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return out
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("mul", a, b)
-    out = Tensor(a.data * b.data)
-    _record(out, (a, b), lambda g: (g * b.data, g * a.data))
-    return out
-
-
 def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(x.data * s)
@@ -379,27 +395,6 @@ def add_bias(x: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"add_bias shapes do not agree: {x.shape} + {b.shape}")
     out = Tensor(x.data + b.data)
     _record(out, (x, b), lambda g: (g, g.sum(axis=0)))
-    return out
-
-
-def reshape(x: Tensor, shape) -> Tensor:
-    old = x.shape
-    out = Tensor(x.data.reshape(shape))
-    _record(out, (x,), lambda g: (g.reshape(old),))
-    return out
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
-    out = Tensor(x.data[:, start:stop])
-
-    def grad(g):
-        full = np.zeros((x.shape[0], x.shape[1]))
-        full[:, start:stop] = g
-        return (full,)
-
-    _record(out, (x,), grad)
     return out
 
 

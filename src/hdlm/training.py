@@ -17,6 +17,7 @@ import json
 import math
 import os
 import struct
+import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -166,8 +167,10 @@ def train(
     Shuffles with a single generator seeded once, so the batch sequence is a
     pure function of the seed.  ``eval_hook(iteration, params)`` fires at the
     configured batch boundaries.  Per-iteration losses, the pre-clip
-    gradient norm and whether it was clipped are appended to the history
-    and, when ``log_path`` is given, streamed as JSON lines.
+    gradient norm, whether it was clipped, the tape size and the wall time
+    of the forward, backward and clip-plus-Adam phases in milliseconds are
+    appended to the history and, when ``log_path`` is given, streamed as
+    JSON lines.
     """
     if len(records) == 0:
         raise ValueError("train needs a nonempty record list")
@@ -187,6 +190,7 @@ def train(
             fire = set(eval_boundaries(len(batches), config.evals_per_epoch))
             for k, idx in enumerate(batches, start=1):
                 batch = [records[i] for i in idx]
+                t0 = time.perf_counter()
                 with Tape() as tape:
                     bundle = compute_losses(params, model_config, batch)
                 numbers = bundle.numbers()
@@ -195,12 +199,18 @@ def train(
                         f"non-finite loss at iteration {iteration + 1} "
                         f"(epoch {epoch + 1}, batch {k})"
                     )
+                tape_entries = len(tape.entries)
+                t1 = time.perf_counter()
                 grads = collect_gradients(tape, backward(tape, bundle.total), named)
+                t2 = time.perf_counter()
                 grad_norm = clip_gradients(grads, config.clip_norm)
                 adam_step(named, grads, state, config.learning_rate)
+                t3 = time.perf_counter()
                 iteration += 1
                 entry = {"iteration": iteration, **numbers,
-                         "grad_norm": grad_norm, "clipped": grad_norm > config.clip_norm}
+                         "grad_norm": grad_norm, "clipped": grad_norm > config.clip_norm,
+                         "tape_entries": tape_entries, "forward_ms": (t1 - t0) * 1e3,
+                         "backward_ms": (t2 - t1) * 1e3, "update_ms": (t3 - t2) * 1e3}
                 history.append(entry)
                 if log_fh is not None:
                     log_fh.write(json.dumps(entry) + "\n")
@@ -250,12 +260,13 @@ def save_checkpoint(path, params: ModelParams, config: ModelConfig,
             fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, iteration))
             for name, arr in _checkpoint_entries(params, config, adam):
                 name_b = name.encode("utf-8")
-                arr = np.asarray(arr, dtype=np.float64)
+                arr = np.asarray(arr, dtype="<f8")
                 fh.write(struct.pack("<I", len(name_b)))
                 fh.write(name_b)
                 fh.write(struct.pack("<I", arr.ndim))
                 fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                fh.write(arr.astype("<f8").tobytes())
+                # the array's own buffer, unless it is not contiguous
+                fh.write(np.ascontiguousarray(arr).data)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -288,9 +299,9 @@ def _parse_checkpoint(path) -> tuple[int, dict[str, np.ndarray]]:
             name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, f"{name} dims"))
-            count = int(np.prod(dims)) if rank else 1
-            blob = _read_exact(fh, 8 * count, path, f"{name} values")
-            entries[name] = np.frombuffer(blob, dtype="<f8").astype(np.float64).reshape(dims)
+            entries[name] = values = np.empty(dims, dtype="<f8")
+            if fh.readinto(values.data) != values.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading {name} values")
     return iteration, entries
 
 
@@ -326,7 +337,7 @@ def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int
                 arr = entries.pop(key, None)
                 if arr is None or arr.shape != t.data.shape:
                     raise CheckpointError(f"{path}: missing or misshapen {key!r}")
-                store[name] = arr.copy()
+                store[name] = arr
     if entries:
         raise CheckpointError(f"{path}: unknown entry {next(iter(entries))!r}")
     return iteration, adam

@@ -8,7 +8,9 @@ formulation: the location keys are recomputed at every sentence step, the
 scores are built from a repeated query, ``tanh`` and a matrix product, and
 the context is pooled through a [L, D] weighted copy of the locations.
 The optimizer keeps its first formulation too, with a fresh array for every
-intermediate.
+intermediate.  The LSTM cell keeps its unfused gate composition.  Ops the
+package no longer calls (``matmul``, ``reshape``, ``sigmoid``, ``mul``,
+``slice_cols`` and ``repeat_rows``) live on here as test-local ops.
 """
 
 import math
@@ -23,14 +25,14 @@ from hdlm.tensor import (
     ShapeError,
     Tensor,
     _record,
+    _stable_sigmoid,
     add,
+    add_bias,
     concat_rows,
     gather_rows,
     linear,
     logsumexp_lastdim,
-    matmul,
     relu,
-    reshape,
     scale,
     select_positions,
     sigmoid_ce,
@@ -47,6 +49,64 @@ def encode_record(params, features):
     """[L, C] features -> (location embeddings [L, D], mean embedding [1, D])."""
     feats = np.asarray(features, dtype=np.float64)
     return encode_image_batch(params, feats, feats.shape[0])
+
+
+def reshape(x, shape):
+    old = x.shape
+    out = Tensor(x.data.reshape(shape))
+    _record(out, (x,), lambda g: (g.reshape(old),))
+    return out
+
+
+def matmul(a, b):
+    A, B = a.data, b.data
+    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
+        raise ShapeError(f"matmul shapes do not agree: {A.shape} x {B.shape}")
+    out = Tensor(A @ B)
+    _record(out, (a, b), lambda g: (g @ B.T, A.T @ g))
+    return out
+
+
+def sigmoid(x):
+    y = _stable_sigmoid(x.data)
+    out = Tensor(y)
+    _record(out, (x,), lambda g: (g * y * (1.0 - y),))
+    return out
+
+
+def mul(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"mul needs matching shapes, got {a.shape} and {b.shape}")
+    out = Tensor(a.data * b.data)
+    _record(out, (a, b), lambda g: (g * b.data, g * a.data))
+    return out
+
+
+def slice_cols(x, start, stop):
+    if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[1]):
+        raise ShapeError(f"slice_cols [{start}:{stop}] invalid for shape {x.shape}")
+    out = Tensor(x.data[:, start:stop])
+
+    def grad(g):
+        full = np.zeros((x.shape[0], x.shape[1]))
+        full[:, start:stop] = g
+        return (full,)
+
+    _record(out, (x,), grad)
+    return out
+
+
+def lstm_update_composed(params, x_proj, h, c):
+    """``hdlm.layers.lstm_update`` with one op per gate slice, activation and
+    product, as the cell was first written."""
+    hs = params.hidden_size
+    z = add_bias(add(x_proj, linear(h, params.w_recur)), params.bias)
+    i = sigmoid(slice_cols(z, 0, hs))
+    f = sigmoid(slice_cols(z, hs, 2 * hs))
+    g = tanh(slice_cols(z, 2 * hs, 3 * hs))
+    o = sigmoid(slice_cols(z, 3 * hs, 4 * hs))
+    c_new = add(mul(f, c), mul(i, g))
+    return mul(o, tanh(c_new)), c_new
 
 
 def repeat_rows(x, times):

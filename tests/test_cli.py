@@ -267,6 +267,29 @@ def _val_line_is_a_list(data, tmp):
     return ["train", str(data), "--out", str(tmp / "run")], f"{where} expected a JSON object"
 
 
+def _edit_train_line(data, lineno, **fields):
+    """Overwrite fields of one train.jsonl record; returns its location and
+    the edited record."""
+    path = data / "train.jsonl"
+    lines = path.read_text().splitlines()
+    record = {**json.loads(lines[lineno - 1]), **fields}
+    lines[lineno - 1] = json.dumps(record)
+    path.write_text("\n".join(lines) + "\n")
+    return f"{path}:{lineno}:", record
+
+
+def _train_label_is_negative(data, tmp):
+    where, record = _edit_train_line(data, 2, mti=[-1])
+    return (["train", str(data), "--out", str(tmp / "run")],
+            f"{where} record {record['id']!r}: negative label -1")
+
+
+def _train_flag_is_a_string(data, tmp):
+    first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+    where, _ = _edit_train_line(data, 1, abnormal=["false"] * len(first["sentences"]))
+    return ["train", str(data), "--out", str(tmp / "run")], f"{where} abnormal flag 'false' is not true or false"
+
+
 def _generated_line_is_a_number(data, tmp):
     gen = tmp / "generated.jsonl"
     gen.write_text("5\n")
@@ -307,7 +330,7 @@ def _vocab_without_tokens(data, tmp):
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
-    _vocab_without_tokens,
+    _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

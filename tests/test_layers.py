@@ -9,6 +9,8 @@ from hdlm import layers as L
 from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
+from oracles import lstm_update_composed, mul
+
 
 def sigmoid(x):
     return 1.0 / (1.0 + math.exp(-x))
@@ -93,11 +95,36 @@ def test_lstm_step_gradients_pass_fd():
 
     def f():
         h2, c2 = L.lstm_step(cell, x, h, c)
-        return T.sum_all(T.mul(h2, c2))
+        return T.sum_all(mul(h2, c2))
 
     params = {"w_input": cell.w_input, "w_recur": cell.w_recur, "bias": cell.bias,
               "x": x, "h": h, "c": c}
     assert max(gradient_audit(f, params, atol=0.0).values()) <= 1e-4
+
+
+def test_lstm_update_bitwise_equal_to_gate_composition():
+    # three steps, so each cell state reaches the loss through the next step,
+    # through its own hidden state and directly
+    rng = T.seeded_rng(13)
+    cell = L.LSTMCellParams.create(3, 4, rng)
+    x_proj = [Tensor(rng.normal(size=(5, 16)) * 2.0) for _ in range(3)]
+    h0, c0 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 4)))
+    weights = rng.normal(size=(2, 5, 4))
+
+    def run(update):
+        with Tape() as tape:
+            h, c = h0, c0
+            terms = []
+            for x in x_proj:
+                h, c = update(cell, x, h, c)
+                terms += [T.mul_const(h, weights[0]), T.mul_const(c, weights[1])]
+            loss = T.sum_all(T.concat_rows(terms))
+        grads = backward(tape, loss)
+        leaves = [cell.w_recur, cell.bias, h0, c0, *x_proj]
+        return [h.data, c.data] + [grads[tape.node_of(t)].data for t in leaves]
+
+    for got, want in zip(run(L.lstm_update), run(lstm_update_composed), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_rank1_input_raises_shape_error():
@@ -191,7 +218,7 @@ def test_attention_gradients_pass_fd():
 
     def f():
         context, _ = attend(params, v, h, 5)
-        return T.sum_all(T.mul(context, context))
+        return T.sum_all(mul(context, context))
 
     leaves = {"w_location": params.w_location, "w_state": params.w_state,
               "score": params.score, "v": v, "h": h}
@@ -252,7 +279,7 @@ def test_embed_gather_passes_fd():
 
     def f():
         e = L.embed(table, ids)
-        return T.sum_all(T.mul(e, e))
+        return T.sum_all(mul(e, e))
 
     assert max(gradient_audit(f, {"matrix": table.matrix}, atol=0.0).values()) <= 1e-4
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from hdlm.data import BOS_ID, EOS_ID, ConfigError, ReportRecord
+from hdlm.data import BOS_ID, EOS_ID, ConfigError, ReportRecord, SynthConfig, synth_corpus
 from hdlm.layers import attention_keys
 from hdlm.model import (
     LossBundle,
@@ -14,6 +14,7 @@ from hdlm.model import (
     ModelParams,
     compute_losses,
     encode_image_batch,
+    sentence_heads,
     sentence_step_batch,
 )
 from hdlm.tensor import (
@@ -147,10 +148,11 @@ def test_sentence_step_matches_hand_composition():
     c0 = rng.normal(size=cfg.hidden_dim) * 0.2
 
     v_e = Tensor(v_e_arr.copy())
-    h1, c1, topic, stop, abn = sentence_step_batch(
-        params, v_e, attention_keys(params.attn, v_e), cfg.locations,
-        Tensor(h0[None]), Tensor(c0[None]),
+    h_prev = Tensor(h0[None])
+    h1, c1 = sentence_step_batch(
+        params, v_e, attention_keys(params.attn, v_e), cfg.locations, h_prev, Tensor(c0[None]),
     )
+    topic, stop, abn = sentence_heads(params, h_prev, h1)
 
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
@@ -428,6 +430,24 @@ def test_compute_losses_is_deterministic():
         compute_losses(params, cfg, records).numbers()
 
 
+def test_readme_batch_records_few_tape_entries():
+    # the README corpus and model shape (E = H = 24) in batches of 16: an
+    # LSTM step is five entries and each head runs once per batch
+    synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
+                        zipf_exponent=1.1, vocab_words=60, seed=9)
+    corpus = synth_corpus(synth)
+    cfg = ModelConfig(
+        vocab_size=corpus.vocab.size, mti_labels=synth.tag_count, locations=synth.locations,
+        channels=synth.channels, embed_dim=24, hidden_dim=24,
+        max_sentences=synth.max_sentences + 1, max_words=synth.max_words + 3,
+    )
+    params = ModelParams.create(cfg, seed=0)
+    for start in range(0, len(corpus.records), 16):
+        with Tape() as tape:
+            compute_losses(params, cfg, corpus.records[start:start + 16])
+        assert len(tape.entries) <= 300
+
+
 def random_case(seed, dual):
     """A random toy model (weights scaled out of the near-linear init range)
     and a random batch that mixes branches and sentence lengths."""
@@ -459,8 +479,9 @@ def random_case(seed, dual):
 @pytest.mark.parametrize("dual", [True, False])
 def test_gradients_match_per_step_reference(dual):
     # the reference recomputes the attention keys at every sentence step,
-    # pools through a weighted copy of the locations, and runs one
-    # lstm_step per word; the batched path hoists all three
+    # pools through a weighted copy of the locations, runs the sentence
+    # heads per step, and runs one lstm_step and output head per word; the
+    # batched path hoists the keys and every head out of its loops
     for seed in range(8):
         cfg, params, records = random_case(seed, dual)
         named = params.named_parameters()

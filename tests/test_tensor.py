@@ -8,7 +8,7 @@ import pytest
 from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
-from oracles import repeat_rows
+from oracles import matmul, mul, repeat_rows, reshape, sigmoid, slice_cols
 
 
 # --- independent oracles -----------------------------------------------------
@@ -52,26 +52,26 @@ def softmax_oracle(xs):
 def test_matmul_identity():
     x = Tensor(np.arange(12.0).reshape(3, 4))
     eye = Tensor(np.eye(3))
-    assert np.array_equal(T.matmul(eye, x).data, x.data)
+    assert np.array_equal(matmul(eye, x).data, x.data)
 
 
 def test_matmul_zero_annihilates():
     x = Tensor(np.ones((3, 4)))
     z = Tensor(np.zeros((2, 3)))
-    assert np.array_equal(T.matmul(z, x).data, np.zeros((2, 4)))
+    assert np.array_equal(matmul(z, x).data, np.zeros((2, 4)))
 
 
 def test_matmul_against_triple_loop_oracle():
     rng = T.seeded_rng(11)
     a = rng.normal(size=(2, 3))
     b = rng.normal(size=(3, 2))
-    got = T.matmul(Tensor(a), Tensor(b)).data
+    got = matmul(Tensor(a), Tensor(b)).data
     np.testing.assert_allclose(got, matmul_oracle(a, b), atol=1e-12, rtol=0)
 
 
 def test_matmul_shape_error_names_both_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(2, 2\)"):
-        T.matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
+        matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 2))))
 
 
 def test_linear_against_triple_loop_oracle():
@@ -103,7 +103,7 @@ def test_linear_weight_gradient_is_contiguous():
 
 
 def test_sigmoid_at_zero():
-    assert T.sigmoid(Tensor([0.0])).data[0] == 0.5
+    assert sigmoid(Tensor([0.0])).data[0] == 0.5
 
 
 def test_relu_negative():
@@ -116,7 +116,7 @@ def test_tanh_matches_series_oracle():
 
 
 def test_sigmoid_stable_at_large_magnitudes():
-    y = T.sigmoid(Tensor([800.0, -800.0])).data
+    y = sigmoid(Tensor([800.0, -800.0])).data
     assert y[0] == 1.0 and y[1] == 0.0 and np.all(np.isfinite(y))
 
 
@@ -133,7 +133,7 @@ def masked_sigmoid_oracle(x):
 def test_sigmoid_tanh_form_matches_masked_formula():
     x = np.concatenate([np.linspace(-50.0, 50.0, 200001), [-745.0, 745.0]])
     want = masked_sigmoid_oracle(x)
-    got = T.sigmoid(Tensor(x)).data
+    got = sigmoid(Tensor(x)).data
     # the forms differ by at most 2^-52 (two ulps just below 1.0) ...
     assert np.abs(got - want).max() <= np.finfo(np.float64).eps
     # ... and most of that is the masked formula's own rounding
@@ -191,7 +191,7 @@ def test_backward_sum_gives_ones():
 def test_backward_square_gives_two_x():
     x = Tensor([1.5])
     with Tape() as tape:
-        loss = T.sum_all(T.mul(x, x))
+        loss = T.sum_all(mul(x, x))
     grads = backward(tape, loss)
     np.testing.assert_allclose(grads[tape.node_of(x)].data, [3.0], atol=1e-12)
 
@@ -241,7 +241,7 @@ def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
 def test_backward_twice_on_one_tape_raises():
     x = Tensor([1.0, 2.0])
     with Tape() as tape:
-        loss = T.sum_all(T.mul(x, x))
+        loss = T.sum_all(mul(x, x))
     grads = backward(tape, loss)
     with pytest.raises(T.TapeError, match="already walked"):
         backward(tape, loss)
@@ -261,9 +261,9 @@ def test_weight_gradient_stacks_every_use():
     k = rng.normal(size=(4, 6))
     with Tape() as tape:
         terms = [T.mul_const(T.linear(x, w), g) for x, g in zip(xs, gs)]
-        terms.append(T.mul_const(T.linear(h, T.reshape(v, (4, 6))), gs[0][:2]))
+        terms.append(T.mul_const(T.linear(h, reshape(v, (4, 6))), gs[0][:2]))
         terms.append(T.mul_const(w, k))
-        loss = T.sum_all(T.concat_rows([T.reshape(t, (-1, 1)) for t in terms]))
+        loss = T.sum_all(T.concat_rows([reshape(t, (-1, 1)) for t in terms]))
     grads = backward(tape, loss)
     want_w = sum(g.T @ x for x, g in zip(xs, gs)) + k
     want_v = (gs[0][:2].T @ h.data).reshape(-1)
@@ -315,6 +315,14 @@ def test_additive_scores_shape_error(shapes):
         T.additive_scores(keys, query, score)
 
 
+@pytest.mark.parametrize("shapes", [((2, 8), (2, 3)), ((2, 6), (2, 2)), ((2, 8), (3, 2)), ((8,), (2,))])
+def test_fused_cell_ops_shape_error(shapes):
+    z, c = (Tensor(np.zeros(s)) for s in shapes)
+    for op in (T.lstm_cell_state, T.lstm_hidden):
+        with pytest.raises(T.ShapeError, match=op.__name__):
+            op(z, c)
+
+
 def test_backward_composite_lstm_like_step_matches_fd():
     rng = T.seeded_rng(3)
     w = Tensor(rng.normal(size=(4, 5)) * 0.4)
@@ -325,10 +333,10 @@ def test_backward_composite_lstm_like_step_matches_fd():
 
     def f():
         z = T.add(T.linear(x, w), T.linear(h, u))
-        i = T.sigmoid(z)
+        i = sigmoid(z)
         g = T.tanh(z)
-        c2 = T.add(T.mul(i, g), c)
-        return T.sum_all(T.mul(T.sigmoid(z), T.tanh(c2)))
+        c2 = T.add(mul(i, g), c)
+        return T.sum_all(mul(sigmoid(z), T.tanh(c2)))
 
     leaves = {"w": w, "u": u, "x": x, "h": h, "c": c}
     assert max(gradient_audit(f, leaves, atol=0.0).values()) <= 1e-4
@@ -341,7 +349,7 @@ def test_fd_exact_on_quadratic():
     x = Tensor([1.0, 2.0])
 
     def f():
-        return T.sum_all(T.mul(x, x))
+        return T.sum_all(mul(x, x))
 
     assert max(gradient_audit(f, {"x": x}, atol=0.0).values()) <= 1e-8
 
@@ -350,7 +358,7 @@ def test_fd_sigmoid_composition():
     x = Tensor([0.3, -0.6, 1.1])
 
     def f():
-        return T.sum_all(T.sigmoid(T.scale(x, 1.7)))
+        return T.sum_all(sigmoid(T.scale(x, 1.7)))
 
     assert max(gradient_audit(f, {"x": x}, atol=0.0).values()) <= 1e-4
 
@@ -383,22 +391,24 @@ def _op_cases(rng):
     w_out = Tensor(rng.normal(size=(3, 5)))
     pool = Tensor(rng.normal(size=(2, 2)))
     query = Tensor(rng.normal(size=(2, 5)))
+    gates = Tensor(rng.normal(size=(3, 8)) * 2.0)
+    cell = Tensor(rng.normal(size=(3, 2)))
     return {
-        "matmul": ([a, b], lambda: T.matmul(a, b)),
+        "matmul": ([a, b], lambda: matmul(a, b)),
         "linear": ([a, w_out], lambda: T.linear(a, w_out)),
         "tanh": ([a], lambda: T.tanh(a)),
-        "sigmoid": ([a], lambda: T.sigmoid(a)),
+        "sigmoid": ([a], lambda: sigmoid(a)),
         "relu": ([a], lambda: T.relu(a)),
         # summed softmax alone is constant; weight rows so the probe is informative
         "softmax_lastdim": ([a], lambda: T.mul_const(T.softmax_lastdim(a), targets)),
         "add": ([a, s], lambda: T.add(a, s)),
         "sub": ([a, s], lambda: T.sub(a, s)),
-        "mul": ([a, s], lambda: T.mul(a, s)),
+        "mul": ([a, s], lambda: mul(a, s)),
         "scale": ([a], lambda: T.scale(a, -1.7)),
         "mul_const": ([a], lambda: T.mul_const(a, np.sign(s.data) + 0.5)),
         "add_bias": ([a, bias], lambda: T.add_bias(a, bias)),
-        "reshape": ([a], lambda: T.reshape(a, (2, 10))),
-        "slice_cols": ([a], lambda: T.slice_cols(a, 1, 4)),
+        "reshape": ([a], lambda: reshape(a, (2, 10))),
+        "slice_cols": ([a], lambda: slice_cols(a, 1, 4)),
         "slice_rows": ([a], lambda: T.slice_rows(a, 1, 3)),
         "concat_rows": (parts, lambda: T.concat_rows(parts)),
         "repeat_rows": ([a], lambda: repeat_rows(a, 3)),
@@ -409,6 +419,8 @@ def _op_cases(rng):
         "select_positions": ([wide], lambda: T.select_positions(wide, pos)),
         "logsumexp_lastdim": ([wide], lambda: T.logsumexp_lastdim(wide)),
         "sigmoid_ce": ([a], lambda: T.sigmoid_ce(a, targets)),
+        "lstm_cell_state": ([gates, cell], lambda: T.lstm_cell_state(gates, cell)),
+        "lstm_hidden": ([gates, cell], lambda: T.lstm_hidden(gates, cell)),
     }
 
 
@@ -437,7 +449,7 @@ def test_forward_identical_with_and_without_tape():
     b = Tensor(rng.normal(size=(3, 3)))
 
     def run():
-        return T.softmax_lastdim(T.tanh(T.matmul(a, b))).data.copy()
+        return T.softmax_lastdim(T.tanh(matmul(a, b))).data.copy()
 
     bare = run()
     with Tape():
@@ -468,7 +480,7 @@ def test_gradient_audit_passes_smooth_composite():
     x = Tensor(rng.normal(size=(3, 3)))
 
     def f():
-        return T.sum_all(T.sigmoid(T.matmul(x, T.tanh(w))))
+        return T.sum_all(sigmoid(matmul(x, T.tanh(w))))
 
     report = T.gradient_audit(f, {"w": w, "x": x})
     assert max(report.values()) < 1e-6
@@ -479,7 +491,7 @@ def test_gradient_audit_skips_noise_floor_coordinates():
     x = Tensor(np.zeros(4))
 
     def f():
-        return T.sum_all(T.mul_const(T.sigmoid(x), np.full(4, 4e-8)))
+        return T.sum_all(T.mul_const(sigmoid(x), np.full(4, 4e-8)))
 
     report = T.gradient_audit(f, {"x": x})
     assert report["x"] == 0.0

@@ -190,9 +190,11 @@ def test_train_is_seed_deterministic():
     records = small_records(cfg)
 
     def run(train_seed):
+        # every field but the phase timings
         params = ModelParams.create(cfg, seed=2)
-        return train(params, cfg, records, TrainConfig(
+        history = train(params, cfg, records, TrainConfig(
             batch_size=2, epochs=3, seed=train_seed)).history
+        return [{k: v for k, v in e.items() if not k.endswith("_ms")} for e in history]
 
     assert run(5) == run(5)
     assert run(5) != run(6)
@@ -227,10 +229,15 @@ def test_train_writes_jsonl_log(tmp_path):
     entries = load_training_log(log)
     assert entries == result.history
     assert set(entries[0]) == {"iteration", "stop", "hierarchical", "abnormal", "mti", "total",
-                               "grad_norm", "clipped"}
+                               "grad_norm", "clipped", "tape_entries", "forward_ms",
+                               "backward_ms", "update_ms"}
     for e in entries:
         assert type(e["grad_norm"]) is float and e["grad_norm"] > 0.0
         assert type(e["clipped"]) is bool
+        assert type(e["tape_entries"]) is int and e["tape_entries"] > 0
+        for phase in ("forward_ms", "backward_ms", "update_ms"):
+            assert type(e[phase]) is float and e[phase] >= 0.0
+    assert [e["iteration"] for e in entries] == [1, 2, 3, 4]
 
 
 def test_train_log_records_clipping():
