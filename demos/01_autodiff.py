@@ -29,7 +29,7 @@ def main():
         return sum_all(relu(linear(x, w)))
 
     report = gradient_audit(f, {"w": w, "x": x})
-    for name, err in report.items():
+    for name, (err, _) in report.items():
         print(f"worst relative error for {name}: {err:.2e}")
     print("(relative errors at this scale mean the tape agrees with"
           " central differences)")

@@ -58,8 +58,7 @@ def main():
                  references=[paragraph_tokens(r.sentences)])
         for r in val_recs
     ]
-    stock_bleu1 = bleu(stock_pairs, 1)
-    stock_bleu4 = bleu(stock_pairs, 4)
+    stock_bleu1, _, _, stock_bleu4 = bleu(stock_pairs)
     stock_distinct = distinct_per_index([stock for _ in val_recs])
 
     print("                    BLEU-1   BLEU-4   distinct@0")

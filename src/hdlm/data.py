@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import struct
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -83,10 +84,7 @@ class Vocabulary:
 
 def build_vocab(sentences, min_frequency: int = 1) -> Vocabulary:
     """Ids by descending frequency, lexicographic tie-break; rare tokens -> UNK."""
-    counts: dict[str, int] = {}
-    for sent in sentences:
-        for tok in sent:
-            counts[tok] = counts.get(tok, 0) + 1
+    counts = Counter(tok for sent in sentences for tok in sent)
     kept = sorted(
         (t for t, c in counts.items() if c >= min_frequency),
         key=lambda t: (-counts[t], t),
@@ -172,10 +170,7 @@ def sentence_frequency_table(sentences) -> list[tuple[tuple, int]]:
     ``sentences`` is any iterable of token sequences (hashable tokens).
     Ties sort by ascending token sequence so the order is total.
     """
-    counts: dict[tuple, int] = {}
-    for sent in sentences:
-        key = tuple(sent)
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(tuple(sent) for sent in sentences)
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
@@ -359,7 +354,6 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
     p_abnormal = _zipf_probs(config.abnormal_pool, config.zipf_exponent)
 
     records: list[ReportRecord] = []
-    record_topics: list[list[int]] = []
     all_sentences: list[list[str]] = []
     drawn: list[tuple[list[int], list[bool]]] = []
     for _ in range(config.records):
@@ -372,7 +366,6 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
             else:
                 topics.append(int(rng.choice(config.normal_pool, p=p_normal)))
         drawn.append((topics, flags))
-        record_topics.append(topics)
         all_sentences.extend(pool_sentences[t] for t in topics)
 
     vocab = build_vocab(all_sentences, min_frequency=1)
@@ -389,7 +382,8 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
                 feature_ref=feature,
             )
         )
-    description = SynthDescription(pool_sentences, pool_abnormal, pool_tags, patterns, record_topics)
+    description = SynthDescription(pool_sentences, pool_abnormal, pool_tags, patterns,
+                                   [topics for topics, _ in drawn])
     return SynthResult(records, vocab, description)
 
 

@@ -13,7 +13,11 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field, fields
+from functools import reduce
+from operator import or_
 from pathlib import Path
+
+import numpy as np
 
 from .data import EOS_ID, CorpusFormatError
 
@@ -62,8 +66,10 @@ def build_eval_pairs(reports, records) -> list[EvalPair]:
 # BLEU
 
 
-def _ngram_counts(tokens, n: int) -> Counter:
-    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+def _ngram_counts(tokens, max_n: int) -> list[Counter]:
+    """Counters of the n-grams of ``tokens`` for n = 1..max_n, each in
+    first-occurrence order."""
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
 
 
 def _closest_ref_length(hyp_len: int, references) -> int:
@@ -71,35 +77,32 @@ def _closest_ref_length(hyp_len: int, references) -> int:
     return min((abs(len(r) - hyp_len), len(r)) for r in references)[1]
 
 
-def bleu(pairs, max_n: int = 4) -> float:
-    """Corpus BLEU-``max_n``: pooled clipped n-gram precisions, geometric
-    mean over orders 1..max_n, brevity penalty min(1, e^(1 - r/c)).
+def bleu(pairs, max_n: int = 4) -> list[float]:
+    """Corpus BLEU-1..``max_n`` from one count of each pair: pooled clipped
+    n-gram precisions, BLEU-n the geometric mean over orders 1..n, times the
+    brevity penalty min(1, e^(1 - r/c)).
 
     No smoothing: an order with zero pooled numerator (or denominator) sends
-    the score to exactly 0.
+    its score and every higher one to exactly 0.
     """
     if not pairs:
         raise ValueError("bleu needs at least one pair")
-    log_sum = 0.0
-    for n in range(1, max_n + 1):
-        num = den = 0
-        for pair in pairs:
-            hyp_counts = _ngram_counts(pair.hypothesis, n)
-            best = Counter()
-            for ref in pair.references:
-                for gram, count in _ngram_counts(ref, n).items():
-                    best[gram] = max(best[gram], count)
-            num += sum(min(c, best[g]) for g, c in hyp_counts.items())
-            den += max(len(pair.hypothesis) - n + 1, 0)
-        if num == 0 or den == 0:
-            return 0.0
-        log_sum += math.log(num / den)
+    num, den = [0] * max_n, [0] * max_n
+    for pair in pairs:
+        refs = [_ngram_counts(ref, max_n) for ref in pair.references]
+        best = [reduce(or_, grams) for grams in zip(*refs)]  # max count over references
+        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis, max_n)):
+            num[n] += sum((hyp_counts & best[n]).values())
+            den[n] += max(len(pair.hypothesis) - n, 0)
     c = sum(len(p.hypothesis) for p in pairs)
-    if c == 0:
-        return 0.0
     r = sum(_closest_ref_length(len(p.hypothesis), p.references) for p in pairs)
-    bp = min(1.0, math.exp(1.0 - r / c))
-    return bp * math.exp(log_sum / max_n)
+    scores, log_sum = [0.0] * max_n, 0.0
+    for n in range(max_n):
+        if num[n] == 0 or den[n] == 0:
+            break
+        log_sum += math.log(num[n] / den[n])
+        scores[n] = min(1.0, math.exp(1.0 - r / c)) * math.exp(log_sum / (n + 1))
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -107,16 +110,18 @@ def bleu(pairs, max_n: int = 4) -> float:
 
 
 def lcs_length(a, b) -> int:
-    """Longest common subsequence length, standard quadratic table."""
-    if not a or not b:
-        return 0
-    prev = [0] * (len(b) + 1)
+    """Longest common subsequence length by the bit-parallel recurrence of
+    Allison & Dix (1986) and Hyyro (2004).  After each token of ``a`` the
+    zero bits of ``v`` mark where the row of the quadratic table steps up
+    along ``b``, so the zeros among len(b) bits count the LCS."""
+    masks = {}
+    for j, y in enumerate(b):
+        masks[y] = masks.get(y, 0) | (1 << j)
+    v = full = (1 << len(b)) - 1
     for x in a:
-        cur = [0]
-        for j, y in enumerate(b, start=1):
-            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
-        prev = cur
-    return prev[-1]
+        u = v & masks.get(x, 0)
+        v = ((v + u) | (v - u)) & full
+    return len(b) - v.bit_count()
 
 
 def rouge_l(pairs, beta: float = 1.2) -> float:
@@ -145,35 +150,37 @@ def rouge_l(pairs, beta: float = 1.2) -> float:
 def _chunk_count(hyp, ref) -> int:
     """Greedy fragment cover: repeatedly take the longest contiguous fragment
     common to the unused positions of both sides (leftmost on ties), until no
-    common token remains.  Returns the number of fragments taken."""
-    used_h = [False] * len(hyp)
-    used_r = [False] * len(ref)
-    chunks = 0
-    while True:
-        best_len, best = 0, None
-        for i in range(len(hyp)):
-            if used_h[i]:
-                continue
-            for j in range(len(ref)):
-                if used_r[j] or hyp[i] != ref[j]:
-                    continue
-                k = 0
-                while (
-                    i + k < len(hyp)
-                    and j + k < len(ref)
-                    and not used_h[i + k]
-                    and not used_r[j + k]
-                    and hyp[i + k] == ref[j + k]
-                ):
-                    k += 1
-                if k > best_len:
-                    best_len, best = k, (i, j)
-        if best is None:
+    common token remains.  Returns the number of fragments taken.
+
+    ``run[i, j]`` is the length of the common fragment at hyp[i], ref[j],
+    and its row-major argmax the leftmost longest.  Taking a fragment zeroes
+    its rows and columns and caps the runs above and left of it that reach
+    them.  The cover uses every match (the sum of min token counts), so the
+    count starts at one chunk per match and each fragment of length L joins
+    L of them; once the longest run is 1, no further fragment joins any.
+    """
+    ids = {}
+    h = np.array([ids.setdefault(t, len(ids)) for t in hyp], dtype=np.int64)
+    r = np.array([ids.setdefault(t, len(ids)) for t in ref], dtype=np.int64)
+    eq = h[:, None] == r
+    run = eq.astype(np.int64)
+    # at the loop head, tail[i, j] is hyp[i:i + t] == ref[j:j + t]
+    tail, t = eq, 1
+    while tail.any():
+        tail = tail[:-1, :-1] & eq[t:, t:]
+        run[:-t, :-t] += tail
+        t += 1
+    chunks = sum((Counter(hyp) & Counter(ref)).values())
+    while run.size:
+        i, j = divmod(int(run.argmax()), run.shape[1])
+        length = int(run[i, j])
+        if length <= 1:
             break
-        i, j = best
-        for t in range(best_len):
-            used_h[i + t] = used_r[j + t] = True
-        chunks += 1
+        run[i:i + length] = 0
+        run[:, j:j + length] = 0
+        np.minimum(run[:i], np.arange(i, 0, -1)[:, None], out=run[:i])
+        np.minimum(run[:, :j], np.arange(j, 0, -1), out=run[:, :j])
+        chunks -= length - 1
     return chunks
 
 
@@ -221,14 +228,11 @@ def cider_d(pairs, max_n: int = 4, sigma: float = 6.0) -> float:
     if not pairs:
         raise ValueError("cider_d needs at least one pair")
     num_docs = len(pairs)
+    ref_counts = [[_ngram_counts(ref, max_n) for ref in pair.references] for pair in pairs]
     df = [Counter() for _ in range(max_n)]
-    for pair in pairs:
-        for n in range(1, max_n + 1):
-            seen = set()
-            for ref in pair.references:
-                seen.update(_ngram_counts(ref, n))
-            for gram in seen:
-                df[n - 1][gram] += 1
+    for refs in ref_counts:
+        for n in range(max_n):
+            df[n].update(set().union(*(ref[n] for ref in refs)))
     if num_docs == 1:
         warnings.warn(
             "CIDEr-D needs multiple reference documents for meaningful idf; "
@@ -236,21 +240,19 @@ def cider_d(pairs, max_n: int = 4, sigma: float = 6.0) -> float:
             stacklevel=2,
         )
 
-    def vec(tokens, n):
-        out = {}
-        for gram, count in _ngram_counts(tokens, n).items():
-            out[gram] = count * math.log(num_docs / max(df[n - 1][gram], 1))
-        return out
+    def vec(counts, n):
+        return {gram: count * math.log(num_docs / max(df[n][gram], 1))
+                for gram, count in counts.items()}
 
     total = 0.0
-    for pair in pairs:
+    for pair, refs in zip(pairs, ref_counts):
         order_sum = 0.0
-        for n in range(1, max_n + 1):
-            g_hyp = vec(pair.hypothesis, n)
+        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis, max_n)):
+            g_hyp = vec(hyp_counts, n)
             norm_hyp = math.sqrt(sum(v * v for v in g_hyp.values()))
             ref_sum = 0.0
-            for ref in pair.references:
-                g_ref = vec(ref, n)
+            for ref, counts in zip(pair.references, refs):
+                g_ref = vec(counts[n], n)
                 norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
                 if norm_hyp == 0.0 or norm_ref == 0.0:
                     continue
@@ -309,10 +311,7 @@ def compute_metrics(pairs, paragraphs=None) -> MetricsReport:
     """All corpus metrics for ``pairs``; ``paragraphs`` (generated sentence
     lists) feeds the positional distinctness counts when provided."""
     return MetricsReport(
-        bleu1=bleu(pairs, 1),
-        bleu2=bleu(pairs, 2),
-        bleu3=bleu(pairs, 3),
-        bleu4=bleu(pairs, 4),
+        *bleu(pairs),
         rouge_l=rouge_l(pairs),
         cider_d=cider_d(pairs),
         meteor=meteor_lite(pairs),

@@ -579,7 +579,7 @@ def gradient_audit(
     atol: float = 1e-5,
     max_coords: int | None = None,
     seed: int = 0,
-) -> dict[str, float]:
+) -> dict[str, tuple[float, int]]:
     """Noise-aware central-difference audit of tape gradients.
 
     Central differences of a double-precision loss carry cancellation noise
@@ -587,21 +587,22 @@ def gradient_audit(
     and the numeric gradient stay under ``atol`` already agree to within
     2 * atol and carry no further information; they are skipped.  Every
     other coordinate contributes its relative error, which catches a wrong
-    analytic zero because the numeric side is then above the floor.  Returns
-    the worst relative error per parameter group over the informative
-    coordinates (0.0 when a group has none).  ``atol=0.0`` skips nothing,
-    giving the plain worst relative error over every probed coordinate.
-    ``f`` must be deterministic and read the parameter tensors in place.
+    analytic zero because the numeric side is then above the floor.  Returns,
+    per parameter group, the worst relative error over the informative
+    coordinates (0.0 when a group has none) and how many there were.
+    ``atol=0.0`` skips nothing, giving the plain worst relative error over
+    every probed coordinate.  ``f`` must be deterministic and read the
+    parameter tensors in place.
     """
     with Tape() as tape:
         out = f()
     analytic = collect_gradients(tape, backward(tape, out), named_params)
     rng = seeded_rng(seed)
-    report: dict[str, float] = {}
+    report: dict[str, tuple[float, int]] = {}
     for name, p in named_params.items():
         a_flat = analytic[name].reshape(-1)
         flat = p.data.reshape(-1)
-        worst = 0.0
+        worst, checked = 0.0, 0
         for i in _probe_coords(flat.size, max_coords, rng):
             orig = flat[i]
             flat[i] = orig + eps
@@ -614,6 +615,6 @@ def gradient_audit(
             if max(abs(a), abs(numeric)) < atol:
                 continue
             err = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, err)
-        report[name] = worst
+            worst, checked = max(worst, err), checked + 1
+        report[name] = worst, checked
     return report

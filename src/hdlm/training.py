@@ -282,6 +282,7 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
 
 def _parse_checkpoint(path) -> tuple[int, dict[str, np.ndarray]]:
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         head = _read_exact(fh, 16, path, "header")
         magic, version, iteration = struct.unpack("<4sIQ", head)
         if magic != CHECKPOINT_MAGIC:
@@ -299,9 +300,10 @@ def _parse_checkpoint(path) -> tuple[int, dict[str, np.ndarray]]:
             name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, f"{name} dims"))
+            if 8 * math.prod(dims) > size - fh.tell():  # a corrupt dim fails here, not in np.empty
+                raise CheckpointError(f"{path}: truncated while reading {name} values (dims {list(dims)})")
             entries[name] = values = np.empty(dims, dtype="<f8")
-            if fh.readinto(values.data) != values.nbytes:
-                raise CheckpointError(f"{path}: truncated while reading {name} values")
+            fh.readinto(values.data)
     return iteration, entries
 
 

@@ -11,15 +11,22 @@ The optimizer keeps its first formulation too, with a fresh array for every
 intermediate.  The LSTM cell keeps its unfused gate composition.  Ops the
 package no longer calls (``matmul``, ``reshape``, ``sigmoid``, ``mul``,
 ``slice_cols`` and ``repeat_rows``) live on here as test-local ops.
+
+The scoring kernels keep their first formulations as well: BLEU recounts
+every order for each BLEU-n, the LCS fills the quadratic table, the METEOR
+chunk count rescans every (i, j) pair per fragment, and CIDEr-D counts each
+reference twice.
 """
 
 import math
+from collections import Counter
 
 import numpy as np
 
 from hdlm.data import BOS_ID, EOS_ID
 from hdlm.inference import GeneratedReport
 from hdlm.layers import embed, lstm_step
+from hdlm.metrics import _closest_ref_length
 from hdlm.model import encode_image_batch, word_step
 from hdlm.tensor import (
     ShapeError,
@@ -293,3 +300,124 @@ def clip_gradients_reference(grads, max_norm):
         for g in grads.values():
             g *= factor
     return total
+
+
+def _ngrams(tokens, n):
+    return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
+
+
+def bleu_reference(pairs, max_n=4):
+    """Corpus BLEU-``max_n`` alone, recounting every order of every pair."""
+    log_sum = 0.0
+    for n in range(1, max_n + 1):
+        num = den = 0
+        for pair in pairs:
+            hyp_counts = _ngrams(pair.hypothesis, n)
+            best = Counter()
+            for ref in pair.references:
+                for gram, count in _ngrams(ref, n).items():
+                    best[gram] = max(best[gram], count)
+            num += sum(min(c, best[g]) for g, c in hyp_counts.items())
+            den += max(len(pair.hypothesis) - n + 1, 0)
+        if num == 0 or den == 0:
+            return 0.0
+        log_sum += math.log(num / den)
+    c = sum(len(p.hypothesis) for p in pairs)
+    if c == 0:
+        return 0.0
+    r = sum(_closest_ref_length(len(p.hypothesis), p.references) for p in pairs)
+    bp = min(1.0, math.exp(1.0 - r / c))
+    return bp * math.exp(log_sum / max_n)
+
+
+def lcs_length_reference(a, b):
+    """Longest common subsequence length, standard quadratic table."""
+    if not a or not b:
+        return 0
+    prev = [0] * (len(b) + 1)
+    for x in a:
+        cur = [0]
+        for j, y in enumerate(b, start=1):
+            cur.append(prev[j - 1] + 1 if x == y else max(prev[j], cur[j - 1]))
+        prev = cur
+    return prev[-1]
+
+
+def chunk_count_reference(hyp, ref):
+    """``hdlm.metrics._chunk_count`` rescanning every (i, j) pair for each
+    fragment it takes."""
+    used_h = [False] * len(hyp)
+    used_r = [False] * len(ref)
+    chunks = 0
+    while True:
+        best_len, best = 0, None
+        for i in range(len(hyp)):
+            if used_h[i]:
+                continue
+            for j in range(len(ref)):
+                if used_r[j] or hyp[i] != ref[j]:
+                    continue
+                k = 0
+                while (
+                    i + k < len(hyp)
+                    and j + k < len(ref)
+                    and not used_h[i + k]
+                    and not used_r[j + k]
+                    and hyp[i + k] == ref[j + k]
+                ):
+                    k += 1
+                if k > best_len:
+                    best_len, best = k, (i, j)
+        if best is None:
+            break
+        i, j = best
+        for t in range(best_len):
+            used_h[i + t] = used_r[j + t] = True
+        chunks += 1
+    return chunks
+
+
+def cider_d_reference(pairs, max_n=4, sigma=6.0):
+    """``hdlm.metrics.cider_d`` counting each reference twice, once for the
+    document frequencies and once for the vectors (without the single-pair
+    warning)."""
+    num_docs = len(pairs)
+    df = [Counter() for _ in range(max_n)]
+    for pair in pairs:
+        for n in range(1, max_n + 1):
+            seen = set()
+            for ref in pair.references:
+                seen.update(_ngrams(ref, n))
+            for gram in seen:
+                df[n - 1][gram] += 1
+
+    def vec(tokens, n):
+        out = {}
+        for gram, count in _ngrams(tokens, n).items():
+            out[gram] = count * math.log(num_docs / max(df[n - 1][gram], 1))
+        return out
+
+    total = 0.0
+    for pair in pairs:
+        order_sum = 0.0
+        for n in range(1, max_n + 1):
+            g_hyp = vec(pair.hypothesis, n)
+            norm_hyp = math.sqrt(sum(v * v for v in g_hyp.values()))
+            ref_sum = 0.0
+            for ref in pair.references:
+                g_ref = vec(ref, n)
+                norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
+                if norm_hyp == 0.0 or norm_ref == 0.0:
+                    continue
+                clipped = sum(
+                    min(v, g_ref.get(gram, 0.0)) * g_ref.get(gram, 0.0)
+                    for gram, v in g_hyp.items()
+                )
+                delta = len(pair.hypothesis) - len(ref)
+                ref_sum += (
+                    clipped / (norm_hyp * norm_ref)
+                    * math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+                )
+            order_sum += ref_sum / len(pair.references)
+        total += 10.0 * order_sum / max_n
+    return total / len(pairs)

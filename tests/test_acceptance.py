@@ -93,7 +93,7 @@ def test_criterion_01_gradients_match_finite_differences():
         named, eps=1e-5, max_coords=None, seed=0,
     )
     assert set(report) == set(named)
-    worst = max(report.values())
+    worst, _ = max(report.values())
     worst_name = max(report, key=report.get)
     elapsed = time.monotonic() - started
     assert worst <= 1e-4, f"{worst_name} relative error {worst:.3e}"
@@ -171,7 +171,7 @@ def test_criterion_04_metric_oracles():
 
     checks = []
     checks.append(("BLEU-1 clipping",
-                   bleu([pair("the the the the".split(), "the cat".split())], 1),
+                   bleu([pair("the the the the".split(), "the cat".split())])[0],
                    0.25))
     checks.append(("ROUGE-L",
                    rouge_l([pair(list("abcd"), list("acde"))]),
@@ -235,7 +235,7 @@ def test_criterion_05_mode_baseline_rivals_degenerate_model():
     mode_pairs = [EvalPair(hypothesis=paragraph_tokens(mode),
                            references=[paragraph_tokens(r.sentences)])
                   for r in val_recs]
-    mode_bleu1 = bleu(mode_pairs, 1)
+    mode_bleu1, _, _, mode_bleu4 = bleu(mode_pairs)
     mode_distinct = distinct_per_index([mode for _ in val_recs])
 
     assert mode_distinct[0] == 1
@@ -243,7 +243,7 @@ def test_criterion_05_mode_baseline_rivals_degenerate_model():
         f"mode {mode_bleu1:.4f} vs model {model_metrics.bleu1:.4f}"
     )
     gate = select_model([CheckpointRecord(
-        iteration=result.iterations, bleu4=bleu(mode_pairs, 4),
+        iteration=result.iterations, bleu4=mode_bleu4,
         distinct=tuple(mode_distinct),
     )])
     assert gate.chosen is None
@@ -309,7 +309,7 @@ def test_criterion_07_small_corpus_exact_overfit():
     exact = sum(rep.sentences == rec.sentences
                 for rep, rec in zip(reports, records))
     assert exact == len(records), f"only {exact}/{len(records)} reproduced"
-    score = bleu(build_eval_pairs(reports, records), 4)
+    score = bleu(build_eval_pairs(reports, records))[3]
     assert abs(score - 1.0) < 1e-12
     elapsed = time.monotonic() - started
     assert iterations <= 2000 and elapsed < 300.0

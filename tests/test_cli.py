@@ -1,7 +1,9 @@
 import json
+import struct
 
 import pytest
 
+import hdlm.cli
 from hdlm.cli import (
     CLI_DEFAULTS,
     model_config_from,
@@ -10,7 +12,8 @@ from hdlm.cli import (
     run,
 )
 from hdlm.data import ConfigError
-from hdlm.selection import CheckpointRecord, save_history
+from hdlm.selection import CheckpointRecord, load_history, save_history
+from hdlm.training import save_checkpoint
 
 TINY = """\
 # quick profile for tests
@@ -234,6 +237,16 @@ def test_gradcheck_passes(capsys):
     assert "PASS" in capsys.readouterr().out
 
 
+def test_gradcheck_checks_every_group_at_the_default_seed(capsys):
+    assert run(["gradcheck"]) == 0
+    *groups, verdict = capsys.readouterr().out.splitlines()
+    assert len(groups) == 27
+    for line in groups:
+        name, _, checked, word = line.split()
+        assert word == "checked" and int(checked) >= 1, line
+    assert verdict.endswith(": PASS")
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -341,6 +354,44 @@ def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     err = capsys.readouterr().err
     assert f"error: {expected}" in err
     assert "Traceback" not in err
+
+
+def test_corrupt_checkpoint_dims_exit_code(pipeline, tmp_path, capsys):
+    data, runs = pipeline / "data", pipeline / "run"
+    blob = bytearray((runs / "final.bin").read_bytes())
+    (name_len,) = struct.unpack_from("<I", blob, 16)
+    # the first dim of the first entry, after its name and rank
+    struct.pack_into("<I", blob, 16 + 4 + name_len + 4, 2 ** 31)
+    bad = tmp_path / "final.bin"
+    bad.write_bytes(blob)
+    capsys.readouterr()
+    assert run(["generate", str(data / "val.jsonl"), "--config", str(runs / "resolved.cfg"),
+                "--checkpoint", str(bad), "--out", str(tmp_path / "gen")]) == 5
+    err = capsys.readouterr().err
+    assert f"error: {bad}: truncated while reading meta/config values (dims [2147483648]" in err
+    assert "Traceback" not in err
+
+
+def test_failed_run_keeps_the_history_it_made(tmp_path, tiny_cfg, monkeypatch, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    three = tmp_path / "three.cfg"
+    three.write_text(TINY + "train.evals_per_epoch = 3\n")
+    calls = []
+
+    def failing_third(*args, **kwargs):
+        calls.append(args[0])
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return save_checkpoint(*args, **kwargs)
+
+    monkeypatch.setattr(hdlm.cli, "save_checkpoint", failing_third)
+    out = tmp_path / "run"
+    assert run(["train", str(data), "--config", str(three), "--out", str(out)]) == 1
+    assert "error: disk full" in capsys.readouterr().err
+    history = load_history(out / "history.jsonl")
+    assert [r.iteration for r in history] == [1, 2]
+    assert [r.path for r in history] == [str(p) for p in calls[:2]]
 
 
 def test_usage_error_exit_code():

@@ -1,14 +1,17 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+import hdlm.metrics
 from hdlm.data import EOS_ID, CorpusFormatError, ReportRecord
 from hdlm.inference import GeneratedReport
 from hdlm.metrics import (
     EvalPair,
     MetricsReport,
+    _chunk_count,
     bleu,
     build_eval_pairs,
     cider_d,
@@ -23,6 +26,7 @@ from hdlm.metrics import (
     save_metrics,
 )
 from hdlm.tensor import seeded_rng
+from oracles import bleu_reference, chunk_count_reference, cider_d_reference, lcs_length_reference
 
 
 def pair(hyp, *refs):
@@ -35,55 +39,61 @@ def pair(hyp, *refs):
 
 def test_bleu1_clipping_repeated_word():
     p = pair("the the the the".split(), "the cat".split())
-    assert abs(bleu([p], 1) - 0.25) < 1e-12
+    assert abs(bleu([p])[0] - 0.25) < 1e-12
 
 
 def test_bleu4_exact_match_is_one():
     tokens = list(range(6))
-    assert abs(bleu([pair(tokens, tokens)], 4) - 1.0) < 1e-12
+    assert abs(bleu([pair(tokens, tokens)])[3] - 1.0) < 1e-12
 
 
 def test_bleu_no_overlap_is_zero():
-    assert bleu([pair([1, 2, 3], [4, 5, 6])], 1) == 0.0
+    assert bleu([pair([1, 2, 3], [4, 5, 6])])[0] == 0.0
 
 
 def test_bleu_missing_order_is_zero():
     # unigrams overlap but no common bigram, so BLEU-2 collapses to 0
     p = pair([1, 9, 2], [1, 2, 3])
-    assert bleu([p], 1) > 0.0
-    assert bleu([p], 2) == 0.0
+    assert bleu([p])[0] > 0.0
+    assert bleu([p])[1] == 0.0
 
 
 def test_bleu_brevity_penalty_value():
     p = pair("the cat".split(), "the cat sat".split())
-    assert abs(bleu([p], 1) - math.exp(-0.5)) < 1e-12
+    assert abs(bleu([p])[0] - math.exp(-0.5)) < 1e-12
 
 
 def test_bleu_closest_reference_tie_prefers_shorter():
     # |2-3| == |4-3|; picking the shorter reference leaves no length deficit
     p = pair([1, 2, 3], [1, 2], [1, 2, 3, 4])
-    assert abs(bleu([p], 1) - 1.0) < 1e-12
+    assert abs(bleu([p])[0] - 1.0) < 1e-12
 
 
 def test_bleu2_geometric_mean():
     p = pair([1, 2, 3, 4], [1, 2, 9, 4])
     # p1 = 3/4, p2 = 1/3, equal lengths
-    assert abs(bleu([p], 2) - math.sqrt(0.25)) < 1e-12
+    assert abs(bleu([p])[1] - math.sqrt(0.25)) < 1e-12
 
 
 def test_bleu_pools_counts_over_corpus():
     pairs = [pair([1, 2], [1, 2]), pair([3, 4], [9, 9])]
     # pooled unigrams: (2 + 0) / (2 + 2)
-    assert abs(bleu(pairs, 1) - 0.5) < 1e-12
+    assert abs(bleu(pairs)[0] - 0.5) < 1e-12
 
 
 def test_bleu_empty_hypothesis_is_zero():
-    assert bleu([pair([], [1, 2])], 1) == 0.0
+    assert bleu([pair([], [1, 2])])[0] == 0.0
+
+
+def test_bleu_returns_every_order_up_to_max_n():
+    p = pair([1, 2, 3, 4], [1, 2, 9, 4])
+    assert bleu([p], 2) == bleu([p])[:2]
+    assert len(bleu([p], 6)) == 6
 
 
 def test_bleu_rejects_empty_corpus():
     with pytest.raises(ValueError):
-        bleu([], 4)
+        bleu([])
 
 
 # ---------------------------------------------------------------------------
@@ -213,6 +223,64 @@ def test_distinct_empty_input():
 
 
 # ---------------------------------------------------------------------------
+# one-pass kernels against the first formulations
+
+
+def _random_corpus(rng):
+    vocab = int(rng.integers(2, 9))
+
+    def tokens():
+        return rng.integers(0, vocab, size=int(rng.integers(0, 21))).tolist()
+
+    return [EvalPair(hypothesis=tokens(), references=[tokens() for _ in range(int(rng.integers(1, 4)))])
+            for _ in range(int(rng.integers(1, 6)))]
+
+
+def _string_corpus():
+    return [
+        pair("the heart is normal in size the lungs are clear".split(),
+             "the heart size is normal the lungs are clear".split(),
+             "no acute disease the heart is normal".split()),
+        pair("a a b a b b a".split(), "b a b a a b".split()),
+        pair([], "the lungs are clear".split()),
+        pair("10 1 01 1.0".split(), "1 10 1.0 01 1".split()),
+        # Python equality: 1 == 1.0 == True, but 1 != "1"
+        pair([1, "1", 1.0, True, "a", 1], ["1", 1, "a", 2, True, 1.0]),
+    ]
+
+
+def test_one_pass_kernels_equal_first_formulations_exactly(monkeypatch):
+    """BLEU-1..4, ROUGE-L, METEOR, CIDEr-D, the LCS and the chunk count are
+    bitwise equal to the oracles on 300 random corpora and string tokens."""
+    rng = seeded_rng(71)
+    corpora = [_random_corpus(rng) for _ in range(300)] + [_string_corpus()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        got = [(bleu(c), rouge_l(c), meteor_lite(c), cider_d(c)) for c in corpora]
+        want_cider = [cider_d_reference(c) for c in corpora]
+    monkeypatch.setattr(hdlm.metrics, "lcs_length", lcs_length_reference)
+    monkeypatch.setattr(hdlm.metrics, "_chunk_count", chunk_count_reference)
+    for corpus, (bleus, rouge, meteor, cider), want in zip(corpora, got, want_cider):
+        assert bleus == [bleu_reference(corpus, n) for n in range(1, 5)]
+        assert rouge == rouge_l(corpus)
+        assert meteor == meteor_lite(corpus)
+        assert cider == want
+        for p in corpus:
+            for ref in p.references:
+                assert lcs_length(p.hypothesis, ref) == lcs_length_reference(p.hypothesis, ref)
+                assert _chunk_count(p.hypothesis, ref) == chunk_count_reference(p.hypothesis, ref)
+
+
+def test_chunk_count_takes_leftmost_longest_fragment():
+    # "3 1 2" first, then the "1 2" left on both sides
+    assert _chunk_count([1, 2, 3, 1, 2], [3, 1, 2, 1, 2]) == 2
+    # "0 0" at (0, 1) ties "1 0" at (2, 0); the leftmost leaves two single
+    # tokens, where taking "1 0" would have left one "0 0"
+    assert _chunk_count([0, 0, 1, 0], [1, 0, 0, 0]) == 3
+    assert _chunk_count([], [1]) == _chunk_count([1], []) == 0
+
+
+# ---------------------------------------------------------------------------
 # pairing and reports
 
 
@@ -267,6 +335,19 @@ def test_compute_metrics_and_round_trip(tmp_path):
     path = tmp_path / "metrics.json"
     save_metrics(path, report)
     assert load_metrics(path) == report
+
+
+def test_compute_metrics_calls_each_metric_once(monkeypatch):
+    names = ("bleu", "rouge_l", "cider_d", "meteor_lite", "distinct_per_index")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(hdlm.metrics, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(hdlm.metrics, name, counted)
+    pairs = [pair([1, 2, 3], [1, 2, 3]), pair([4, 5], [4, 6])]
+    compute_metrics(pairs, paragraphs=[[[1, 2, 3]], [[4, 5]]])
+    assert calls == dict.fromkeys(names, 1)
 
 
 @pytest.mark.parametrize("text, message", [
