@@ -493,6 +493,8 @@ def load_corpus(path) -> list[ReportRecord]:
     records = []
     for lineno, obj in read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature")):
         try:
+            if not isinstance(obj["id"], str):
+                raise ValueError(f"record id {obj['id']!r} is not a string")
             bad = [b for b in obj["abnormal"] if not isinstance(b, bool)]
             if bad:
                 raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")

@@ -148,6 +148,8 @@ def load_generated(path) -> list[GeneratedReport]:
     reports = []
     for lineno, obj in read_jsonl(path, fields):
         try:
+            if not isinstance(obj["id"], str):
+                raise ValueError(f"record id {obj['id']!r} is not a string")
             bad = [b for b in obj["branches"] if b not in BRANCH_NAMES]
             if bad:
                 raise ValueError(f"unknown branch {bad[0]!r}")

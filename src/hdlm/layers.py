@@ -2,10 +2,10 @@
 additive soft attention over spatial locations.
 
 Layer parameters are plain ``Tensor`` leaves grouped in small dataclasses;
-each exposes ``named(prefix)`` so the model can assemble a flat, uniquely
-named parameter dictionary for checkpointing.  Functional ops take batched
-rows (rank 2); a single example is a one-row batch, and rank-1 input raises
-``ShapeError``.
+``named(layer, prefix)`` lists them so the model can assemble a flat,
+uniquely named parameter dictionary for checkpointing.  Functional ops take
+batched rows (rank 2); a single example is a one-row batch, and rank-1 input
+raises ``ShapeError``.
 
 Initialization follows one convention throughout: uniform in
 [-INIT_RANGE, INIT_RANGE] from a seeded generator, except LSTM forget-gate
@@ -14,7 +14,7 @@ biases which start at 1.0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,13 @@ from .tensor import (
 )
 
 INIT_RANGE = 0.08
+
+
+def named(layer, prefix: str) -> list[tuple[str, Tensor]]:
+    """``(prefix.field, tensor)`` for each parameter field in declaration
+    order; an absent (``None``) bias is left out."""
+    tensors = ((f.name, getattr(layer, f.name)) for f in fields(layer))
+    return [(f"{prefix}.{name}", t) for name, t in tensors if t is not None]
 
 
 def _uniform(rng: np.random.Generator, shape) -> Tensor:
@@ -58,12 +65,6 @@ class LinearLayer:
         return y
 
     __call__ = apply
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        out = [(f"{prefix}.weight", self.weight)]
-        if self.bias is not None:
-            out.append((f"{prefix}.bias", self.bias))
-        return out
 
 
 @dataclass
@@ -91,13 +92,6 @@ class LSTMCellParams:
             _uniform(rng, (4 * hidden_dim, hidden_dim)),
             Tensor(bias),
         )
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_input", self.w_input),
-            (f"{prefix}.w_recur", self.w_recur),
-            (f"{prefix}.bias", self.bias),
-        ]
 
 
 def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
@@ -132,9 +126,6 @@ class EmbeddingTable:
     def vocab_size(self) -> int:
         return self.matrix.shape[0]
 
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.matrix", self.matrix)]
-
 
 def embed(table: EmbeddingTable, ids) -> Tensor:
     ids = np.asarray(ids, dtype=np.int64)
@@ -159,13 +150,6 @@ class AttentionParams:
             _uniform(rng, (attn_dim, state_dim)),
             _uniform(rng, (attn_dim,)),
         )
-
-    def named(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [
-            (f"{prefix}.w_location", self.w_location),
-            (f"{prefix}.w_state", self.w_state),
-            (f"{prefix}.score", self.score),
-        ]
 
 
 def attention_keys(params: AttentionParams, v_e: Tensor) -> Tensor:

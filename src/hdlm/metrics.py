@@ -12,14 +12,14 @@ import json
 import math
 import warnings
 from collections import Counter
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import reduce
 from operator import or_
 from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_ID, CorpusFormatError
+from .data import EOS_ID
 
 
 @dataclass
@@ -321,26 +321,6 @@ def compute_metrics(pairs, paragraphs=None) -> MetricsReport:
 
 def save_metrics(path, report: MetricsReport) -> None:
     Path(path).write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
-
-
-def load_metrics(path) -> MetricsReport:
-    """Read a ``save_metrics`` file; a malformed one raises
-    :class:`CorpusFormatError` naming ``path``."""
-    try:
-        obj = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as e:
-        raise CorpusFormatError(f"{path}: invalid JSON ({e})") from None
-    if not isinstance(obj, dict):
-        raise CorpusFormatError(f"{path}: expected a JSON object")
-    values = {}
-    for name in (f.name for f in fields(MetricsReport)):
-        if name not in obj:
-            raise CorpusFormatError(f"{path}: missing metric {name!r}")
-        try:
-            values[name] = [int(v) for v in obj[name]] if name == "distinct" else float(obj[name])
-        except (ValueError, TypeError):
-            raise CorpusFormatError(f"{path}: metric {name!r} is not numeric: {obj[name]!r}") from None
-    return MetricsReport(**values)
 
 
 def render_table(report: MetricsReport) -> str:

@@ -19,7 +19,7 @@ term is dropped entirely and all sentences route through the normal branch.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -33,6 +33,7 @@ from .layers import (
     embed,
     lstm_step,
     lstm_update,
+    named,
     soft_attention_batch,
 )
 from .tensor import (
@@ -42,15 +43,12 @@ from .tensor import (
     concat_rows,
     gather_rows,
     linear,
-    logsumexp_lastdim,
-    mul_const,
     relu,
     scale,
     seeded_rng,
-    select_positions,
     sigmoid_ce,
     slice_rows,
-    sub,
+    softmax_ce,
     sum_all,
     sum_rowgroups,
     tanh,
@@ -58,6 +56,12 @@ from .tensor import (
 )
 
 BRANCH_NAMES = ("abnormal", "normal")
+# checkpoint name prefixes of the ModelParams fields not named as they are
+_PREFIXES = {
+    "stop_prev": "stop.prev", "stop_cur": "stop.cur", "stop_out": "stop.out",
+    "word_abnormal": "word_abnormal.lstm", "word_abnormal_out": "word_abnormal.out",
+    "word_normal": "word_normal.lstm", "word_normal_out": "word_normal.out",
+}
 
 
 @dataclass
@@ -143,23 +147,8 @@ class ModelParams:
         )
 
     def named_parameters(self) -> dict[str, Tensor]:
-        groups = [
-            self.img_embed.named("img_embed"),
-            self.attn.named("attn"),
-            self.sent_lstm.named("sent_lstm"),
-            self.topic.named("topic"),
-            self.stop_prev.named("stop.prev"),
-            self.stop_cur.named("stop.cur"),
-            self.stop_out.named("stop.out"),
-            self.abnormal_head.named("abnormal_head"),
-            self.embedding.named("embedding"),
-            self.word_abnormal.named("word_abnormal.lstm"),
-            self.word_abnormal_out.named("word_abnormal.out"),
-            self.word_normal.named("word_normal.lstm"),
-            self.word_normal_out.named("word_normal.out"),
-            self.mti_head.named("mti_head"),
-        ]
-        return {name: t for group in groups for name, t in group}
+        return {name: t for f in fields(self)
+                for name, t in named(getattr(self, f.name), _PREFIXES.get(f.name, f.name))}
 
     def word_branch(self, branch: str) -> tuple[LSTMCellParams, LinearLayer]:
         if branch == "abnormal":
@@ -275,8 +264,7 @@ def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: i
     logits = proj(concat_rows(states))
     targets = [g[t] if t < len(g) else 0 for t in range(1, longest) for g in golds]
     mask = np.array([1.0 if t < len(g) else 0.0 for t in range(1, longest) for g in golds])
-    ce = sub(logsumexp_lastdim(logits), select_positions(logits, targets))
-    return sum_all(mul_const(ce, mask))
+    return sum_all(softmax_ce(logits, targets, mask))
 
 
 def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBundle:
@@ -310,13 +298,12 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     step = np.arange(depth)[:, None]
     exists = (step < lengths).astype(np.float64).reshape(-1, 1)
     is_last = (step == lengths - 1).astype(np.float64).reshape(-1, 1)
-    stop_sum = sum_all(mul_const(sigmoid_ce(stop_logits, is_last), exists))
+    stop_sum = sum_all(sigmoid_ce(stop_logits, is_last, exists))
     if config.dual_enabled:
         flags = np.zeros((depth, batch))
         for b, r in enumerate(records):
             flags[:len(r.sentences), b] = r.abnormal_flags
-        abn_ce = sigmoid_ce(abn_logits, flags.reshape(-1, 1))
-        abnormal_sum = sum_all(mul_const(abn_ce, exists))
+        abnormal_sum = sum_all(sigmoid_ce(abn_logits, flags.reshape(-1, 1), exists))
 
     routes = {name: [] for name in BRANCH_NAMES}
     for b, r in enumerate(records):

@@ -33,9 +33,7 @@ __all__ = [
     "tanh",
     "relu",
     "add",
-    "sub",
     "scale",
-    "mul_const",
     "add_bias",
     "slice_rows",
     "concat_rows",
@@ -43,9 +41,8 @@ __all__ = [
     "weighted_sum_rowgroups",
     "sum_all",
     "gather_rows",
-    "select_positions",
-    "logsumexp_lastdim",
     "sigmoid_ce",
+    "softmax_ce",
     "zeros",
     "seeded_rng",
 ]
@@ -353,22 +350,11 @@ def softmax_lastdim(x: Tensor) -> Tensor:
     return out
 
 
-def _check_same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ShapeError(f"{op} needs matching shapes, got {a.shape} and {b.shape}")
-
-
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
     out = Tensor(a.data + b.data)
     _record(out, (a, b), lambda g: (g, g))
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape("sub", a, b)
-    out = Tensor(a.data - b.data)
-    _record(out, (a, b), lambda g: (g, -g))
     return out
 
 
@@ -376,16 +362,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     s = float(s)
     out = Tensor(x.data * s)
     _record(out, (x,), lambda g: (g * s,))
-    return out
-
-
-def mul_const(x: Tensor, c) -> Tensor:
-    """Elementwise product with a constant (no gradient flows into ``c``)."""
-    c = np.asarray(c, dtype=np.float64)
-    if c.ndim != 0 and c.shape != x.shape:
-        raise ShapeError(f"mul_const constant shape {c.shape} does not match {x.shape}")
-    out = Tensor(x.data * c)
-    _record(out, (x,), lambda g: (g * c,))
     return out
 
 
@@ -513,52 +489,53 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return out
 
 
-def select_positions(x: Tensor, positions) -> Tensor:
-    """From [S, V] pick entry ``positions[s]`` of each row, giving [S]."""
-    pos = np.asarray(positions, dtype=np.int64)
-    if x.data.ndim != 2 or pos.shape != (x.shape[0],):
-        raise ShapeError(f"select_positions needs [S, V] and S positions, got {x.shape}")
-    bad = (pos < 0) | (pos >= x.shape[1])
-    if bad.any():
-        raise IndexError(f"select_positions index {int(pos[bad][0])} out of range for width {x.shape[1]}")
-    rows = np.arange(x.shape[0])
-    out = Tensor(x.data[rows, pos])
-
-    def grad(g):
-        full = np.zeros(x.shape)
-        full[rows, pos] = g
-        return (full,)
-
-    _record(out, (x,), grad)
-    return out
-
-
-def logsumexp_lastdim(x: Tensor) -> Tensor:
-    """Stable log-sum-exp over the last axis of a [S, V] tensor, giving [S]."""
-    if x.data.ndim != 2 or x.shape[1] == 0:
-        raise ShapeError(f"logsumexp_lastdim needs a nonempty [S, V] tensor, got {x.shape}")
-    m = x.data.max(axis=1, keepdims=True)
-    e = np.exp(x.data - m)
-    z = e.sum(axis=1, keepdims=True)
-    out = Tensor((m + np.log(z)).reshape(-1))
-    soft = e / z
-    _record(out, (x,), lambda g: (soft * g[:, None],))
-    return out
-
-
-def sigmoid_ce(logits: Tensor, targets) -> Tensor:
-    """Elementwise sigmoid cross-entropy computed in log space from logits.
+def sigmoid_ce(logits: Tensor, targets, weights=1.0) -> Tensor:
+    """Elementwise sigmoid cross-entropy computed in log space from logits,
+    times constant ``weights`` (a scalar or the logits' shape; no gradient
+    flows into them).
 
     ``targets`` is a constant array of the same shape with values in [0, 1].
     The value equals -y*log(sigmoid(z)) - (1-y)*log(1 - sigmoid(z)) but never
     forms the probability first, so large logits stay finite.
     """
     y = np.asarray(targets, dtype=np.float64)
-    if y.shape != logits.shape:
-        raise ShapeError(f"sigmoid_ce target shape {y.shape} does not match logits {logits.shape}")
+    w = np.asarray(weights, dtype=np.float64)
+    if y.shape != logits.shape or (w.ndim and w.shape != logits.shape):
+        raise ShapeError(f"sigmoid_ce targets {y.shape} and weights {w.shape} do not match logits {logits.shape}")
     z = logits.data
-    out = Tensor(np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z))))
-    _record(out, (logits,), lambda g: (g * (_stable_sigmoid(z) - y),))
+    out = Tensor((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) * w)
+    _record(out, (logits,), lambda g: (g * w * (_stable_sigmoid(z) - y),))
+    return out
+
+
+def softmax_ce(logits: Tensor, targets, weights) -> Tensor:
+    """Each row's softmax cross-entropy ``logsumexp(x) - x[target]``, times a
+    constant weight: [S, V] logits, S target columns and S weights give [S]."""
+    x = logits.data
+    pos = np.asarray(targets, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0 or pos.shape != (x.shape[0],) or w.shape != pos.shape:
+        raise ShapeError(f"softmax_ce needs nonempty [S, V] logits, S targets and S weights, "
+                         f"got {x.shape}, {pos.shape} and {w.shape}")
+    bad = (pos < 0) | (pos >= x.shape[1])
+    if bad.any():
+        raise IndexError(f"softmax_ce target {int(pos[bad][0])} out of range for width {x.shape[1]}")
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    out = Tensor(((m + np.log(z)).reshape(-1) - x[rows, pos]) * w)
+    soft = e / z
+
+    def grad(g):
+        # soft·gw, minus gw at the targets: bitwise equal to the unfused
+        # logsumexp - select chain, whose two gradients add to the same sum
+        gw = g * w
+        gx = soft * gw[:, None]
+        gx[rows, pos] -= gw
+        return (gx,)
+
+    _record(out, (logits,), grad)
     return out
 
 

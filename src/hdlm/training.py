@@ -297,7 +297,10 @@ def _parse_checkpoint(path) -> tuple[int, dict[str, np.ndarray]]:
             if len(raw) != 4:
                 raise CheckpointError(f"{path}: truncated while reading entry header")
             (name_len,) = struct.unpack("<I", raw)
-            name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
+            try:
+                name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{name} rank"))
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, f"{name} dims"))
             if 8 * math.prod(dims) > size - fh.tell():  # a corrupt dim fails here, not in np.empty
@@ -332,7 +335,9 @@ def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int
     adam = None
     if "adam/t" in entries:
         t_arr = entries.pop("adam/t")
-        adam = AdamState(m={}, v={}, t=int(t_arr[0]))
+        if t_arr.size != 1:
+            raise CheckpointError(f"{path}: 'adam/t' holds {t_arr.size} values, expected 1")
+        adam = AdamState(m={}, v={}, t=int(t_arr.item()))
         for name, t in named.items():
             for kind, store in (("m", adam.m), ("v", adam.v)):
                 key = f"adam/{kind}/{name}"

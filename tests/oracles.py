@@ -8,9 +8,12 @@ formulation: the location keys are recomputed at every sentence step, the
 scores are built from a repeated query, ``tanh`` and a matrix product, and
 the context is pooled through a [L, D] weighted copy of the locations.
 The optimizer keeps its first formulation too, with a fresh array for every
-intermediate.  The LSTM cell keeps its unfused gate composition.  Ops the
-package no longer calls (``matmul``, ``reshape``, ``sigmoid``, ``mul``,
-``slice_cols`` and ``repeat_rows``) live on here as test-local ops.
+intermediate.  The LSTM cell keeps its unfused gate composition, and a
+masked cross-entropy its chain ``mul_const(sub(logsumexp_lastdim(x),
+select_positions(x, targets)), mask)``.  Ops the package no longer calls
+(``matmul``, ``reshape``, ``sigmoid``, ``mul``, ``slice_cols``,
+``repeat_rows``, ``sub``, ``mul_const``, ``select_positions`` and
+``logsumexp_lastdim``) live on here as test-local ops.
 
 The scoring kernels keep their first formulations as well: BLEU recounts
 every order for each BLEU-n, the LCS fills the quadratic table, the METEOR
@@ -38,13 +41,10 @@ from hdlm.tensor import (
     concat_rows,
     gather_rows,
     linear,
-    logsumexp_lastdim,
     relu,
     scale,
-    select_positions,
     sigmoid_ce,
     softmax_lastdim,
-    sub,
     sum_all,
     sum_rowgroups,
     tanh,
@@ -101,6 +101,67 @@ def slice_cols(x, start, stop):
 
     _record(out, (x,), grad)
     return out
+
+
+def sub(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"sub needs matching shapes, got {a.shape} and {b.shape}")
+    out = Tensor(a.data - b.data)
+    _record(out, (a, b), lambda g: (g, -g))
+    return out
+
+
+def mul_const(x, c):
+    """Elementwise product with a constant (no gradient flows into ``c``)."""
+    c = np.asarray(c, dtype=np.float64)
+    if c.ndim != 0 and c.shape != x.shape:
+        raise ShapeError(f"mul_const constant shape {c.shape} does not match {x.shape}")
+    out = Tensor(x.data * c)
+    _record(out, (x,), lambda g: (g * c,))
+    return out
+
+
+def select_positions(x, positions):
+    """From [S, V] pick entry ``positions[s]`` of each row, giving [S]."""
+    pos = np.asarray(positions, dtype=np.int64)
+    if x.data.ndim != 2 or pos.shape != (x.shape[0],):
+        raise ShapeError(f"select_positions needs [S, V] and S positions, got {x.shape}")
+    bad = (pos < 0) | (pos >= x.shape[1])
+    if bad.any():
+        raise IndexError(f"select_positions index {int(pos[bad][0])} out of range for width {x.shape[1]}")
+    rows = np.arange(x.shape[0])
+    out = Tensor(x.data[rows, pos])
+
+    def grad(g):
+        full = np.zeros(x.shape)
+        full[rows, pos] = g
+        return (full,)
+
+    _record(out, (x,), grad)
+    return out
+
+
+def logsumexp_lastdim(x):
+    """Stable log-sum-exp over the last axis of a [S, V] tensor, giving [S]."""
+    if x.data.ndim != 2 or x.shape[1] == 0:
+        raise ShapeError(f"logsumexp_lastdim needs a nonempty [S, V] tensor, got {x.shape}")
+    m = x.data.max(axis=1, keepdims=True)
+    e = np.exp(x.data - m)
+    z = e.sum(axis=1, keepdims=True)
+    out = Tensor((m + np.log(z)).reshape(-1))
+    soft = e / z
+    _record(out, (x,), lambda g: (soft * g[:, None],))
+    return out
+
+
+def softmax_ce_chain(logits, targets, weights):
+    """``hdlm.tensor.softmax_ce`` as the chain of ops it fuses."""
+    return mul_const(sub(logsumexp_lastdim(logits), select_positions(logits, targets)), weights)
+
+
+def sigmoid_ce_chain(logits, targets, weights):
+    """Weighted ``hdlm.tensor.sigmoid_ce`` as an unweighted one times a constant."""
+    return mul_const(sigmoid_ce(logits, targets), weights)
 
 
 def lstm_update_composed(params, x_proj, h, c):

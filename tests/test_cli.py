@@ -280,10 +280,9 @@ def _val_line_is_a_list(data, tmp):
     return ["train", str(data), "--out", str(tmp / "run")], f"{where} expected a JSON object"
 
 
-def _edit_train_line(data, lineno, **fields):
-    """Overwrite fields of one train.jsonl record; returns its location and
-    the edited record."""
-    path = data / "train.jsonl"
+def _edit_line(path, lineno, **fields):
+    """Overwrite fields of one record of a JSON-lines file; returns its
+    location and the edited record."""
     lines = path.read_text().splitlines()
     record = {**json.loads(lines[lineno - 1]), **fields}
     lines[lineno - 1] = json.dumps(record)
@@ -292,15 +291,27 @@ def _edit_train_line(data, lineno, **fields):
 
 
 def _train_label_is_negative(data, tmp):
-    where, record = _edit_train_line(data, 2, mti=[-1])
+    where, record = _edit_line(data / "train.jsonl", 2, mti=[-1])
     return (["train", str(data), "--out", str(tmp / "run")],
             f"{where} record {record['id']!r}: negative label -1")
 
 
 def _train_flag_is_a_string(data, tmp):
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
-    where, _ = _edit_train_line(data, 1, abnormal=["false"] * len(first["sentences"]))
+    where, _ = _edit_line(data / "train.jsonl", 1, abnormal=["false"] * len(first["sentences"]))
     return ["train", str(data), "--out", str(tmp / "run")], f"{where} abnormal flag 'false' is not true or false"
+
+
+def _val_id_is_a_list(data, tmp):
+    where, _ = _edit_line(data / "val.jsonl", 2, id=[1])
+    return ["train", str(data), "--out", str(tmp / "run")], f"{where} record id [1] is not a string"
+
+
+def _generated_id_is_a_list(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text(json.dumps({"id": ["a"], "sentences": [], "branches": [],
+                               "stop_probs": [], "abnormal_probs": []}) + "\n")
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: record id ['a'] is not a string"
 
 
 def _generated_line_is_a_number(data, tmp):
@@ -344,6 +355,7 @@ def _vocab_without_tokens(data, tmp):
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
     _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
+    _val_id_is_a_list, _generated_id_is_a_list,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -369,6 +381,27 @@ def test_corrupt_checkpoint_dims_exit_code(pipeline, tmp_path, capsys):
                 "--checkpoint", str(bad), "--out", str(tmp_path / "gen")]) == 5
     err = capsys.readouterr().err
     assert f"error: {bad}: truncated while reading meta/config values (dims [2147483648]" in err
+    assert "Traceback" not in err
+
+
+def _entry(name: bytes, dims=()):
+    """A checkpoint entry header: name, rank and dims, with no values."""
+    return struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
+
+
+@pytest.mark.parametrize("extra, message", [
+    (_entry(b"adam/t", (0,)), "'adam/t' holds 0 values, expected 1"),
+    (_entry(b"\xff\xfe"), "entry name is not valid UTF-8"),
+], ids=["adam_t_without_value", "name_not_utf8"])
+def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, extra, message):
+    data, runs = pipeline / "data", pipeline / "run"
+    bad = tmp_path / "final.bin"
+    bad.write_bytes((runs / "final.bin").read_bytes() + extra)
+    capsys.readouterr()
+    assert run(["generate", str(data / "val.jsonl"), "--config", str(runs / "resolved.cfg"),
+                "--checkpoint", str(bad), "--out", str(tmp_path / "gen")]) == 5
+    err = capsys.readouterr().err
+    assert f"error: {bad}: {message}" in err
     assert "Traceback" not in err
 
 

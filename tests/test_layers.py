@@ -9,7 +9,7 @@ from hdlm import layers as L
 from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
-from oracles import lstm_update_composed, mul
+from oracles import lstm_update_composed, mul, mul_const
 
 
 def sigmoid(x):
@@ -117,7 +117,7 @@ def test_lstm_update_bitwise_equal_to_gate_composition():
             terms = []
             for x in x_proj:
                 h, c = update(cell, x, h, c)
-                terms += [T.mul_const(h, weights[0]), T.mul_const(c, weights[1])]
+                terms += [mul_const(h, weights[0]), mul_const(c, weights[1])]
             loss = T.sum_all(T.concat_rows(terms))
         grads = backward(tape, loss)
         leaves = [cell.w_recur, cell.bias, h0, c0, *x_proj]
@@ -299,15 +299,17 @@ def test_linear_without_bias():
     rng = T.seeded_rng(6)
     lin = L.LinearLayer.create(2, 3, rng, bias=False)
     assert lin.bias is None
-    assert len(lin.named("p")) == 1
+    assert L.named(lin, "p") == [("p.weight", lin.weight)]
 
 
 def test_named_parameters_unique():
     rng = T.seeded_rng(10)
-    names = [n for n, _ in L.LSTMCellParams.create(3, 2, rng).named("cell")]
-    names += [n for n, _ in L.AttentionParams.create(2, 3, 2, rng).named("attn")]
-    names += [n for n, _ in L.LinearLayer.create(2, 2, rng).named("lin")]
-    assert len(names) == len(set(names))
+    names = [n for n, _ in L.named(L.LSTMCellParams.create(3, 2, rng), "cell")]
+    names += [n for n, _ in L.named(L.AttentionParams.create(2, 3, 2, rng), "attn")]
+    names += [n for n, _ in L.named(L.LinearLayer.create(2, 2, rng), "lin")]
+    names += [n for n, _ in L.named(L.EmbeddingTable.create(4, 2, rng), "emb")]
+    assert names == ["cell.w_input", "cell.w_recur", "cell.bias", "attn.w_location", "attn.w_state",
+                     "attn.score", "lin.weight", "lin.bias", "emb.matrix"]
 
 
 def test_init_range_respected():

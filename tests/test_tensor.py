@@ -1,6 +1,8 @@
 """Tensor core: forward oracles, gradient rules, finite differences."""
 
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,10 @@ import pytest
 from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
-from oracles import matmul, mul, repeat_rows, reshape, sigmoid, slice_cols
+from oracles import (
+    logsumexp_lastdim, matmul, mul, mul_const, repeat_rows, reshape, select_positions, sigmoid,
+    sigmoid_ce_chain, slice_cols, softmax_ce_chain, sub,
+)
 
 
 # --- independent oracles -----------------------------------------------------
@@ -227,9 +232,9 @@ def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
     y = Tensor([3.0, 4.0])
     with Tape() as tape:
         u = T.scale(y, 3.0)
-        t = T.mul_const(y, [7.0, 11.0])
+        t = mul_const(y, [7.0, 11.0])
         s = T.add(x, y)
-        loss = T.sum_all(T.add(T.add(T.mul_const(s, [2.0, 5.0]), t), u))
+        loss = T.sum_all(T.add(T.add(mul_const(s, [2.0, 5.0]), t), u))
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[tape.node_of(x)].data, [2.0, 5.0])
     np.testing.assert_array_equal(grads[tape.node_of(y)].data, [12.0, 19.0])
@@ -260,9 +265,9 @@ def test_weight_gradient_stacks_every_use():
     h = Tensor(rng.normal(size=(2, 6)))
     k = rng.normal(size=(4, 6))
     with Tape() as tape:
-        terms = [T.mul_const(T.linear(x, w), g) for x, g in zip(xs, gs)]
-        terms.append(T.mul_const(T.linear(h, reshape(v, (4, 6))), gs[0][:2]))
-        terms.append(T.mul_const(w, k))
+        terms = [mul_const(T.linear(x, w), g) for x, g in zip(xs, gs)]
+        terms.append(mul_const(T.linear(h, reshape(v, (4, 6))), gs[0][:2]))
+        terms.append(mul_const(w, k))
         loss = T.sum_all(T.concat_rows([reshape(t, (-1, 1)) for t in terms]))
     grads = backward(tape, loss)
     want_w = sum(g.T @ x for x, g in zip(xs, gs)) + k
@@ -367,7 +372,7 @@ def test_fd_constant_function_is_zero_error():
     x = Tensor([0.4, 0.2])
 
     def f():
-        return T.sum_all(T.mul_const(x, 0.0))
+        return T.sum_all(mul_const(x, 0.0))
 
     assert max(err for err, _ in gradient_audit(f, {"x": x}, atol=0.0).values()) == 0.0
 
@@ -393,6 +398,8 @@ def _op_cases(rng):
     query = Tensor(rng.normal(size=(2, 5)))
     gates = Tensor(rng.normal(size=(3, 8)) * 2.0)
     cell = Tensor(rng.normal(size=(3, 2)))
+    ce_weights = rng.choice([0.0, 0.5, 2.0], size=3)
+    sigmoid_weights = rng.choice([0.0, 0.5, 2.0], size=(4, 5))
     return {
         "matmul": ([a, b], lambda: matmul(a, b)),
         "linear": ([a, w_out], lambda: T.linear(a, w_out)),
@@ -400,12 +407,12 @@ def _op_cases(rng):
         "sigmoid": ([a], lambda: sigmoid(a)),
         "relu": ([a], lambda: T.relu(a)),
         # summed softmax alone is constant; weight rows so the probe is informative
-        "softmax_lastdim": ([a], lambda: T.mul_const(T.softmax_lastdim(a), targets)),
+        "softmax_lastdim": ([a], lambda: mul_const(T.softmax_lastdim(a), targets)),
         "add": ([a, s], lambda: T.add(a, s)),
-        "sub": ([a, s], lambda: T.sub(a, s)),
+        "sub": ([a, s], lambda: sub(a, s)),
         "mul": ([a, s], lambda: mul(a, s)),
         "scale": ([a], lambda: T.scale(a, -1.7)),
-        "mul_const": ([a], lambda: T.mul_const(a, np.sign(s.data) + 0.5)),
+        "mul_const": ([a], lambda: mul_const(a, np.sign(s.data) + 0.5)),
         "add_bias": ([a, bias], lambda: T.add_bias(a, bias)),
         "reshape": ([a], lambda: reshape(a, (2, 10))),
         "slice_cols": ([a], lambda: slice_cols(a, 1, 4)),
@@ -416,11 +423,13 @@ def _op_cases(rng):
         "weighted_sum_rowgroups": ([a, pool], lambda: T.weighted_sum_rowgroups(a, pool)),
         "additive_scores": ([a, query, bias], lambda: T.additive_scores(a, query, bias)),
         "gather_rows": ([a], lambda: T.gather_rows(a, idx)),
-        "select_positions": ([wide], lambda: T.select_positions(wide, pos)),
-        "logsumexp_lastdim": ([wide], lambda: T.logsumexp_lastdim(wide)),
+        "select_positions": ([wide], lambda: select_positions(wide, pos)),
+        "logsumexp_lastdim": ([wide], lambda: logsumexp_lastdim(wide)),
         "sigmoid_ce": ([a], lambda: T.sigmoid_ce(a, targets)),
         "lstm_cell_state": ([gates, cell], lambda: T.lstm_cell_state(gates, cell)),
         "lstm_hidden": ([gates, cell], lambda: T.lstm_hidden(gates, cell)),
+        "softmax_ce": ([wide], lambda: T.softmax_ce(wide, pos, ce_weights)),
+        "sigmoid_ce_weighted": ([a], lambda: T.sigmoid_ce(a, targets, sigmoid_weights)),
     }
 
 
@@ -439,6 +448,72 @@ def test_every_op_passes_fd_at_seeded_probes(op_name):
         named = {f"input{k}": p for k, p in enumerate(params)}
         worst = max(err for err, _ in gradient_audit(f, named, atol=0.0).values())
         assert worst <= 1e-4, f"{op_name} rep {rep}"
+
+
+# --- fused cross-entropy ops ---------------------------------------------------
+
+
+def _value_and_leaf_grads(build, leaves):
+    with Tape() as tape:
+        loss = build()
+    grads = backward(tape, loss)
+    return [loss.data] + [grads[tape.node_of(t)].data for t in leaves]
+
+
+def test_fused_ce_ops_equal_oracle_chains_bitwise():
+    # the fused gradient soft*gw - gw at a target equals the chain's
+    # (-gw) + soft*gw exactly, because IEEE addition commutes and a - b is
+    # a + (-b); the logits come from a product so the gradient reaches leaves
+    rng = T.seeded_rng(41)
+    for rep in range(40):
+        rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        x = Tensor(rng.normal(size=(rows, 3)) * 3.0)
+        w = Tensor(rng.normal(size=(width, 3)))
+        targets = rng.integers(0, width, size=rows)
+        weights = rng.choice([0.0, 1.0, 0.37], size=rows)
+        weights[rep % rows] = 0.0
+        labels = rng.uniform(0.0, 1.0, size=(rows, width))
+        grid = rng.choice([0.0, 1.0, 2.5], size=(rows, width))
+        factor = [0.0, 0.5, 3.0][rep % 3]
+        cases = [
+            (lambda: T.softmax_ce(T.linear(x, w), targets, weights),
+             lambda: softmax_ce_chain(T.linear(x, w), targets, weights)),
+            (lambda: T.sigmoid_ce(T.linear(x, w), labels, grid),
+             lambda: sigmoid_ce_chain(T.linear(x, w), labels, grid)),
+            (lambda: T.sigmoid_ce(T.linear(x, w), labels, 0.37),
+             lambda: sigmoid_ce_chain(T.linear(x, w), labels, 0.37)),
+        ]
+        for fused, chain in cases:
+            def total(op):
+                return lambda: T.scale(T.sum_all(op()), factor)
+
+            got = _value_and_leaf_grads(total(fused), [x, w])
+            want = _value_and_leaf_grads(total(chain), [x, w])
+            for g, h in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, h)
+            np.testing.assert_array_equal(fused().data, chain().data)
+
+
+def test_softmax_ce_rejects_bad_targets_and_shapes():
+    x = Tensor(np.zeros((2, 3)))
+    with pytest.raises(IndexError, match="target 3 out of range for width 3"):
+        T.softmax_ce(x, [0, 3], [1.0, 1.0])
+    with pytest.raises(IndexError, match="target -1"):
+        T.softmax_ce(x, [-1, 0], [1.0, 1.0])
+    for targets, weights in (([0], [1.0]), ([0, 1], [1.0]), ([[0, 1]], [1.0, 1.0])):
+        with pytest.raises(T.ShapeError, match="softmax_ce"):
+            T.softmax_ce(x, targets, weights)
+    with pytest.raises(T.ShapeError, match="sigmoid_ce"):
+        T.sigmoid_ce(x, np.zeros((2, 3)), np.ones((2, 1)))
+
+
+def test_every_public_op_has_a_caller_in_the_package():
+    # an op only tests call belongs in tests/oracles.py, not in hdlm.tensor
+    package = Path(T.__file__).parent
+    text = "\n".join(p.read_text(encoding="utf-8") for p in package.glob("*.py")
+                     if p.name not in ("tensor.py", "__init__.py"))
+    unused = [name for name in T.__all__ if name != "TapeError" and not re.search(rf"\b{name}\b", text)]
+    assert unused == []
 
 
 # --- tape neutrality ----------------------------------------------------------
@@ -468,7 +543,7 @@ def test_values_finite_after_forward_chain():
     rng = T.seeded_rng(21)
     x = Tensor(rng.normal(size=(4, 4)) * 50)
     y = T.softmax_lastdim(T.tanh(x))
-    z = T.logsumexp_lastdim(T.scale(y, 30.0))
+    z = logsumexp_lastdim(T.scale(y, 30.0))
     assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(z.data))
 
 
@@ -493,7 +568,7 @@ def test_gradient_audit_skips_noise_floor_coordinates():
     x = Tensor(np.zeros(4))
 
     def f():
-        return T.sum_all(T.mul_const(sigmoid(x), np.full(4, 4e-8)))
+        return T.sum_all(mul_const(sigmoid(x), np.full(4, 4e-8)))
 
     report = T.gradient_audit(f, {"x": x})
     assert report["x"] == (0.0, 0)
