@@ -260,6 +260,7 @@ def _load_split(data_dir: Path):
     if not train_recs or not val_recs:
         raise CorpusFormatError(f"{data_dir}: train or val split is empty")
     vocab = load_vocab(data_dir / "vocab.json")
+    grid = train_recs[0].feature_map().shape
     for path, records in zip(paths, (train_recs, val_recs)):
         for r in records:
             bad = [t for s in r.sentences for t in s if not 0 <= t < vocab.size]
@@ -267,6 +268,11 @@ def _load_split(data_dir: Path):
                 raise CorpusFormatError(
                     f"{path}: record {r.id!r}: token id {bad[0]} outside "
                     f"vocabulary of size {vocab.size}"
+                )
+            if r.feature_map().shape != grid:
+                raise CorpusFormatError(
+                    f"{path}: record {r.id!r}: feature map {r.feature_map().shape} does not "
+                    f"match the first train record's {grid}"
                 )
     return train_recs, val_recs, vocab
 

@@ -466,14 +466,29 @@ def read_jsonl(path, fields=()):
 # corpus files: JSON lines {id, sentences, abnormal, mti, feature}
 
 
+def check_record_id(rid, lineno: int, first_line: dict) -> None:
+    """Reject an id that is not a string or that an earlier line holds;
+    ``first_line`` maps each id seen so far to its line."""
+    if not isinstance(rid, str):
+        raise ValueError(f"record id {rid!r} is not a string")
+    if rid in first_line:
+        raise ValueError(f"record id {rid!r} repeats line {first_line[rid]}")
+    first_line[rid] = lineno
+
+
 def save_corpus(path, records) -> None:
     """Write records plus one feature file per record under features/."""
     path = Path(path)
     feat_dir = path.parent / "features"
-    lines = []
+    seen = set()
     for r in records:
         if not isinstance(r.feature_ref, np.ndarray):
             raise ValueError(f"record {r.id!r}: save_corpus needs in-memory feature maps")
+        if r.id in seen:  # both would write features/<id>.fmap
+            raise ValueError(f"record {r.id!r}: repeated record id")
+        seen.add(r.id)
+    lines = []
+    for r in records:
         feat_dir.mkdir(parents=True, exist_ok=True)
         rel = f"features/{r.id}.fmap"
         save_features(path.parent / rel, r.feature_ref)
@@ -491,10 +506,10 @@ def load_corpus(path) -> list[ReportRecord]:
     """Read a JSON-lines corpus, inlining each record's feature map."""
     path = Path(path)
     records = []
+    first_line = {}
     for lineno, obj in read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature")):
         try:
-            if not isinstance(obj["id"], str):
-                raise ValueError(f"record id {obj['id']!r} is not a string")
+            check_record_id(obj["id"], lineno, first_line)
             bad = [b for b in obj["abnormal"] if not isinstance(b, bool)]
             if bad:
                 raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")

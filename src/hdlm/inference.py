@@ -7,9 +7,11 @@ decoder emits EOS or hits the word cap; the paragraph ends when the stop
 probability strictly exceeds its threshold (the stopping sentence is still
 emitted) or at the sentence cap.
 
-The whole record list decodes as one batch on the forward ops training
-uses, with no tape: records leave the batch as they stop, and word rows as
-they emit EOS.
+Decoding runs training's sentence forward, with no tape: the sentence LSTM
+reads only its own state and the attended image, so every record runs to
+the sentence cap first and is then cut at its first stop.  Each word
+branch then decodes all of its kept sentences as one batch, whose rows
+leave as they emit EOS.
 """
 
 from __future__ import annotations
@@ -18,18 +20,11 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError, read_jsonl, write_jsonl
-from .layers import attention_keys, embed
-from .model import (
-    BRANCH_NAMES,
-    ModelConfig,
-    ModelParams,
-    encode_image_batch,
-    sentence_heads,
-    sentence_step_batch,
-    stack_features,
-    word_step,
+from .data import (
+    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, read_jsonl, write_jsonl,
 )
+from .layers import embed
+from .model import BRANCH_NAMES, ModelConfig, ModelParams, sentence_forward, word_step
 from .tensor import Tensor, zeros
 
 
@@ -92,45 +87,33 @@ def _decode_words(params: ModelParams, branch: str, topics: Tensor, max_words: i
 def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: GenerationLimits) -> list[GeneratedReport]:
     """One greedy report per record, in record order, decoded as one batch.
 
-    Every sentence step advances the records still going together; each
-    step's sentences are then decoded together per word branch.  A record
-    drops out of the batch after the sentence whose stop probability exceeds
-    the threshold.
+    Training's sentence forward runs every record to the sentence cap; a
+    record keeps its sentences up to and including the first whose stop
+    probability exceeds the threshold, or all of them if none does.  The
+    kept sentences of each word branch are then decoded together.
     """
     if not records:
         return []
+    cap, batch = limits.max_sentences, len(records)
+    _, topics, stop_logits, abn_logits = sentence_forward(params, config, records, cap)
+    p_stop, p_abn = _probs(stop_logits), _probs(abn_logits)
+    # row m * batch + b is kept unless one of record b's earlier sentences stopped
+    stops = (p_stop > limits.stop_threshold).reshape(cap, batch)
+    kept = (np.cumsum(stops, axis=0) - stops == 0).ravel()
+    abnormal = (p_abn > limits.branch_threshold) & config.dual_enabled
+    words = {}
+    for branch, chosen in (("abnormal", abnormal), ("normal", ~abnormal)):
+        rows = np.flatnonzero(kept & chosen)
+        if rows.size:
+            decoded = _decode_words(params, branch, Tensor(topics.data[rows]), limits.max_words)
+            words.update(zip(rows.tolist(), decoded))
     reports = [GeneratedReport(r.id, [], [], [], []) for r in records]
-    locations = config.locations
-    v_e, _ = encode_image_batch(params, stack_features(config, records), locations)
-    keys = attention_keys(params.attn, v_e)
-    h = zeros((len(records), config.hidden_dim))
-    c = zeros((len(records), config.hidden_dim))
-    live = np.arange(len(records))
-    for _ in range(limits.max_sentences):
-        h_prev = h
-        h, c = sentence_step_batch(params, v_e, keys, locations, h, c)
-        topic, stop_logits, abn_logits = sentence_heads(params, h_prev, h)
-        p_stop = _probs(stop_logits)
-        p_abn = _probs(abn_logits)
-        abnormal = (p_abn > limits.branch_threshold) & config.dual_enabled
-        for branch, chosen in (("abnormal", abnormal), ("normal", ~abnormal)):
-            rows = np.flatnonzero(chosen)
-            if rows.size == 0:
-                continue
-            words = _decode_words(params, branch, Tensor(topic.data[rows]), limits.max_words)
-            for row, sentence in zip(rows, words):
-                report = reports[live[row]]
-                report.sentences.append(sentence)
-                report.branches.append(branch)
-                report.stop_probs.append(float(p_stop[row]))
-                report.abnormal_probs.append(float(p_abn[row]))
-        going = p_stop <= limits.stop_threshold
-        if not going.any():
-            break
-        live = live[going]
-        rows = np.repeat(going, locations)
-        v_e, keys = Tensor(v_e.data[rows]), Tensor(keys.data[rows])
-        h, c = Tensor(h.data[going]), Tensor(c.data[going])
+    for row in sorted(words):  # sentence-major, so each report grows in order
+        report = reports[row % batch]
+        report.sentences.append(words[row])
+        report.branches.append("abnormal" if abnormal[row] else "normal")
+        report.stop_probs.append(float(p_stop[row]))
+        report.abnormal_probs.append(float(p_abn[row]))
     return reports
 
 
@@ -146,10 +129,10 @@ def save_generated(path, reports) -> None:
 def load_generated(path) -> list[GeneratedReport]:
     fields = ("id", "sentences", "branches", "stop_probs", "abnormal_probs")
     reports = []
+    first_line = {}
     for lineno, obj in read_jsonl(path, fields):
         try:
-            if not isinstance(obj["id"], str):
-                raise ValueError(f"record id {obj['id']!r} is not a string")
+            check_record_id(obj["id"], lineno, first_line)
             bad = [b for b in obj["branches"] if b not in BRANCH_NAMES]
             if bad:
                 raise ValueError(f"unknown branch {bad[0]!r}")

@@ -188,16 +188,6 @@ def encode_image_batch(params: ModelParams, features: np.ndarray, locations: int
     return v_e, v_hat
 
 
-def sentence_step_batch(
-    params: ModelParams, v_e: Tensor, keys: Tensor, locations: int, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor]:
-    """Advance the sentence LSTM one step for a whole batch: attend, then
-    update.  ``keys`` is ``attention_keys(params.attn, v_e)``, computed once
-    per batch.  Returns (h', c')."""
-    context, _ = soft_attention_batch(params.attn, v_e, keys, h, locations)
-    return lstm_step(params.sent_lstm, context, h, c)
-
-
 def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """(topic [S, D], stop logits [S, 1], abnormal logits [S, 1]) for rows of
     sentence states ``h_new``, one step of a batch or every step stacked.
@@ -205,6 +195,28 @@ def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[
     topic = relu(params.topic(h_new))
     stop = params.stop_out(tanh(add(params.stop_prev(h_prev), params.stop_cur(h_new))))
     return topic, stop, params.abnormal_head(h_new)
+
+
+def sentence_forward(params: ModelParams, config: ModelConfig, records, depth: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Run the sentence LSTM ``depth`` steps for a batch of records.
+
+    The recurrence reads only its own state and the attended image, never
+    the words, so every step runs before any word is decoded.  Returns
+    (mean location embeddings [B, D], topics [depth*B, D], stop logits and
+    abnormal logits [depth*B, 1]); head row m * B + b is record b's
+    sentence m.
+    """
+    v_e, v_hat = encode_image_batch(params, stack_features(config, records), config.locations)
+    keys = attention_keys(params.attn, v_e)
+    h = zeros((len(records), config.hidden_dim))
+    c = zeros((len(records), config.hidden_dim))
+    states = [h]
+    for _ in range(depth):
+        context, _ = soft_attention_batch(params.attn, v_e, keys, h, config.locations)
+        h, c = lstm_step(params.sent_lstm, context, h, c)
+        states.append(h)
+    # the heads run once on every step's states
+    return (v_hat, *sentence_heads(params, concat_rows(states[:-1]), concat_rows(states[1:])))
 
 
 def word_step(
@@ -281,20 +293,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     lengths = np.array([len(r.sentences) for r in records])
     depth = int(lengths.max())
 
-    v_e, v_hat = encode_image_batch(params, stack_features(config, records), config.locations)
-    keys = attention_keys(params.attn, v_e)
-
-    h = zeros((batch, config.hidden_dim))
-    c = zeros((batch, config.hidden_dim))
-    states = [h]
-    for _ in range(depth):
-        h, c = sentence_step_batch(params, v_e, keys, config.locations, h, c)
-        states.append(h)
-    # the heads run once on every step's states; row m * batch + b is
-    # record b's sentence m
-    topics, stop_logits, abn_logits = sentence_heads(
-        params, concat_rows(states[:-1]), concat_rows(states[1:])
-    )
+    v_hat, topics, stop_logits, abn_logits = sentence_forward(params, config, records, depth)
     step = np.arange(depth)[:, None]
     exists = (step < lengths).astype(np.float64).reshape(-1, 1)
     is_last = (step == lengths - 1).astype(np.float64).reshape(-1, 1)

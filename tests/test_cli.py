@@ -1,6 +1,7 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 import hdlm.cli
@@ -11,7 +12,7 @@ from hdlm.cli import (
     resolve_settings,
     run,
 )
-from hdlm.data import ConfigError
+from hdlm.data import ConfigError, load_features, save_features
 from hdlm.selection import CheckpointRecord, load_history, save_history
 from hdlm.training import save_checkpoint
 
@@ -314,6 +315,21 @@ def _generated_id_is_a_list(data, tmp):
     return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: record id ['a'] is not a string"
 
 
+def _val_id_repeated(data, tmp):
+    first = json.loads((data / "val.jsonl").read_text().splitlines()[0])
+    where, _ = _edit_line(data / "val.jsonl", 2, id=first["id"])
+    return (["train", str(data), "--out", str(tmp / "run")],
+            f"{where} record id {first['id']!r} repeats line 1")
+
+
+def _generated_id_repeated(data, tmp):
+    gen = tmp / "generated.jsonl"
+    line = json.dumps({"id": "a", "sentences": [], "branches": [],
+                       "stop_probs": [], "abnormal_probs": []}) + "\n"
+    gen.write_text(line * 2)
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:2: record id 'a' repeats line 1"
+
+
 def _generated_line_is_a_number(data, tmp):
     gen = tmp / "generated.jsonl"
     gen.write_text("5\n")
@@ -355,7 +371,7 @@ def _vocab_without_tokens(data, tmp):
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
     _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
-    _val_id_is_a_list, _generated_id_is_a_list,
+    _val_id_is_a_list, _generated_id_is_a_list, _val_id_repeated, _generated_id_repeated,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -366,6 +382,22 @@ def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     err = capsys.readouterr().err
     assert f"error: {expected}" in err
     assert "Traceback" not in err
+
+
+def test_mismatched_feature_grid_fails_before_training(tmp_path, tiny_cfg, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    record = json.loads((data / "val.jsonl").read_text().splitlines()[0])
+    grid = load_features(data / record["feature"]).shape
+    save_features(data / record["feature"], np.zeros((grid[0] - 1, grid[1])))
+    capsys.readouterr()
+    assert run(["train", str(data), "--out", str(tmp_path / "run")]) == 5
+    err = capsys.readouterr().err
+    assert (f"error: {data / 'val.jsonl'}: record {record['id']!r}: feature map "
+            f"({grid[0] - 1}, {grid[1]}) does not match the first train record's {grid}") in err
+    assert "Traceback" not in err
+    # the grid is checked before the output directory is made
+    assert not (tmp_path / "run").exists()
 
 
 def test_corrupt_checkpoint_dims_exit_code(pipeline, tmp_path, capsys):

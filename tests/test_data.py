@@ -519,6 +519,14 @@ def test_load_corpus_invalid_record_names_line(tmp_path):
         load_corpus(path)
 
 
+def test_save_corpus_rejects_repeated_id_before_writing(tmp_path):
+    first = _record(id="a")
+    records = [first, _record(id="b"), _record(id="a", feature_ref=first.feature_ref + 1.0)]
+    with pytest.raises(ValueError, match="record 'a': repeated record id"):
+        save_corpus(tmp_path / "c.jsonl", records)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_save_corpus_requires_inline_features(tmp_path):
     rec = _record(feature_ref="somewhere.fmap")
     with pytest.raises(ValueError, match="in-memory"):

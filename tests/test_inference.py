@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import hdlm.inference
 from hdlm.data import BOS_ID, EOS_ID, ConfigError, CorpusFormatError, ReportRecord
 from hdlm.inference import (
     GeneratedReport,
@@ -202,6 +203,29 @@ def test_oracle_cases_mix_branches_lengths_and_endings():
     assert len({len(r.sentences) for r in reports}) > 1
     assert any(s[-1] == EOS_ID for s in sentences)
     assert any(len(s) == limits.max_words and s[-1] != EOS_ID for s in sentences)
+
+
+def test_one_sentence_forward_and_one_decode_per_branch(monkeypatch):
+    cfg = toy_config()
+    limits = GenerationLimits(max_sentences=5, max_words=6)
+    params, records = spread_case(cfg, 1)
+    want = generate_corpus(params, cfg, records, limits)
+    calls = []
+
+    def spy(name, fn):
+        def wrapped(*args):
+            calls.append((name, args[1] if name == "decode" else args[3]))
+            return fn(*args)
+        return wrapped
+
+    monkeypatch.setattr(hdlm.inference, "sentence_forward",
+                        spy("forward", hdlm.inference.sentence_forward))
+    monkeypatch.setattr(hdlm.inference, "_decode_words",
+                        spy("decode", hdlm.inference._decode_words))
+    assert generate_corpus(params, cfg, records, limits) == want
+    # the sentence LSTM runs once to the cap; each branch decodes once
+    assert calls[0] == ("forward", limits.max_sentences)
+    assert sorted(calls[1:]) == [("decode", "abnormal"), ("decode", "normal")]
 
 
 def test_generated_round_trip(tmp_path):

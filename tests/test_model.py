@@ -6,16 +6,18 @@ import math
 import numpy as np
 import pytest
 
+import hdlm.model
 from hdlm.data import BOS_ID, EOS_ID, ConfigError, ReportRecord, SynthConfig, synth_corpus
-from hdlm.layers import attention_keys
+from hdlm.layers import attention_keys, lstm_step, soft_attention_batch
 from hdlm.model import (
     LossBundle,
     ModelConfig,
     ModelParams,
     compute_losses,
     encode_image_batch,
+    sentence_forward,
     sentence_heads,
-    sentence_step_batch,
+    stack_features,
 )
 from hdlm.tensor import (
     Tape,
@@ -143,56 +145,72 @@ def test_encode_image_matches_numpy():
     assert np.allclose(v_hat.data, means, atol=1e-12)
 
 
-def test_sentence_step_matches_hand_composition():
+def test_sentence_step_matches_hand_composition(monkeypatch):
     cfg = toy_config()
     params = ModelParams.create(cfg, seed=4)
-    rng = seeded_rng(9)
-    v_e_arr = rng.normal(size=(cfg.locations, cfg.embed_dim))
-    h0 = rng.normal(size=cfg.hidden_dim) * 0.2
-    c0 = rng.normal(size=cfg.hidden_dim) * 0.2
+    records = toy_batch(cfg)
+    batch = len(records)
 
-    v_e = Tensor(v_e_arr.copy())
-    h_prev = Tensor(h0[None])
-    h1, c1 = sentence_step_batch(
-        params, v_e, attention_keys(params.attn, v_e), cfg.locations, h_prev, Tensor(c0[None]),
-    )
-    topic, stop, abn = sentence_heads(params, h_prev, h1)
+    # per step: attend, update, then the heads on that step's rows alone
+    v_e, v_hat_want = encode_image_batch(params, stack_features(cfg, records), cfg.locations)
+    keys = attention_keys(params.attn, v_e)
+    h = zeros((batch, cfg.hidden_dim))
+    c = zeros((batch, cfg.hidden_dim))
+    want = []
+    for _ in range(2):
+        context, _ = soft_attention_batch(params.attn, v_e, keys, h, cfg.locations)
+        h_new, c_new = lstm_step(params.sent_lstm, context, h, c)
+        want.append((h_new, c_new, *sentence_heads(params, h, h_new)))
+        h, c = h_new, c_new
 
+    states = []
+
+    def spy(*args):
+        out = lstm_step(*args)
+        states.append(out)
+        return out
+
+    monkeypatch.setattr(hdlm.model, "lstm_step", spy)
+    v_hat, topics, stop, abn = sentence_forward(params, cfg, records, 2)
+    assert np.array_equal(v_hat.data, v_hat_want.data)
+    assert len(states) == 2
+    assert topics.shape == (2 * batch, cfg.embed_dim)
+    assert stop.shape == abn.shape == (2 * batch, 1)
+    for m, ((h_got, c_got), step) in enumerate(zip(states, want)):
+        h_want, c_want, topic_want, stop_want, abn_want = step
+        assert np.array_equal(h_got.data, h_want.data)
+        assert np.array_equal(c_got.data, c_want.data)
+        rows = slice(m * batch, (m + 1) * batch)
+        np.testing.assert_allclose(topics.data[rows], topic_want.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(stop.data[rows], stop_want.data, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(abn.data[rows], abn_want.data, rtol=0, atol=1e-12)
+
+    # the second step in plain numpy, from the first step's states
     def sig(v):
         return 1.0 / (1.0 + np.exp(-v))
 
-    scores = np.array(
-        [
-            params.attn.score.data
-            @ np.tanh(params.attn.w_location.data @ v + params.attn.w_state.data @ h0)
-            for v in v_e_arr
-        ]
-    )
-    w = np.exp(scores - scores.max())
-    w /= w.sum()
-    ctx = (w[:, None] * v_e_arr).sum(axis=0)
-
+    (h0, c0), (h1, c1) = [(step[0].data, step[1].data) for step in want]
+    locs = v_e.data.reshape(batch, cfg.locations, -1)
+    scores = np.tanh(
+        locs @ params.attn.w_location.data.T + (h0 @ params.attn.w_state.data.T)[:, None]
+    ) @ params.attn.score.data
+    w = np.exp(scores - scores.max(axis=1, keepdims=True))
+    ctx = ((w / w.sum(axis=1, keepdims=True))[:, :, None] * locs).sum(axis=1)
     hs = cfg.hidden_dim
-    z = (
-        params.sent_lstm.w_input.data @ ctx
-        + params.sent_lstm.w_recur.data @ h0
-        + params.sent_lstm.bias.data
-    )
-    i, f = sig(z[:hs]), sig(z[hs:2 * hs])
-    g, o = np.tanh(z[2 * hs:3 * hs]), sig(z[3 * hs:])
-    c_want = f * c0 + i * g
-    h_want = o * np.tanh(c_want)
-    topic_want = np.maximum(params.topic.weight.data @ h_want, 0.0)
-    stop_want = params.stop_out.weight.data @ np.tanh(
-        params.stop_prev.weight.data @ h0 + params.stop_cur.weight.data @ h_want
-    )
-    abn_want = params.abnormal_head.weight.data @ h_want + params.abnormal_head.bias.data
-
-    assert np.allclose(h1.data[0], h_want, atol=1e-12)
-    assert np.allclose(c1.data[0], c_want, atol=1e-12)
-    assert np.allclose(topic.data[0], topic_want, atol=1e-12)
-    assert abs(stop.data[0, 0] - stop_want[0]) < 1e-12
-    assert abs(abn.data[0, 0] - abn_want[0]) < 1e-12
+    z = (ctx @ params.sent_lstm.w_input.data.T + h0 @ params.sent_lstm.w_recur.data.T
+         + params.sent_lstm.bias.data)
+    i, f = sig(z[:, :hs]), sig(z[:, hs:2 * hs])
+    g, o = np.tanh(z[:, 2 * hs:3 * hs]), sig(z[:, 3 * hs:])
+    np.testing.assert_allclose(c1, f * c0 + i * g, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h1, o * np.tanh(f * c0 + i * g), rtol=0, atol=1e-12)
+    topic_np = np.maximum(h1 @ params.topic.weight.data.T, 0.0)
+    stop_np = np.tanh(
+        h0 @ params.stop_prev.weight.data.T + h1 @ params.stop_cur.weight.data.T
+    ) @ params.stop_out.weight.data.T
+    abn_np = h1 @ params.abnormal_head.weight.data.T + params.abnormal_head.bias.data
+    np.testing.assert_allclose(topics.data[batch:], topic_np, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(stop.data[batch:], stop_np, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(abn.data[batch:], abn_np, rtol=0, atol=1e-12)
 
 
 def test_word_forward_hand_unroll():
