@@ -28,6 +28,7 @@ from .tensor import (
     linear,
     lstm_cell_state,
     lstm_hidden,
+    matmul,
     softmax_lastdim,
     weighted_sum_rowgroups,
 )
@@ -152,28 +153,31 @@ class AttentionParams:
         )
 
 
-def attention_keys(params: AttentionParams, v_e: Tensor) -> Tensor:
-    """Location keys ``v_e W_loc^T`` [B*L, A]; they do not depend on the
-    sentence state, so one product serves every sentence step of a batch."""
-    return linear(v_e, params.w_location)
+def attention_keys(params: AttentionParams, img_embed: LinearLayer, features: np.ndarray) -> Tensor:
+    """Keys ``W_loc (W_img x + b)`` [B*L, A] of the constant [B*L, C]
+    features, from the composed matrix ``W_loc W_img`` and bias ``W_loc b``,
+    so the [B*L, D] location embeddings are never formed.  The keys do not
+    depend on the sentence state: one product serves every sentence step."""
+    w = params.w_location
+    return add_bias(linear(features, matmul(w, img_embed.weight)), matmul(w, img_embed.bias))
 
 
 def soft_attention_batch(
-    params: AttentionParams, v_e: Tensor, keys: Tensor, h_prev: Tensor, locations: int
+    params: AttentionParams, features: np.ndarray, keys: Tensor, h_prev: Tensor, locations: int
 ) -> tuple[Tensor, Tensor]:
     """Attend over ``locations`` consecutive rows per batch element.
 
-    v_e: [B*L, D] stacked location embeddings; keys: their
-    ``attention_keys`` [B*L, A]; h_prev: [B, H].
-    Returns (context [B, D], weights [B, L]).
-    """
+    features: [B*L, C] constant rows; keys: their ``attention_keys`` [B*L, A];
+    h_prev: [B, H].  Returns (attended features [B, C], weights [B, L]);
+    the weights sum to one, so embedding the attended row equals attending
+    over the embedded locations."""
     if locations < 1:
         raise ShapeError("soft_attention_batch needs at least one location")
-    if (v_e.data.ndim != 2 or h_prev.data.ndim != 2 or v_e.shape[0] != h_prev.shape[0] * locations
-            or keys.shape != (v_e.shape[0], params.score.shape[0])):
+    if (features.ndim != 2 or h_prev.data.ndim != 2 or features.shape[0] != h_prev.shape[0] * locations
+            or keys.shape != (features.shape[0], params.score.shape[0])):
         raise ShapeError(
-            f"soft_attention_batch shapes do not agree: v_e={v_e.shape}, keys={keys.shape}, "
+            f"soft_attention_batch shapes do not agree: features={features.shape}, keys={keys.shape}, "
             f"h_prev={h_prev.shape}, locations={locations}"
         )
     weights = softmax_lastdim(additive_scores(keys, linear(h_prev, params.w_state), params.score))
-    return weighted_sum_rowgroups(v_e, weights), weights
+    return weighted_sum_rowgroups(features, weights), weights

@@ -1,11 +1,13 @@
 """Hierarchical report generator.
 
-Spatial visual features are embedded per location, pooled by additive
-attention, and fed to a sentence-level LSTM.  Each sentence state yields a
-topic vector, a stop logit, and an abnormality logit; the topic primes one of
-two word-level LSTMs (abnormal or normal) that share an embedding table but
-keep separate recurrent weights and output projections.  A multi-label tag
-head reads the mean location embedding.
+Spatial visual features are pooled by additive attention, embedded by a
+linear map, and fed to a sentence-level LSTM.  As the map is linear, the
+attention mixes the raw features, with keys from the composed matrix
+``W_loc W_img``.  Each sentence state yields a topic vector, a stop logit,
+and an abnormality logit; the topic primes one of two word-level LSTMs
+(abnormal or normal) that share an embedding table but keep separate
+recurrent weights and output projections.  A multi-label tag head reads
+the embedding of the mean feature.
 
 Training minimizes
 
@@ -50,7 +52,6 @@ from .tensor import (
     slice_rows,
     softmax_ce,
     sum_all,
-    sum_rowgroups,
     tanh,
     zeros,
 )
@@ -180,14 +181,6 @@ def stack_features(config: ModelConfig, records) -> np.ndarray:
     return np.concatenate(feats, axis=0)
 
 
-def encode_image_batch(params: ModelParams, features: np.ndarray, locations: int) -> tuple[Tensor, Tensor]:
-    """[B*L, C] stacked features, a constant array -> (location embeddings
-    [B*L, D], means [B, D])."""
-    v_e = params.img_embed(features)
-    v_hat = scale(sum_rowgroups(v_e, locations), 1.0 / locations)
-    return v_e, v_hat
-
-
 def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[Tensor, Tensor, Tensor]:
     """(topic [S, D], stop logits [S, 1], abnormal logits [S, 1]) for rows of
     sentence states ``h_new``, one step of a batch or every step stacked.
@@ -201,19 +194,21 @@ def sentence_forward(params: ModelParams, config: ModelConfig, records, depth: i
     """Run the sentence LSTM ``depth`` steps for a batch of records.
 
     The recurrence reads only its own state and the attended image, never
-    the words, so every step runs before any word is decoded.  Returns
-    (mean location embeddings [B, D], topics [depth*B, D], stop logits and
-    abnormal logits [depth*B, 1]); head row m * B + b is record b's
-    sentence m.
+    the words, so every step runs before any word is decoded.  Each step
+    attends over the raw [B*L, C] features and embeds the [B, C] result.
+    Returns (the embedded mean feature [B, D], topics [depth*B, D], stop
+    logits and abnormal logits [depth*B, 1]); head row m * B + b is record
+    b's sentence m.
     """
-    v_e, v_hat = encode_image_batch(params, stack_features(config, records), config.locations)
-    keys = attention_keys(params.attn, v_e)
+    features = stack_features(config, records)
+    keys = attention_keys(params.attn, params.img_embed, features)
+    v_hat = params.img_embed(features.reshape(len(records), config.locations, -1).mean(axis=1))
     h = zeros((len(records), config.hidden_dim))
     c = zeros((len(records), config.hidden_dim))
     states = [h]
     for _ in range(depth):
-        context, _ = soft_attention_batch(params.attn, v_e, keys, h, config.locations)
-        h, c = lstm_step(params.sent_lstm, context, h, c)
+        attended, _ = soft_attention_batch(params.attn, features, keys, h, config.locations)
+        h, c = lstm_step(params.sent_lstm, params.img_embed(attended), h, c)
         states.append(h)
     # the heads run once on every step's states
     return (v_hat, *sentence_heads(params, concat_rows(states[:-1]), concat_rows(states[1:])))

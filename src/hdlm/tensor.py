@@ -27,6 +27,7 @@ __all__ = [
     "collect_gradients",
     "gradient_audit",
     "linear",
+    "matmul",
     "lstm_cell_state",
     "lstm_hidden",
     "softmax_lastdim",
@@ -37,7 +38,6 @@ __all__ = [
     "add_bias",
     "slice_rows",
     "concat_rows",
-    "sum_rowgroups",
     "weighted_sum_rowgroups",
     "sum_all",
     "gather_rows",
@@ -268,6 +268,17 @@ def linear(x: Tensor | np.ndarray, w: Tensor) -> Tensor:
     return out
 
 
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """[M, K] times a [K, N] matrix or a [K] vector, giving [M, N] or [M]."""
+    A, B = a.data, b.data
+    if A.ndim != 2 or B.ndim not in (1, 2) or A.shape[1] != B.shape[0]:
+        raise ShapeError(f"matmul shapes do not agree: {A.shape} x {B.shape}")
+    out = Tensor(A @ B)
+    B2 = B.reshape(len(B), -1)
+    _record(out, (a, b), lambda g: (g.reshape(len(A), -1) @ B2.T, A.T @ g))
+    return out
+
+
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     # the tanh form never overflows, so it needs no sign split
     return 0.5 * (1.0 + np.tanh(0.5 * x))
@@ -409,32 +420,16 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     return out
 
 
-def sum_rowgroups(x: Tensor, group_size: int) -> Tensor:
-    """[G*group_size, K] -> [G, K], summing each consecutive group of rows."""
-    if x.data.ndim != 2 or group_size < 1 or x.shape[0] % group_size:
-        raise ShapeError(f"sum_rowgroups(group_size={group_size}) invalid for shape {x.shape}")
-    groups = x.shape[0] // group_size
-    k = x.shape[1]
-    out = Tensor(x.data.reshape(groups, group_size, k).sum(axis=1))
-    _record(out, (x,), lambda g: (np.repeat(g, group_size, axis=0),))
-    return out
-
-
-def weighted_sum_rowgroups(x: Tensor, weights: Tensor) -> Tensor:
-    """[G*K, D] rows and [G, K] weights -> [G, D]: each group's rows summed
-    with its own weights."""
-    if x.data.ndim != 2 or weights.data.ndim != 2 or x.shape[0] != weights.size:
-        raise ShapeError(f"weighted_sum_rowgroups shapes do not agree: {x.shape} and {weights.shape}")
+def weighted_sum_rowgroups(x: np.ndarray, weights: Tensor) -> Tensor:
+    """[G*K, D] constant rows and [G, K] weights -> [G, D]: each group's rows
+    summed with its own weights.  Only the weights get a gradient."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2 or weights.data.ndim != 2 or X.shape[0] != weights.size:
+        raise ShapeError(f"weighted_sum_rowgroups shapes do not agree: {X.shape} and {weights.shape}")
     groups, size = weights.shape
-    x3 = x.data.reshape(groups, size, x.shape[1])
-    w = weights.data
-    out = Tensor(np.matmul(w[:, None, :], x3)[:, 0, :])
-
-    def grad(g):
-        g_x = (w[:, :, None] * g[:, None, :]).reshape(x.shape)
-        return g_x, np.matmul(x3, g[:, :, None])[:, :, 0]
-
-    _record(out, (x, weights), grad)
+    x3 = X.reshape(groups, size, X.shape[1])
+    out = Tensor(np.matmul(weights.data[:, None, :], x3)[:, 0, :])
+    _record(out, (weights,), lambda g: (np.matmul(x3, g[:, :, None])[:, :, 0],))
     return out
 
 

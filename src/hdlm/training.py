@@ -337,7 +337,10 @@ def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int
         t_arr = entries.pop("adam/t")
         if t_arr.size != 1:
             raise CheckpointError(f"{path}: 'adam/t' holds {t_arr.size} values, expected 1")
-        adam = AdamState(m={}, v={}, t=int(t_arr.item()))
+        step = t_arr.item()
+        if not (step >= 0 and step.is_integer()):  # also rejects nan and inf
+            raise CheckpointError(f"{path}: 'adam/t' is {step!r}, expected a whole number >= 0")
+        adam = AdamState(m={}, v={}, t=int(step))
         for name, t in named.items():
             for kind, store in (("m", adam.m), ("v", adam.v)):
                 key = f"adam/{kind}/{name}"

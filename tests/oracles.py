@@ -6,13 +6,15 @@ a one-row batch), so tests can hold the batched losses and the batched
 decoder to a plainly sequential definition.  Attention keeps its first
 formulation: the location keys are recomputed at every sentence step, the
 scores are built from a repeated query, ``tanh`` and a matrix product, and
-the context is pooled through a [L, D] weighted copy of the locations.
+the context is pooled through a [L, D] weighted copy of the embedded
+locations, where the package attends over the raw features and embeds the
+result (``encode_image_batch`` keeps the embed-first path).
 The optimizer keeps its first formulation too, with a fresh array for every
 intermediate.  The LSTM cell keeps its unfused gate composition, and a
 masked cross-entropy its chain ``mul_const(sub(logsumexp_lastdim(x),
 select_positions(x, targets)), mask)``.  Ops the package no longer calls
-(``matmul``, ``reshape``, ``sigmoid``, ``mul``, ``slice_cols``,
-``repeat_rows``, ``sub``, ``mul_const``, ``select_positions`` and
+(``reshape``, ``sigmoid``, ``mul``, ``slice_cols``, ``repeat_rows``,
+``sum_rowgroups``, ``sub``, ``mul_const``, ``select_positions`` and
 ``logsumexp_lastdim``) live on here as test-local ops.
 
 The scoring kernels keep their first formulations as well: BLEU recounts
@@ -30,7 +32,7 @@ from hdlm.data import BOS_ID, EOS_ID
 from hdlm.inference import GeneratedReport
 from hdlm.layers import embed, lstm_step
 from hdlm.metrics import _closest_ref_length
-from hdlm.model import encode_image_batch, word_step
+from hdlm.model import word_step
 from hdlm.tensor import (
     ShapeError,
     Tensor,
@@ -41,15 +43,34 @@ from hdlm.tensor import (
     concat_rows,
     gather_rows,
     linear,
+    matmul,
     relu,
     scale,
     sigmoid_ce,
     softmax_lastdim,
     sum_all,
-    sum_rowgroups,
     tanh,
     zeros,
 )
+
+
+def sum_rowgroups(x, group_size):
+    """[G*group_size, K] -> [G, K], summing each consecutive group of rows."""
+    if x.data.ndim != 2 or group_size < 1 or x.shape[0] % group_size:
+        raise ShapeError(f"sum_rowgroups(group_size={group_size}) invalid for shape {x.shape}")
+    groups = x.shape[0] // group_size
+    k = x.shape[1]
+    out = Tensor(x.data.reshape(groups, group_size, k).sum(axis=1))
+    _record(out, (x,), lambda g: (np.repeat(g, group_size, axis=0),))
+    return out
+
+
+def encode_image_batch(params, features, locations):
+    """[B*L, C] stacked features, a constant array -> (location embeddings
+    [B*L, D], means [B, D]), embedding every location first."""
+    v_e = params.img_embed(features)
+    v_hat = scale(sum_rowgroups(v_e, locations), 1.0 / locations)
+    return v_e, v_hat
 
 
 def encode_record(params, features):
@@ -62,15 +83,6 @@ def reshape(x, shape):
     old = x.shape
     out = Tensor(x.data.reshape(shape))
     _record(out, (x,), lambda g: (g.reshape(old),))
-    return out
-
-
-def matmul(a, b):
-    A, B = a.data, b.data
-    if A.ndim != 2 or B.ndim != 2 or A.shape[1] != B.shape[0]:
-        raise ShapeError(f"matmul shapes do not agree: {A.shape} x {B.shape}")
-    out = Tensor(A @ B)
-    _record(out, (a, b), lambda g: (g @ B.T, A.T @ g))
     return out
 
 
@@ -218,6 +230,22 @@ def sentence_step_ref(params, v_e, h, c):
     topic = relu(params.topic(h_new))
     stop = params.stop_out(tanh(add(params.stop_prev(h), params.stop_cur(h_new))))
     return h_new, c_new, topic, stop, params.abnormal_head(h_new)
+
+
+def sentence_forward_reference(params, config, records, depth):
+    """``hdlm.model.sentence_forward`` one record at a time, embedding every
+    location first and recomputing the keys at every sentence step."""
+    v_hats, steps = [], [[] for _ in range(depth)]
+    for r in records:
+        v_e, v_hat = encode_record(params, r.feature_map())
+        v_hats.append(v_hat)
+        h = zeros((1, config.hidden_dim))
+        c = zeros((1, config.hidden_dim))
+        for m in range(depth):
+            h, c, *heads = sentence_step_ref(params, v_e, h, c)
+            steps[m].append(heads)
+    rows = [heads for step in steps for heads in step]
+    return (concat_rows(v_hats), *(concat_rows([r[k] for r in rows]) for k in range(3)))
 
 
 def sentence_step_one(params, v_e, h, c):

@@ -1,4 +1,5 @@
 import json
+import math
 import struct
 
 import numpy as np
@@ -424,7 +425,10 @@ def _entry(name: bytes, dims=()):
 @pytest.mark.parametrize("extra, message", [
     (_entry(b"adam/t", (0,)), "'adam/t' holds 0 values, expected 1"),
     (_entry(b"\xff\xfe"), "entry name is not valid UTF-8"),
-], ids=["adam_t_without_value", "name_not_utf8"])
+    (_entry(b"adam/t", (1,)) + struct.pack("<d", math.inf), "'adam/t' is inf, expected a whole number >= 0"),
+    (_entry(b"adam/t", (1,)) + struct.pack("<d", math.nan), "'adam/t' is nan, expected a whole number >= 0"),
+    (_entry(b"adam/t", (1,)) + struct.pack("<d", 2.5), "'adam/t' is 2.5, expected a whole number >= 0"),
+], ids=["adam_t_without_value", "name_not_utf8", "adam_t_infinite", "adam_t_nan", "adam_t_fractional"])
 def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, extra, message):
     data, runs = pipeline / "data", pipeline / "run"
     bad = tmp_path / "final.bin"

@@ -147,15 +147,23 @@ def test_lstm_forget_bias_initialized_to_one():
 # --- attention -----------------------------------------------------------------
 
 
-def attend(params, v_e, h_prev, locations):
-    return L.soft_attention_batch(params, v_e, L.attention_keys(params, v_e), h_prev, locations)
+def identity_embed(width):
+    return L.LinearLayer(Tensor(np.eye(width)), Tensor(np.zeros(width)))
+
+
+def attend(params, features, h_prev, locations, img_embed=None):
+    """Attention over plain-array ``features``; with the default identity
+    embedding the keys are ``features W_loc^T``."""
+    img_embed = img_embed or identity_embed(features.shape[1])
+    keys = L.attention_keys(params, img_embed, features)
+    return L.soft_attention_batch(params, features, keys, h_prev, locations)
 
 
 def test_attention_identical_locations_uniform():
     rng = T.seeded_rng(3)
     params = L.AttentionParams.create(4, 3, 2, rng)
     row = rng.normal(size=3)
-    v_e = Tensor(np.tile(row, (5, 1)))
+    v_e = np.tile(row, (5, 1))
     context, weights = attend(params, v_e, Tensor(rng.normal(size=(1, 2))), 5)
     np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
     np.testing.assert_allclose(context.data[0], row, atol=1e-12)
@@ -166,7 +174,7 @@ def test_attention_zero_score_vector_means_mean():
     params = L.AttentionParams.create(4, 3, 2, rng)
     params.score.data[:] = 0.0
     v = rng.normal(size=(6, 3))
-    context, weights = attend(params, Tensor(v), Tensor(np.zeros((1, 2))), 6)
+    context, weights = attend(params, v, Tensor(np.zeros((1, 2))), 6)
     np.testing.assert_allclose(weights.data, np.full((1, 6), 1 / 6), atol=1e-12)
     np.testing.assert_allclose(context.data[0], v.mean(axis=0), atol=1e-12)
 
@@ -186,7 +194,7 @@ def test_attention_two_location_hand_oracle():
     e = np.exp(np.array(scores) - max(scores))
     w = e / e.sum()
     want_context = w[0] * v[0] + w[1] * v[1]
-    context, weights = attend(params, Tensor(v), Tensor(h[None]), 2)
+    context, weights = attend(params, v, Tensor(h[None]), 2)
     np.testing.assert_allclose(weights.data[0], w, atol=1e-12, rtol=0)
     np.testing.assert_allclose(context.data[0], want_context, atol=1e-12, rtol=0)
 
@@ -197,7 +205,7 @@ def test_attention_weights_simplex_and_hull():
     for _ in range(25):
         v = rng.normal(size=(7, 4)) * 3
         h = rng.normal(size=(1, 3))
-        context, weights = attend(params, Tensor(v), Tensor(h), 7)
+        context, weights = attend(params, v, Tensor(h), 7)
         assert np.all(weights.data >= 0)
         assert abs(weights.data.sum() - 1.0) <= 1e-12
         assert np.all(context.data >= v.min(axis=0) - 1e-10)
@@ -207,29 +215,34 @@ def test_attention_weights_simplex_and_hull():
 def test_attention_empty_locations_rejected():
     params = L.AttentionParams.create(4, 3, 2, T.seeded_rng(0))
     with pytest.raises(T.ShapeError):
-        attend(params, Tensor(np.zeros((0, 3))), Tensor(np.zeros((1, 2))), 0)
+        attend(params, np.zeros((0, 3)), Tensor(np.zeros((1, 2))), 0)
 
 
 def test_attention_gradients_pass_fd():
+    # the features are constant; the gradient reaches the embedding through
+    # the composed keys and through the embedded context
     rng = T.seeded_rng(13)
     params = L.AttentionParams.create(3, 4, 2, rng)
-    v = Tensor(rng.normal(size=(5, 4)))
+    img_embed = L.LinearLayer.create(4, 6, rng)
+    v = rng.normal(size=(5, 6))
     h = Tensor(rng.normal(size=(1, 2)))
 
     def f():
-        context, _ = attend(params, v, h, 5)
+        attended, _ = attend(params, v, h, 5, img_embed)
+        context = img_embed(attended)
         return T.sum_all(mul(context, context))
 
     leaves = {"w_location": params.w_location, "w_state": params.w_state,
-              "score": params.score, "v": v, "h": h}
+              "score": params.score, "img_embed.weight": img_embed.weight,
+              "img_embed.bias": img_embed.bias, "h": h}
     assert max(err for err, _ in gradient_audit(f, leaves, atol=0.0).values()) <= 1e-4
 
 
 def test_attention_rejects_keys_of_another_shape():
     rng = T.seeded_rng(2)
     params = L.AttentionParams.create(4, 3, 2, rng)
-    v = Tensor(rng.normal(size=(6, 3)))
-    keys = L.attention_keys(params, v)
+    v = rng.normal(size=(6, 3))
+    keys = L.attention_keys(params, identity_embed(3), v)
     with pytest.raises(T.ShapeError, match="keys"):
         L.soft_attention_batch(params, v, Tensor(keys.data[:3]), Tensor(np.zeros((1, 2))), 6)
     with pytest.raises(T.ShapeError, match="keys"):
@@ -241,9 +254,9 @@ def test_attention_batch_agrees_with_single():
     params = L.AttentionParams.create(4, 3, 5, rng)
     v = rng.normal(size=(2, 6, 3))
     h = rng.normal(size=(2, 5))
-    ctx_b, w_b = attend(params, Tensor(v.reshape(12, 3)), Tensor(h), 6)
+    ctx_b, w_b = attend(params, v.reshape(12, 3), Tensor(h), 6)
     for b in range(2):
-        ctx, w = attend(params, Tensor(v[b]), Tensor(h[b:b + 1]), 6)
+        ctx, w = attend(params, v[b], Tensor(h[b:b + 1]), 6)
         np.testing.assert_allclose(ctx_b.data[b], ctx.data[0], atol=1e-12)
         np.testing.assert_allclose(w_b.data[b], w.data[0], atol=1e-12)
 

@@ -1,6 +1,7 @@
 """Model forward passes and training losses, checked against plain-numpy
 recomputation and closed-form values for the all-zero parameter setting."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from hdlm.model import (
     ModelConfig,
     ModelParams,
     compute_losses,
-    encode_image_batch,
     sentence_forward,
     sentence_heads,
     stack_features,
@@ -28,7 +28,9 @@ from hdlm.tensor import (
     seeded_rng,
     zeros,
 )
-from oracles import encode_record, reference_total_loss, sentence_step_one, word_forward
+from oracles import (
+    encode_record, reference_total_loss, sentence_forward_reference, sentence_step_one, word_forward,
+)
 
 
 def toy_config(**kw):
@@ -134,13 +136,16 @@ def test_stop_and_topic_layers_have_no_bias():
 
 
 def test_encode_image_matches_numpy():
+    # the composed keys and the embedded mean feature against numpy's
+    # embed-every-location-first computation
     cfg = toy_config()
     params = ModelParams.create(cfg, seed=3)
-    feats = seeded_rng(8).normal(size=(2, cfg.locations, cfg.channels))
-    stacked = feats.reshape(-1, cfg.channels)
-    v_e, v_hat = encode_image_batch(params, stacked, cfg.locations)
+    records = toy_batch(cfg)
+    stacked = stack_features(cfg, records)
     want = stacked @ params.img_embed.weight.data.T + params.img_embed.bias.data
-    assert np.allclose(v_e.data, want, atol=1e-12)
+    keys = attention_keys(params.attn, params.img_embed, stacked)
+    assert np.allclose(keys.data, want @ params.attn.w_location.data.T, atol=1e-12)
+    v_hat, _, _, _ = sentence_forward(params, cfg, records, 1)
     means = want.reshape(2, cfg.locations, -1).mean(axis=1)
     assert np.allclose(v_hat.data, means, atol=1e-12)
 
@@ -151,15 +156,16 @@ def test_sentence_step_matches_hand_composition(monkeypatch):
     records = toy_batch(cfg)
     batch = len(records)
 
-    # per step: attend, update, then the heads on that step's rows alone
-    v_e, v_hat_want = encode_image_batch(params, stack_features(cfg, records), cfg.locations)
-    keys = attention_keys(params.attn, v_e)
+    # per step: attend, embed, update, then the heads on that step's rows alone
+    features = stack_features(cfg, records)
+    keys = attention_keys(params.attn, params.img_embed, features)
+    v_hat_want = params.img_embed(features.reshape(batch, cfg.locations, -1).mean(axis=1))
     h = zeros((batch, cfg.hidden_dim))
     c = zeros((batch, cfg.hidden_dim))
     want = []
     for _ in range(2):
-        context, _ = soft_attention_batch(params.attn, v_e, keys, h, cfg.locations)
-        h_new, c_new = lstm_step(params.sent_lstm, context, h, c)
+        attended, _ = soft_attention_batch(params.attn, features, keys, h, cfg.locations)
+        h_new, c_new = lstm_step(params.sent_lstm, params.img_embed(attended), h, c)
         want.append((h_new, c_new, *sentence_heads(params, h, h_new)))
         h, c = h_new, c_new
 
@@ -173,6 +179,9 @@ def test_sentence_step_matches_hand_composition(monkeypatch):
     monkeypatch.setattr(hdlm.model, "lstm_step", spy)
     v_hat, topics, stop, abn = sentence_forward(params, cfg, records, 2)
     assert np.array_equal(v_hat.data, v_hat_want.data)
+    v_e = features @ params.img_embed.weight.data.T + params.img_embed.bias.data
+    locs = v_e.reshape(batch, cfg.locations, -1)
+    np.testing.assert_allclose(v_hat.data, locs.mean(axis=1), rtol=0, atol=1e-12)
     assert len(states) == 2
     assert topics.shape == (2 * batch, cfg.embed_dim)
     assert stop.shape == abn.shape == (2 * batch, 1)
@@ -190,7 +199,6 @@ def test_sentence_step_matches_hand_composition(monkeypatch):
         return 1.0 / (1.0 + np.exp(-v))
 
     (h0, c0), (h1, c1) = [(step[0].data, step[1].data) for step in want]
-    locs = v_e.data.reshape(batch, cfg.locations, -1)
     scores = np.tanh(
         locs @ params.attn.w_location.data.T + (h0 @ params.attn.w_state.data.T)[:, None]
     ) @ params.attn.score.data
@@ -470,9 +478,10 @@ def test_readme_batch_records_few_tape_entries():
         assert len(tape.entries) <= 300
 
 
-def random_case(seed, dual):
+def random_case(seed, dual, **dims_override):
     """A random toy model (weights scaled out of the near-linear init range)
-    and a random batch that mixes branches and sentence lengths."""
+    and a random batch that mixes branches and sentence lengths; keyword
+    arguments replace drawn model dims."""
     rng = seeded_rng(seed)
     dims = rng.integers(2, 7, size=5)
     cfg = ModelConfig(
@@ -482,6 +491,7 @@ def random_case(seed, dual):
         lambda_abnormal=float(rng.uniform(0.5, 2.0)), lambda_mti=float(rng.uniform(0.5, 2.0)),
         dual_enabled=dual,
     )
+    cfg = dataclasses.replace(cfg, **dims_override)
     params = ModelParams.create(cfg, seed=seed)
     for t in params.named_parameters().values():
         t.data *= 8.0
@@ -552,3 +562,47 @@ def test_loss_bundle_numbers_are_finite():
     n = compute_losses(params, cfg, toy_batch(cfg)).numbers()
     assert all(math.isfinite(v) for v in n.values())
     assert isinstance(compute_losses(params, cfg, toy_batch(cfg)), LossBundle)
+
+
+def _assert_close_to_max(got, want, tol, what):
+    assert np.abs(got - want).max() <= tol * np.abs(want).max(), what
+
+
+@pytest.mark.parametrize("channels", [9, 2], ids=["channels_above_embed", "channels_below_embed"])
+def test_raw_feature_attention_matches_embed_first_reference(channels, monkeypatch):
+    # the package attends over the raw features, embeds the attended row and
+    # takes its keys from W_loc W_img; the reference embeds every location
+    # first.  With C != D and A = H != D, no recorded tensor is [B*L, D];
+    # a prime L of 97 keeps any other tensor from having B*L rows.
+    shapes = set()
+    record = Tape.record
+
+    def spy(self, out, inputs, grad_fn):
+        shapes.update(t.shape for t in (out, *inputs))
+        return record(self, out, inputs, grad_fn)
+
+    monkeypatch.setattr(Tape, "record", spy)
+    for seed in range(6):
+        cfg, params, records = random_case(seed, True, channels=channels, embed_dim=4, hidden_dim=5,
+                                           locations=97)
+        depth = max(len(r.sentences) for r in records)
+        got = sentence_forward(params, cfg, records, depth)
+        want = sentence_forward_reference(params, cfg, records, depth)
+        for k, (g, w) in enumerate(zip(got, want, strict=True)):
+            assert g.shape == w.shape, (seed, k)
+            _assert_close_to_max(g.data, w.data, 1e-12, (seed, k))
+
+        named = params.named_parameters()
+        shapes.clear()
+        with Tape() as tape:
+            total = compute_losses(params, cfg, records).total
+        grads = collect_gradients(tape, backward(tape, total), named)
+        rows = len(records) * cfg.locations
+        assert (rows, cfg.hidden_dim) in shapes  # the keys
+        assert (rows, cfg.embed_dim) not in shapes, seed
+        with Tape() as tape:
+            ref = reference_total_loss(params, cfg, records)
+        ref_grads = collect_gradients(tape, backward(tape, ref), named)
+        assert abs(total.item() - ref.item()) <= 1e-12 * abs(ref.item()), seed
+        for name in named:
+            _assert_close_to_max(grads[name], ref_grads[name], 1e-12, (seed, name))
