@@ -22,7 +22,7 @@ def main():
 
     print("loss:", f"{loss.item():.6f}")
     print("dloss/dw:")
-    print(np.array_str(grads[tape.node_of(w)].data, precision=4))
+    print(np.array_str(grads[w], precision=4))
 
     # the same closure, audited numerically coordinate by coordinate
     def f():

@@ -351,6 +351,8 @@ def cmd_generate(args) -> int:
 
 def cmd_evaluate(args) -> int:
     reports = load_generated(args.generated)
+    if not reports:
+        raise CorpusFormatError(f"{args.generated}: no reports")
     records = load_corpus(args.references)
     pairs = build_eval_pairs(reports, records)
     metrics = compute_metrics(pairs, paragraphs=[r.sentences for r in reports])

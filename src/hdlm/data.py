@@ -302,8 +302,9 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_sentences < self.min_sentences or self.max_words < self.min_words:
             raise ConfigError("sentence/word ranges must be nonempty")
-        if self.zipf_exponent < 0 or self.noise_scale < 0:
-            raise ConfigError("zipf_exponent and noise_scale must be nonnegative")
+        for name in ("zipf_exponent", "noise_scale"):
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
 
 
 @dataclass

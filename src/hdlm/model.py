@@ -102,8 +102,8 @@ class ModelConfig:
             )
         weights = ("lambda_stop", "lambda_hierarchical", "lambda_abnormal", "lambda_mti")
         for name in weights:
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative, got {getattr(self, name)}")
+            if not 0.0 <= getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be nonnegative and finite, got {getattr(self, name)}")
         if not self.dual_enabled:
             self.lambda_abnormal = 0.0
 

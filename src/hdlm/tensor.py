@@ -2,10 +2,10 @@
 
 A ``Tape`` records one forward pass: enter it as a context manager, run the
 forward math, then call :func:`backward` on a scalar result to get the
-gradients of its leaves keyed by node id.  The walk uses the tape up, so
-each tape serves one ``backward``; tapes are rebuilt on every pass.
-Forward values are identical whether or not a tape is active, so the same
-code path serves training, inference, and finite-difference probing.
+gradient of each leaf, keyed by the leaf tensor itself.  The walk uses the
+tape up, so each tape serves one ``backward``; tapes are rebuilt on every
+pass.  Forward values are identical whether or not a tape is active, so the
+same code path serves training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
 """
@@ -102,59 +102,20 @@ class _Outer:
         self.x = x
 
 
-class _TapeEntry:
-    __slots__ = ("out_id", "input_ids", "grad_fn")
-
-    def __init__(self, out_id, input_ids, grad_fn):
-        self.out_id = out_id
-        self.input_ids = input_ids
-        self.grad_fn = grad_fn
-
-
 _state = threading.local()
-
-
-def _active_tape() -> "Tape | None":
-    stack = getattr(_state, "stack", None)
-    return stack[-1] if stack else None
 
 
 class Tape:
     """Ordered record of the operations of one forward pass.
 
-    Node ids are local to the tape.  Tensors first seen by the tape (leaves
-    such as parameters, or constants) are registered on use; ``node_of``
-    gives the id to look their gradients up by after :func:`backward`.
+    Each entry is the tuple ``(output, inputs, grad_fn)`` and holds its
+    tensors themselves.  :func:`backward` keys gradients by tensor identity,
+    so leaves (parameters, or constants) need no registration.
     """
 
     def __init__(self) -> None:
-        self.entries: list[_TapeEntry] = []
+        self.entries: list[tuple[Tensor, Sequence[Tensor], Callable]] = []
         self.walked = False
-        self._ids: dict[int, int] = {}
-        self._keep: list[Tensor | None] = []
-
-    def _register(self, t: Tensor) -> int:
-        nid = self._ids.get(id(t))
-        if nid is None:
-            nid = len(self._keep)
-            self._ids[id(t)] = nid
-            self._keep.append(t)
-        return nid
-
-    def record(self, out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
-        input_ids = tuple(self._register(t) for t in inputs)
-        self.entries.append(_TapeEntry(self._register(out), input_ids, grad_fn))
-
-    def node_of(self, t: Tensor) -> int | None:
-        return self._ids.get(id(t))
-
-    def _pop(self) -> _TapeEntry:
-        """Remove the last entry and forget its output tensor."""
-        entry = self.entries.pop()
-        out = self._keep[entry.out_id]
-        self._keep[entry.out_id] = None
-        del self._ids[id(out)]
-        return entry
 
     def __enter__(self) -> "Tape":
         stack = getattr(_state, "stack", None)
@@ -168,14 +129,15 @@ class Tape:
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
-    tape = _active_tape()
-    if tape is not None:
-        tape.record(out, inputs, grad_fn)
+    stack = getattr(_state, "stack", None)
+    if stack:
+        stack[-1].entries.append((out, inputs, grad_fn))
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
-    """Walk the tape in reverse from a scalar ``loss``; return leaf node id ->
-    gradient.
+def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+    """Walk the tape in reverse from a scalar ``loss``; return leaf tensor ->
+    gradient array, leaves in the order their first plain gradient arrived,
+    then those reached only as ``linear`` weights.
 
     The walk uses the tape up: each entry leaves the tape as it runs, which
     frees the forward values only it held, and each intermediate gradient
@@ -184,25 +146,25 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
     """
     if tape.walked:
         raise TapeError("backward already walked this tape; record a new one")
-    loss_id = tape.node_of(loss)
-    if loss_id is None:
+    if not any(out is loss for out, _, _ in tape.entries):
         raise TapeError("loss tensor was not recorded on this tape")
     if loss.size != 1:
         raise TapeError(f"loss must be scalar-valued, got shape {loss.shape}")
     tape.walked = True
-    grads: dict[int, np.ndarray] = {loss_id: np.ones_like(loss.data)}
+    grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
     # A grad_fn may hand one array to several inputs (``add`` passes ``g`` to
     # both), so a node's first gradient is only borrowed.  The second
     # contribution copies it into an array the node owns; later ones add in
     # place.
-    owned: set[int] = set()
-    outers: dict[int, list[_Outer]] = {}
+    owned: set[Tensor] = set()
+    outers: dict[Tensor, list[_Outer]] = {}
 
-    def take(nid: int) -> np.ndarray | None:
+    def take(t: Tensor) -> np.ndarray | None:
         # a node's gradient is complete when it is first read: stack its
         # weight-gradient factors into one product and add the rest
-        g = grads.pop(nid, None)
-        parts = outers.pop(nid, None)
+        g = grads.pop(t, None)
+        owned.discard(t)
+        parts = outers.pop(t, None)
         if parts:
             if len(parts) == 1:
                 prod = parts[0].g.T @ parts[0].x
@@ -214,35 +176,35 @@ def backward(tape: Tape, loss: Tensor) -> dict[int, Tensor]:
         return g
 
     while tape.entries:
-        entry = tape._pop()
-        g_out = take(entry.out_id)
+        out, inputs, grad_fn = tape.entries.pop()
+        g_out = take(out)
+        # the output, and the last input the entry before handed a gradient
+        # to, go before grad_fn runs: forward values only they held are freed
+        out = t = None
         if g_out is None:
             continue
-        for nid, g_in in zip(entry.input_ids, entry.grad_fn(g_out)):
+        for t, g_in in zip(inputs, grad_fn(g_out)):
             if g_in is None:
                 continue
             if isinstance(g_in, _Outer):
-                outers.setdefault(nid, []).append(g_in)
+                outers.setdefault(t, []).append(g_in)
                 continue
-            acc = grads.get(nid)
+            acc = grads.get(t)
             if acc is None:
-                grads[nid] = g_in
-            elif nid in owned:
+                grads[t] = g_in
+            elif t in owned:
                 acc += g_in
             else:
-                grads[nid] = np.add(acc, g_in, out=np.empty_like(acc))
-                owned.add(nid)
-    return {nid: Tensor(take(nid)) for nid in set(grads) | set(outers)}
+                grads[t] = np.add(acc, g_in, out=np.empty_like(acc))
+                owned.add(t)
+    return {t: take(t) for t in [*grads, *(t for t in outers if t not in grads)]}
 
 
-def collect_gradients(tape: Tape, grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
+def collect_gradients(grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
     """Gradients by parameter name, zero-filled where the loss never touched
     the parameter."""
-    out = {}
-    for name, t in named_params.items():
-        g = grads.get(tape.node_of(t))
-        out[name] = g.data if g is not None else np.zeros_like(t.data)
-    return out
+    return {name: grads[t] if t in grads else np.zeros_like(t.data)
+            for name, t in named_params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -568,7 +530,7 @@ def gradient_audit(
     """
     with Tape() as tape:
         out = f()
-    analytic = collect_gradients(tape, backward(tape, out), named_params)
+    analytic = collect_gradients(backward(tape, out), named_params)
     rng = seeded_rng(seed)
     report: dict[str, tuple[float, int]] = {}
     for name, p in named_params.items():

@@ -126,12 +126,13 @@ class TrainConfig:
     evals_per_epoch: int = 1
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        # written so that NaN fails every range check
+        if not 0.0 < self.learning_rate < math.inf:
+            raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
-        if self.clip_norm <= 0:
-            raise ConfigError(f"clip_norm must be positive, got {self.clip_norm}")
+        if not 0.0 < self.clip_norm < math.inf:
+            raise ConfigError(f"clip_norm must be positive and finite, got {self.clip_norm}")
         if self.evals_per_epoch < 0:
             raise ConfigError(f"evals_per_epoch must be >= 0, got {self.evals_per_epoch}")
 
@@ -201,7 +202,7 @@ def train(
                     )
                 tape_entries = len(tape.entries)
                 t1 = time.perf_counter()
-                grads = collect_gradients(tape, backward(tape, bundle.total), named)
+                grads = collect_gradients(backward(tape, bundle.total), named)
                 t2 = time.perf_counter()
                 grad_norm = clip_gradients(grads, config.clip_norm)
                 adam_step(named, grads, state, config.learning_rate)

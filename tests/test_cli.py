@@ -337,6 +337,12 @@ def _generated_line_is_a_number(data, tmp):
     return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: expected a JSON object"
 
 
+def _generated_file_is_empty(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text("")
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}: no reports"
+
+
 def _history_line_is_a_string(data, tmp):
     history = tmp / "history.jsonl"
     history.write_text('"x"\n')
@@ -373,6 +379,7 @@ def _vocab_without_tokens(data, tmp):
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
     _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
     _val_id_is_a_list, _generated_id_is_a_list, _val_id_repeated, _generated_id_repeated,
+    _generated_file_is_empty,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -469,10 +476,25 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
-def test_invalid_setting_value_exit_code(tmp_path):
+@pytest.mark.parametrize("setting", [
+    "synth.records = 0", "train.clip_norm = nan", "train.learning_rate = inf",
+    "model.lambda_mti = nan", "synth.zipf_exponent = nan",
+], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan"])
+def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
+    # a synth setting fails `hdlm synth`; the rest fail `hdlm train`
     bad = tmp_path / "bad.cfg"
-    bad.write_text("synth.records = 0\n")
-    assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
+    bad.write_text(setting + "\n")
+    argv = ["synth"]
+    if not setting.startswith("synth."):
+        data = tmp_path / "data"
+        assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+        argv = ["train", str(data)]
+    capsys.readouterr()
+    out = tmp_path / "o"
+    assert run([*argv, "--config", str(bad), "--out", str(out)]) == 4
+    field = setting.split(".")[1].split()[0]
+    assert f"error: {field} must be" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

@@ -121,7 +121,7 @@ def test_lstm_update_bitwise_equal_to_gate_composition():
             loss = T.sum_all(T.concat_rows(terms))
         grads = backward(tape, loss)
         leaves = [cell.w_recur, cell.bias, h0, c0, *x_proj]
-        return [h.data, c.data] + [grads[tape.node_of(t)].data for t in leaves]
+        return [h.data, c.data] + [grads[t] for t in leaves]
 
     for got, want in zip(run(L.lstm_update), run(lstm_update_composed), strict=True):
         np.testing.assert_array_equal(got, want)
@@ -275,7 +275,7 @@ def test_embed_repeated_id_accumulates_gradient():
     with Tape() as tape:
         loss = T.sum_all(L.embed(table, [3, 3]))
     grads = backward(tape, loss)
-    g = grads[tape.node_of(table.matrix)].data
+    g = grads[table.matrix]
     np.testing.assert_array_equal(g[3], np.full(2, 2.0))
     assert np.all(g[[0, 1, 2, 4]] == 0)
 

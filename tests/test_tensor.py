@@ -2,6 +2,7 @@
 
 import math
 import re
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +102,7 @@ def test_linear_weight_gradient_is_contiguous():
     w = Tensor(rng.normal(size=(4, 3)))
     with Tape() as tape:
         loss = T.sum_all(T.linear(x, w))
-    g = backward(tape, loss)[tape.node_of(w)].data
+    g = backward(tape, loss)[w]
     assert g.flags.c_contiguous
     np.testing.assert_allclose(g, np.tile(x.data.sum(axis=0), (4, 1)), atol=1e-12, rtol=0)
 
@@ -151,7 +152,7 @@ def test_sigmoid_tanh_form_matches_masked_formula():
     z = Tensor(x)
     with Tape() as tape:
         loss = T.sum_all(T.sigmoid_ce(z, np.zeros_like(x)))
-    g = backward(tape, loss)[tape.node_of(z)].data
+    g = backward(tape, loss)[z]
     np.testing.assert_array_equal(g, got)
 
 
@@ -192,7 +193,7 @@ def test_backward_sum_gives_ones():
     with Tape() as tape:
         loss = T.sum_all(x)
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[tape.node_of(x)].data, np.ones((2, 3)))
+    np.testing.assert_array_equal(grads[x], np.ones((2, 3)))
 
 
 def test_backward_square_gives_two_x():
@@ -200,7 +201,7 @@ def test_backward_square_gives_two_x():
     with Tape() as tape:
         loss = T.sum_all(mul(x, x))
     grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[tape.node_of(x)].data, [3.0], atol=1e-12)
+    np.testing.assert_allclose(grads[x], [3.0], atol=1e-12)
 
 
 def test_backward_rejects_nonscalar_loss():
@@ -224,7 +225,7 @@ def test_backward_fanout_accumulates():
     with Tape() as tape:
         loss = T.sum_all(T.add(T.scale(x, 3.0), T.scale(x, 4.0)))
     grads = backward(tape, loss)
-    np.testing.assert_allclose(grads[tape.node_of(x)].data, [7.0], atol=1e-12)
+    np.testing.assert_allclose(grads[x], [7.0], atol=1e-12)
 
 
 def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
@@ -238,11 +239,10 @@ def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
         s = T.add(x, y)
         loss = T.sum_all(T.add(T.add(mul_const(s, [2.0, 5.0]), t), u))
     grads = backward(tape, loss)
-    np.testing.assert_array_equal(grads[tape.node_of(x)].data, [2.0, 5.0])
-    np.testing.assert_array_equal(grads[tape.node_of(y)].data, [12.0, 19.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 5.0])
+    np.testing.assert_array_equal(grads[y], [12.0, 19.0])
     # only leaves keep a gradient
-    assert set(grads) == {tape.node_of(x), tape.node_of(y)}
-    assert all(tape.node_of(v) is None for v in (u, t, s, loss))
+    assert set(grads) == {x, y}
 
 
 def test_backward_twice_on_one_tape_raises():
@@ -253,7 +253,40 @@ def test_backward_twice_on_one_tape_raises():
     with pytest.raises(T.TapeError, match="already walked"):
         backward(tape, loss)
     assert tape.entries == []
-    np.testing.assert_array_equal(grads[tape.node_of(x)].data, [2.0, 4.0])
+    np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+
+
+def test_backward_frees_outputs_before_their_gradients_and_returns_leaves_only():
+    # s fans out (so its gradient is owned) and is the last input handed a
+    # gradient before its own entry runs; its forward value must still be
+    # gone when add's grad_fn runs, since only s held it
+    x = Tensor([[1.0, 2.0]])
+    y = Tensor([[3.0, 4.0]])
+    w = Tensor(np.ones((2, 2)))
+    c = np.array([[1.0, 2.0]])
+    with Tape() as tape:
+        s = T.add(x, y)
+        loss = T.sum_all(T.add(T.add(T.add(T.scale(s, 2.0), s), y), T.linear(c, w)))
+    value = weakref.ref(s.data)
+    out, inputs, grad_fn = tape.entries[0]
+    assert out is s
+    alive = []
+
+    def spy(g):
+        alive.append(value() is not None)
+        return grad_fn(g)
+
+    tape.entries[0] = (out, inputs, spy)
+    del out, s
+    grads = backward(tape, loss)
+    assert alive == [False]
+    # leaves only, y first (its first gradient comes before x's), and w,
+    # which got only weight-gradient factors, last
+    assert list(grads) == [y, x, w]
+    np.testing.assert_array_equal(grads[x], [[3.0, 3.0]])
+    np.testing.assert_array_equal(grads[y], [[4.0, 4.0]])
+    np.testing.assert_array_equal(grads[w], [[1.0, 2.0], [1.0, 2.0]])
+    assert tape.entries == []
 
 
 def test_weight_gradient_stacks_every_use():
@@ -274,11 +307,11 @@ def test_weight_gradient_stacks_every_use():
     grads = backward(tape, loss)
     want_w = sum(g.T @ x for x, g in zip(xs, gs)) + k
     want_v = (gs[0][:2].T @ h.data).reshape(-1)
-    got_w = grads[tape.node_of(w)].data
-    got_v = grads[tape.node_of(v)].data
+    got_w = grads[w]
+    got_v = grads[v]
     assert np.abs(got_w - want_w).max() <= 1e-13 * np.abs(want_w).max()
     assert np.abs(got_v - want_v).max() <= 1e-13 * np.abs(want_v).max()
-    np.testing.assert_allclose(grads[tape.node_of(h)].data, gs[0][:2] @ v.data.reshape(4, 6),
+    np.testing.assert_allclose(grads[h], gs[0][:2] @ v.data.reshape(4, 6),
                                atol=1e-12, rtol=0)
 
 
@@ -289,11 +322,12 @@ def test_linear_array_input_is_a_constant():
     with Tape() as tape:
         y = T.linear(x, w)
         loss = T.sum_all(y)
-    assert tape.entries[0].input_ids == (tape.node_of(w),)
+    _, inputs, _ = tape.entries[0]
+    assert inputs == (w,)
     np.testing.assert_array_equal(y.data, x @ w.data.T)
     grads = backward(tape, loss)
-    assert set(grads) == {tape.node_of(w)}
-    np.testing.assert_allclose(grads[tape.node_of(w)].data, np.tile(x.sum(axis=0), (4, 1)),
+    assert list(grads) == [w]
+    np.testing.assert_allclose(grads[w], np.tile(x.sum(axis=0), (4, 1)),
                                atol=1e-12, rtol=0)
 
 
@@ -464,7 +498,7 @@ def _value_and_leaf_grads(build, leaves):
     with Tape() as tape:
         loss = build()
     grads = backward(tape, loss)
-    return [loss.data] + [grads[tape.node_of(t)].data for t in leaves]
+    return [loss.data] + [grads[t] for t in leaves]
 
 
 def test_fused_ce_ops_equal_oracle_chains_bitwise():
