@@ -185,14 +185,7 @@ def model_config_from(settings, derived: dict) -> ModelConfig:
 
 
 def limits_from(settings, config: ModelConfig) -> GenerationLimits:
-    return GenerationLimits(
-        max_sentences=config.max_sentences,
-        max_words=config.max_words,
-        stop_threshold=_coerce("generate.stop_threshold",
-                               settings.get("generate.stop_threshold", "0.5")),
-        branch_threshold=_coerce("generate.branch_threshold",
-                                 settings.get("generate.branch_threshold", "0.5")),
-    )
+    return GenerationLimits(config.max_sentences, config.max_words, **_section(settings, "generate"))
 
 
 def _echo_model(settings: dict[str, str], config: ModelConfig) -> None:
@@ -354,7 +347,12 @@ def cmd_evaluate(args) -> int:
     if not reports:
         raise CorpusFormatError(f"{args.generated}: no reports")
     records = load_corpus(args.references)
-    pairs = build_eval_pairs(reports, records)
+    if not records:
+        raise CorpusFormatError(f"{args.references}: no records")
+    try:
+        pairs = build_eval_pairs(reports, records)
+    except ValueError as exc:
+        raise CorpusFormatError(f"{args.references}: {exc}") from None
     metrics = compute_metrics(pairs, paragraphs=[r.sentences for r in reports])
     print(render_table(metrics))
     if args.out:

@@ -119,8 +119,9 @@ def load_vocab(path) -> Vocabulary:
 class ReportRecord:
     """One image's paragraph plus its supervision signals.
 
-    ``feature_ref`` is either an in-memory [L, C] float array or a path
-    string; ``mti_labels`` holds the active label indices (sparse multi-hot).
+    ``feature_ref`` is the in-memory [L, C] float array (``load_corpus``
+    reads each record's map file into it); ``mti_labels`` holds the active
+    label indices (sparse multi-hot).
     """
 
     id: str
@@ -155,8 +156,6 @@ class ReportRecord:
     def feature_map(self) -> np.ndarray:
         if isinstance(self.feature_ref, np.ndarray):
             return self.feature_ref
-        if isinstance(self.feature_ref, (str, Path)):
-            return load_features(self.feature_ref)
         raise ValueError(f"record {self.id!r}: no feature map attached")
 
 

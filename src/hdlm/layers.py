@@ -1,5 +1,6 @@
-"""Neural building blocks: linear maps, an LSTM cell, embeddings, and
-additive soft attention over spatial locations.
+"""Neural building blocks: linear maps, an LSTM cell whose every call, one
+step or a whole sequence, is one recurrence op, embeddings, and additive
+soft attention over spatial locations.
 
 Layer parameters are plain ``Tensor`` leaves grouped in small dataclasses;
 ``named(layer, prefix)`` lists them so the model can assemble a flat,
@@ -21,13 +22,11 @@ import numpy as np
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     add_bias,
     additive_scores,
     gather_rows,
     linear,
-    lstm_cell_state,
-    lstm_hidden,
+    lstm,
     matmul,
     softmax_lastdim,
     weighted_sum_rowgroups,
@@ -96,23 +95,10 @@ class LSTMCellParams:
 
 
 def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step on [S, ·] rows: c' = f*c + i*g, h' = o*tanh(c')."""
-    hs = params.hidden_size
-    if (x.data.ndim != 2 or h.data.ndim != 2 or x.shape[1] != params.input_size
-            or h.shape != (x.shape[0], hs) or c.shape != h.shape):
-        raise ShapeError(
-            f"lstm_step shapes x={x.shape} h={h.shape} c={c.shape} do not fit "
-            f"cell (I={params.input_size}, H={hs})"
-        )
-    return lstm_update(params, linear(x, params.w_input), h, c)
-
-
-def lstm_update(params: LSTMCellParams, x_proj: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """``lstm_step`` from input rows already multiplied by ``w_input^T``, so a
-    teacher-forced sequence can project all of its inputs in one product."""
-    z = add_bias(add(x_proj, linear(h, params.w_recur)), params.bias)
-    c_new = lstm_cell_state(z, c)
-    return lstm_hidden(z, c_new), c_new
+    """The cell run from the state (h, c) [S, H] over T*S input rows, T steps
+    stacked step-major: (every step's h' as [T*S, H], the last c').  All
+    inputs are projected in one product, and the recurrence is one op."""
+    return lstm(linear(x, params.w_input), params.w_recur, params.bias, h, c)
 
 
 @dataclass

@@ -34,7 +34,6 @@ from .layers import (
     attention_keys,
     embed,
     lstm_step,
-    lstm_update,
     named,
     soft_attention_batch,
 )
@@ -44,7 +43,6 @@ from .tensor import (
     add,
     concat_rows,
     gather_rows,
-    linear,
     relu,
     scale,
     seeded_rng,
@@ -252,23 +250,16 @@ def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: i
     golds = [[BOS_ID] + list(sent) for _, _, sent in specs]
     count = len(specs)
     longest = max(len(g) for g in golds)
-    # step 0 consumes the topic (its logits are unused), step t >= 1 the
-    # embedding of gold[t-1]; all steps' inputs are projected in one product
+    # step 0 consumes the topic, step t >= 1 the embedding of gold[t-1]; one
+    # lstm_step runs every step, and the output head reads all but step 0
     ids_in = [g[t - 1] if t < len(g) else 0 for t in range(1, longest) for g in golds]
     x = concat_rows([
         gather_rows(topics, [m * batch + b for b, m, _ in specs]),
         embed(params.embedding, ids_in),
     ])
-    x_proj = linear(x, cell.w_input)
     h = zeros((count, cell.hidden_size))
-    c = zeros((count, cell.hidden_size))
-    h, c = lstm_update(cell, slice_rows(x_proj, 0, count), h, c)
-    states = []
-    for t in range(1, longest):
-        h, c = lstm_update(cell, slice_rows(x_proj, t * count, (t + 1) * count), h, c)
-        states.append(h)
-    # the output head runs once on every step's states
-    logits = proj(concat_rows(states))
+    states, _ = lstm_step(cell, x, h, zeros(h.shape))
+    logits = proj(slice_rows(states, count, states.shape[0]))
     targets = [g[t] if t < len(g) else 0 for t in range(1, longest) for g in golds]
     mask = np.array([1.0 if t < len(g) else 0.0 for t in range(1, longest) for g in golds])
     return sum_all(softmax_ce(logits, targets, mask))

@@ -2,10 +2,12 @@
 
 A ``Tape`` records one forward pass: enter it as a context manager, run the
 forward math, then call :func:`backward` on a scalar result to get the
-gradient of each leaf, keyed by the leaf tensor itself.  The walk uses the
-tape up, so each tape serves one ``backward``; tapes are rebuilt on every
-pass.  Forward values are identical whether or not a tape is active, so the
-same code path serves training, inference, and finite-difference probing.
+gradient of each leaf, keyed by the leaf tensor itself.  Each op records
+one entry, even one with two outputs: :func:`lstm` runs a whole recurrence
+as one entry.  The walk uses the tape up, so each tape serves one
+``backward``; tapes are rebuilt on every pass.  Forward values are
+identical whether or not a tape is active, so the same code path serves
+training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
 """
@@ -28,8 +30,7 @@ __all__ = [
     "gradient_audit",
     "linear",
     "matmul",
-    "lstm_cell_state",
-    "lstm_hidden",
+    "lstm",
     "softmax_lastdim",
     "tanh",
     "relu",
@@ -109,8 +110,9 @@ class Tape:
     """Ordered record of the operations of one forward pass.
 
     Each entry is the tuple ``(output, inputs, grad_fn)`` and holds its
-    tensors themselves.  :func:`backward` keys gradients by tensor identity,
-    so leaves (parameters, or constants) need no registration.
+    tensors themselves; ``output`` is one tensor, or a tuple of them.
+    :func:`backward` keys gradients by tensor identity, so leaves
+    (parameters, or constants) need no registration.
     """
 
     def __init__(self) -> None:
@@ -139,10 +141,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     gradient array, leaves in the order their first plain gradient arrived,
     then those reached only as ``linear`` weights.
 
-    The walk uses the tape up: each entry leaves the tape as it runs, which
-    frees the forward values only it held, and each intermediate gradient
-    is dropped once its entry has read it.  A second walk raises
-    ``TapeError``.
+    An entry with a tuple of outputs is skipped when none of them has a
+    gradient; otherwise its ``grad_fn`` gets one gradient, or ``None``, per
+    output.  The walk uses the tape up: each entry leaves the tape as it
+    runs, which frees the forward values only it held, and each
+    intermediate gradient is dropped once its entry has read it.  A second
+    walk raises ``TapeError``.
     """
     if tape.walked:
         raise TapeError("backward already walked this tape; record a new one")
@@ -177,13 +181,13 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     while tape.entries:
         out, inputs, grad_fn = tape.entries.pop()
-        g_out = take(out)
-        # the output, and the last input the entry before handed a gradient
+        g_outs = [take(o) for o in out] if isinstance(out, tuple) else [take(out)]
+        # the outputs, and the last input the entry before handed a gradient
         # to, go before grad_fn runs: forward values only they held are freed
         out = t = None
-        if g_out is None:
+        if all(g is None for g in g_outs):
             continue
-        for t, g_in in zip(inputs, grad_fn(g_out)):
+        for t, g_in in zip(inputs, grad_fn(*g_outs)):
             if g_in is None:
                 continue
             if isinstance(g_in, _Outer):
@@ -253,50 +257,65 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def _gate_width(op: str, z: Tensor, c: Tensor) -> int:
-    if z.data.ndim != 2 or z.shape[1] % 4 or c.shape != (z.shape[0], z.shape[1] // 4):
-        raise ShapeError(f"{op} needs [S, 4H] gates and an [S, H] cell, got {z.shape} and {c.shape}")
-    return z.shape[1] // 4
+def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """An LSTM from the state (h, c) [S, H] over the T = len(x_proj) / S steps
+    of [S, 4H] input projections stacked in ``x_proj``, gates in the order
+    input, forget, cell, output: z = x_t + h W^T + b, c' = σ(z_f)·c +
+    σ(z_i)·tanh(z_g), h' = σ(z_o)·tanh(c').  Returns every step's h' as
+    [T*S, H], and the last c'.  One tape entry, whose backward runs through
+    time in one loop; the per-step values are kept only while a tape records.
+    """
+    X, W, b, h0, c0 = x_proj.data, w_recur.data, bias.data, h.data, c.data
+    rows, hs = h0.shape if h0.ndim == 2 else (0, 0)
+    if (X.ndim != 2 or not rows or not len(X) or len(X) % rows or X.shape[1] != 4 * hs
+            or W.shape != (4 * hs, hs) or b.shape != (4 * hs,) or c0.shape != h0.shape):
+        raise ShapeError(f"lstm needs [T*S, 4H] inputs, a [4H, H] weight, a [4H] bias and [S, H] "
+                         f"states, got {X.shape}, {W.shape}, {b.shape}, {h0.shape} and {c0.shape}")
+    steps = len(X) // rows
+    saved = [] if getattr(_state, "stack", None) else None
+    h_prev, c_prev, outs = h0, c0, []
+    for k in range(steps):
+        Z = X[k * rows:(k + 1) * rows] + h_prev @ W.T + b
+        i, f, o = (_stable_sigmoid(Z[:, j * hs:(j + 1) * hs]) for j in (0, 1, 3))
+        g = np.tanh(Z[:, 2 * hs:3 * hs])
+        c_new = f * c_prev + i * g
+        t = np.tanh(c_new)
+        h_prev = o * t
+        outs.append(h_prev)
+        if saved is not None:
+            saved.append((c_prev, i, f, g, o, t))
+        c_prev = c_new
+    states = outs[0] if steps == 1 else np.concatenate(outs)
+    out, c_last = Tensor(states), Tensor(c_prev)
 
+    def flip(a):
+        return a.reshape(steps, rows, -1)[::-1].reshape(len(a), -1)
 
-def lstm_cell_state(z: Tensor, c: Tensor) -> Tensor:
-    """The LSTM cell update c' = σ(z_f)·c + σ(z_i)·tanh(z_g) from [S, 4H]
-    gate pre-activations in the order input, forget, cell, output."""
-    hs = _gate_width("lstm_cell_state", z, c)
-    Z, C = z.data, c.data
-    i = _stable_sigmoid(Z[:, :hs])
-    f = _stable_sigmoid(Z[:, hs:2 * hs])
-    g = np.tanh(Z[:, 2 * hs:3 * hs])
-    out = Tensor(f * C + i * g)
+    def grad(g_states, g_last):
+        # per-element products in the order of the unfused sigmoid/tanh/mul
+        # chain, added into zeros as the per-gate gradients were, and the bias
+        # summed a step at a time: the gradients stay bitwise equal to it
+        g_states = np.zeros(states.shape) if g_states is None else g_states
+        gx = np.zeros(X.shape)
+        gc, g_bias, gh_prev = g_last, None, None
+        for k in reversed(range(steps)):
+            c_prev, i, f, g, o, t = saved[k]
+            gh = g_states[k * rows:(k + 1) * rows]
+            gh = gh if gh_prev is None else gh + gh_prev
+            gc_h = gh * o * (1.0 - t * t)
+            gc = gc_h if gc is None else gc + gc_h
+            gz = gx[k * rows:(k + 1) * rows]
+            gz[:, :hs] += gc * g * i * (1.0 - i)
+            gz[:, hs:2 * hs] += gc * c_prev * f * (1.0 - f)
+            gz[:, 2 * hs:3 * hs] += gc * i * (1.0 - g * g)
+            gz[:, 3 * hs:] += gh * t * o * (1.0 - o)
+            g_bias = gz.sum(axis=0) if g_bias is None else g_bias + gz.sum(axis=0)
+            gh_prev, gc = gz @ W, gc * f
+        # w_recur's factors stacked as the per-step products were, last step first
+        return gx, _Outer(flip(gx), flip(np.concatenate([h0, states[:-rows]]))), g_bias, gh_prev, gc
 
-    def grad(gc):
-        # products in the order of the unfused sigmoid/tanh/mul chain, so
-        # the gradients stay bitwise equal to it
-        gz = np.zeros(Z.shape)
-        gz[:, :hs] = gc * g * i * (1.0 - i)
-        gz[:, hs:2 * hs] = gc * C * f * (1.0 - f)
-        gz[:, 2 * hs:3 * hs] = gc * i * (1.0 - g * g)
-        return gz, gc * f
-
-    _record(out, (z, c), grad)
-    return out
-
-
-def lstm_hidden(z: Tensor, c: Tensor) -> Tensor:
-    """The LSTM output h' = σ(z_o)·tanh(c') from [S, 4H] gate
-    pre-activations and the updated [S, H] cell."""
-    hs = _gate_width("lstm_hidden", z, c)
-    o = _stable_sigmoid(z.data[:, 3 * hs:])
-    t = np.tanh(c.data)
-    out = Tensor(o * t)
-
-    def grad(gh):
-        gz = np.zeros(z.shape)
-        gz[:, 3 * hs:] = gh * t * o * (1.0 - o)
-        return gz, gh * o * (1.0 - t * t)
-
-    _record(out, (z, c), grad)
-    return out
+    _record((out, c_last), (x_proj, w_recur, bias, h, c), grad)
+    return out, c_last
 
 
 def relu(x: Tensor) -> Tensor:

@@ -177,8 +177,8 @@ def sigmoid_ce_chain(logits, targets, weights):
 
 
 def lstm_update_composed(params, x_proj, h, c):
-    """``hdlm.layers.lstm_update`` with one op per gate slice, activation and
-    product, as the cell was first written."""
+    """One step of ``hdlm.tensor.lstm`` with one op per gate slice,
+    activation and product, as the cell was first written."""
     hs = params.hidden_size
     z = add_bias(add(x_proj, linear(h, params.w_recur)), params.bias)
     i = sigmoid(slice_cols(z, 0, hs))

@@ -343,6 +343,24 @@ def _generated_file_is_empty(data, tmp):
     return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}: no reports"
 
 
+def _references_file_is_empty(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text(json.dumps({"id": "a", "sentences": [], "branches": [],
+                               "stop_probs": [], "abnormal_probs": []}) + "\n")
+    refs = tmp / "refs.jsonl"
+    refs.write_text("")
+    return ["evaluate", str(gen), str(refs)], f"{refs}: no records"
+
+
+def _generated_id_not_in_references(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text(json.dumps({"id": "nowhere", "sentences": [], "branches": [],
+                               "stop_probs": [], "abnormal_probs": []}) + "\n")
+    refs = data / "val.jsonl"
+    return (["evaluate", str(gen), str(refs)],
+            f"{refs}: generated report 'nowhere' has no reference record")
+
+
 def _history_line_is_a_string(data, tmp):
     history = tmp / "history.jsonl"
     history.write_text('"x"\n')
@@ -379,7 +397,7 @@ def _vocab_without_tokens(data, tmp):
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
     _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
     _val_id_is_a_list, _generated_id_is_a_list, _val_id_repeated, _generated_id_repeated,
-    _generated_file_is_empty,
+    _generated_file_is_empty, _references_file_is_empty, _generated_id_not_in_references,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

@@ -169,6 +169,9 @@ def test_record_feature_map_inline_and_missing():
     assert _record().feature_map().shape == (2, 3)
     with pytest.raises(ValueError, match="no feature map"):
         _record(feature_ref=None).feature_map()
+    # a path is not a map: load_corpus reads each map file into its record
+    with pytest.raises(ValueError, match="record .*no feature map"):
+        _record(feature_ref="features/r0.fmap").feature_map()
 
 
 # ---------------------------------------------------------------------------

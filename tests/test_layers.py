@@ -102,28 +102,37 @@ def test_lstm_step_gradients_pass_fd():
     assert max(err for err, _ in gradient_audit(f, params, atol=0.0).values()) <= 1e-4
 
 
-def test_lstm_update_bitwise_equal_to_gate_composition():
-    # three steps, so each cell state reaches the loss through the next step,
-    # through its own hidden state and directly
+@pytest.mark.parametrize("in_loss", [(True, True), (True, False), (False, True)],
+                         ids=["c_last_feeds_loss", "c_last_unused", "states_unused"])
+def test_lstm_bitwise_equal_to_composed_steps(in_loss):
+    # one three-step lstm call against the unfused gate composition run a
+    # step at a time: each cell state reaches the loss through the next
+    # step and its own hidden state; the states, the last cell or both feed
+    # the loss
     rng = T.seeded_rng(13)
     cell = L.LSTMCellParams.create(3, 4, rng)
-    x_proj = [Tensor(rng.normal(size=(5, 16)) * 2.0) for _ in range(3)]
+    x_proj = Tensor(rng.normal(size=(15, 16)) * 2.0)
     h0, c0 = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 4)))
-    weights = rng.normal(size=(2, 5, 4))
+    weights = rng.normal(size=(2, 15, 4))
 
-    def run(update):
+    def composed():
+        h, c, states = h0, c0, []
+        for t in range(3):
+            h, c = lstm_update_composed(cell, T.slice_rows(x_proj, 5 * t, 5 * t + 5), h, c)
+            states.append(h)
+        return T.concat_rows(states), c
+
+    def run(lstm):
         with Tape() as tape:
-            h, c = h0, c0
-            terms = []
-            for x in x_proj:
-                h, c = update(cell, x, h, c)
-                terms += [mul_const(h, weights[0]), mul_const(c, weights[1])]
-            loss = T.sum_all(T.concat_rows(terms))
+            states, c_last = lstm()
+            terms = [T.sum_all(mul_const(states, weights[0])), T.sum_all(mul_const(c_last, weights[1, :5]))]
+            loss = T.add(*terms) if all(in_loss) else terms[in_loss.index(True)]
         grads = backward(tape, loss)
-        leaves = [cell.w_recur, cell.bias, h0, c0, *x_proj]
-        return [h.data, c.data] + [grads[t] for t in leaves]
+        leaves = [x_proj, cell.w_recur, cell.bias, h0, c0]
+        return [states.data, c_last.data, loss.data] + [grads[t] for t in leaves]
 
-    for got, want in zip(run(L.lstm_update), run(lstm_update_composed), strict=True):
+    fused = run(lambda: T.lstm(x_proj, cell.w_recur, cell.bias, h0, c0))
+    for got, want in zip(fused, run(composed), strict=True):
         np.testing.assert_array_equal(got, want)
 
 

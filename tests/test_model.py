@@ -460,9 +460,25 @@ def test_compute_losses_is_deterministic():
         compute_losses(params, cfg, records).numbers()
 
 
+def test_tape_entries_do_not_grow_with_sentence_length():
+    # each word branch's teacher-forced recurrence is one lstm entry
+    cfg = toy_config()
+    params = ModelParams.create(cfg, seed=3)
+    short = toy_batch(cfg)
+    longer = [dataclasses.replace(short[0], sentences=[[4, 5, 6, 7, 5, 4, EOS_ID], [6, EOS_ID]]),
+              short[1]]
+    counts = []
+    for records in (short, longer):
+        with Tape() as tape:
+            compute_losses(params, cfg, records)
+        counts.append(len(tape.entries))
+    assert counts[0] == counts[1]
+
+
 def test_readme_batch_records_few_tape_entries():
     # the README corpus and model shape (E = H = 24) in batches of 16: an
-    # LSTM step is five entries and each head runs once per batch
+    # LSTM call is two entries, each word branch calls it once, and each
+    # head runs once per batch
     synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
                         zipf_exponent=1.1, vocab_words=60, seed=9)
     corpus = synth_corpus(synth)
@@ -475,7 +491,7 @@ def test_readme_batch_records_few_tape_entries():
     for start in range(0, len(corpus.records), 16):
         with Tape() as tape:
             compute_losses(params, cfg, corpus.records[start:start + 16])
-        assert len(tape.entries) <= 300
+        assert len(tape.entries) <= 89
 
 
 def random_case(seed, dual, **dims_override):
@@ -587,7 +603,8 @@ def test_raw_feature_attention_matches_embed_first_reference(channels):
         named = params.named_parameters()
         with Tape() as tape:
             total = compute_losses(params, cfg, records).total
-        shapes = {t.shape for out, inputs, _ in tape.entries for t in (out, *inputs)}
+        shapes = {t.shape for out, inputs, _ in tape.entries
+                  for t in (*(out if isinstance(out, tuple) else (out,)), *inputs)}
         grads = collect_gradients(backward(tape, total), named)
         rows = len(records) * cfg.locations
         assert (rows, cfg.hidden_dim) in shapes  # the keys

@@ -289,6 +289,38 @@ def test_backward_frees_outputs_before_their_gradients_and_returns_leaves_only()
     assert tape.entries == []
 
 
+def test_backward_tuple_output_entry_gets_one_gradient_or_none_per_output():
+    # an entry with two outputs, of which only the first reaches the loss:
+    # grad_fn gets its gradient and None for the other
+    x = Tensor([1.0, 2.0])
+    a, b = Tensor(x.data * 2.0), Tensor(x.data * 3.0)
+    seen = []
+
+    def grad_fn(ga, gb):
+        seen.append((ga, gb))
+        return (ga * 2.0 + (0.0 if gb is None else gb * 3.0),)
+
+    with Tape() as tape:
+        T._record((a, b), (x,), grad_fn)
+        loss = T.sum_all(mul_const(a, [5.0, 7.0]))
+    grads = backward(tape, loss)
+    assert len(seen) == 1 and seen[0][1] is None
+    np.testing.assert_array_equal(seen[0][0], [5.0, 7.0])
+    np.testing.assert_array_equal(grads[x], [10.0, 14.0])
+
+
+def test_backward_skips_tuple_output_entry_without_gradients():
+    x = Tensor([1.0, 2.0])
+    calls = []
+    with Tape() as tape:
+        T._record((Tensor(x.data * 2.0), Tensor(x.data * 3.0)), (x,), lambda *g: calls.append(g))
+        loss = T.sum_all(x)
+    grads = backward(tape, loss)
+    assert calls == []
+    assert list(grads) == [x]
+    np.testing.assert_array_equal(grads[x], [1.0, 1.0])
+
+
 def test_weight_gradient_stacks_every_use():
     # one weight read by linear calls of 3, 1 and 5 rows, once more through
     # a dense op, and a second weight read only through a reshape
@@ -356,12 +388,20 @@ def test_additive_scores_shape_error(shapes):
         T.additive_scores(keys, query, score)
 
 
-@pytest.mark.parametrize("shapes", [((2, 8), (2, 3)), ((2, 6), (2, 2)), ((2, 8), (3, 2)), ((8,), (2,))])
+@pytest.mark.parametrize("shapes", [
+    ((7, 8), (8, 2), (8,), (3, 2), (3, 2)),  # inputs not whole steps of S rows
+    ((6, 6), (8, 2), (8,), (3, 2), (3, 2)),  # inputs not 4H wide
+    ((6, 8), (8, 2), (8,), (3, 2), (2, 2)),  # cell unlike the hidden state
+    ((6, 8), (8, 2), (8,), (2,), (2,)),  # rank-1 state
+    ((6, 8), (8, 3), (8,), (3, 2), (3, 2)),
+    ((6, 8), (8, 2), (6,), (3, 2), (3, 2)),
+    ((0, 8), (8, 2), (8,), (3, 2), (3, 2)),  # no step
+    ((6, 8), (8, 2), (8,), (0, 2), (0, 2)),  # no row
+])
 def test_fused_cell_ops_shape_error(shapes):
-    z, c = (Tensor(np.zeros(s)) for s in shapes)
-    for op in (T.lstm_cell_state, T.lstm_hidden):
-        with pytest.raises(T.ShapeError, match=op.__name__):
-            op(z, c)
+    x_proj, w_recur, bias, h, c = (Tensor(np.zeros(s)) for s in shapes)
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(x_proj, w_recur, bias, h, c)
 
 
 def test_backward_composite_lstm_like_step_matches_fd():
@@ -432,12 +472,18 @@ def _op_cases(rng):
     w_out = Tensor(rng.normal(size=(3, 5)))
     pool = Tensor(rng.normal(size=(2, 2)))
     query = Tensor(rng.normal(size=(2, 5)))
-    gates = Tensor(rng.normal(size=(3, 8)) * 2.0)
+    rng.normal(size=(3, 8))  # unused; drawn so the draws after it stay put
     cell = Tensor(rng.normal(size=(3, 2)))
     ce_weights = rng.choice([0.0, 0.5, 2.0], size=3)
     sigmoid_weights = rng.choice([0.0, 0.5, 2.0], size=(4, 5))
     vec = Tensor(rng.normal(size=5))
     tall = Tensor(rng.normal(size=(5, 7)))
+    # three steps of three rows, small enough that no gate saturates: a
+    # saturated gate's gradient sinks into the central difference's noise
+    seq = Tensor(rng.normal(size=(9, 8)) * 0.5)
+    recur = Tensor(rng.normal(size=(8, 2)) * 0.5)
+    lstm_bias = Tensor(rng.normal(size=8) * 0.5)
+    state = Tensor(rng.normal(size=(3, 2)) * 0.5)
     return {
         "matmul": ([a, b], lambda: T.matmul(a, b)),
         "linear": ([a, w_out], lambda: T.linear(a, w_out)),
@@ -465,8 +511,9 @@ def _op_cases(rng):
         "select_positions": ([wide], lambda: select_positions(wide, pos)),
         "logsumexp_lastdim": ([wide], lambda: logsumexp_lastdim(wide)),
         "sigmoid_ce": ([a], lambda: T.sigmoid_ce(a, targets)),
-        "lstm_cell_state": ([gates, cell], lambda: T.lstm_cell_state(gates, cell)),
-        "lstm_hidden": ([gates, cell], lambda: T.lstm_hidden(gates, cell)),
+        # every step's states and the last cell reach the loss
+        "lstm": ([seq, recur, lstm_bias, state, cell],
+                 lambda: T.concat_rows(T.lstm(seq, recur, lstm_bias, state, cell))),
         "softmax_ce": ([wide], lambda: T.softmax_ce(wide, pos, ce_weights)),
         "sigmoid_ce_weighted": ([a], lambda: T.sigmoid_ce(a, targets, sigmoid_weights)),
         "matmul_vector": ([a, vec], lambda: T.matmul(a, vec)),
