@@ -247,6 +247,15 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _check_grid(path, records, grid, source: str) -> None:
+    """Reject a record of ``path`` whose feature map is not ``grid``, the
+    grid of the ``source`` record."""
+    for r in records:
+        if r.feature_map().shape != grid:
+            raise CorpusFormatError(f"{path}: record {r.id!r}: feature map {r.feature_map().shape} "
+                                    f"does not match the {source}'s {grid}")
+
+
 def _load_split(data_dir: Path):
     paths = (data_dir / "train.jsonl", data_dir / "val.jsonl")
     train_recs, val_recs = (load_corpus(path) for path in paths)
@@ -262,11 +271,7 @@ def _load_split(data_dir: Path):
                     f"{path}: record {r.id!r}: token id {bad[0]} outside "
                     f"vocabulary of size {vocab.size}"
                 )
-            if r.feature_map().shape != grid:
-                raise CorpusFormatError(
-                    f"{path}: record {r.id!r}: feature map {r.feature_map().shape} does not "
-                    f"match the first train record's {grid}"
-                )
+        _check_grid(path, records, grid, "first train record")
     return train_recs, val_recs, vocab
 
 
@@ -325,7 +330,8 @@ def cmd_generate(args) -> int:
     records = load_corpus(args.corpus)
     if not records:
         raise CorpusFormatError(f"{args.corpus}: no records")
-    locations, channels = records[0].feature_map().shape
+    locations, channels = grid = records[0].feature_map().shape
+    _check_grid(args.corpus, records, grid, "first record")
     model_config = model_config_from(settings, {
         "locations": int(locations),
         "channels": int(channels),
@@ -391,6 +397,8 @@ def cmd_select(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     seed = args.seed if args.seed is not None else 0
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     config = ModelConfig(
         vocab_size=12, mti_labels=3, channels=6, embed_dim=8, hidden_dim=8,
         locations=4, max_sentences=3, max_words=5,

@@ -293,6 +293,8 @@ class SynthConfig:
     channels: int = 24
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.abnormal_prob <= 1.0:
             raise ConfigError(f"abnormal_prob must be in [0,1], got {self.abnormal_prob}")
         for name in ("records", "normal_pool", "abnormal_pool", "vocab_words", "tag_count",
@@ -462,6 +464,14 @@ def read_jsonl(path, fields=()):
         yield lineno, obj
 
 
+def json_int(value, what: str) -> int:
+    """``value`` when it is a JSON integer; anything else, a bool or a float
+    included, raises ``ValueError`` naming ``what``."""
+    if type(value) is not int:
+        raise ValueError(f"{what} {value!r} is not an integer")
+    return value
+
+
 # ---------------------------------------------------------------------------
 # corpus files: JSON lines {id, sentences, abnormal, mti, feature}
 
@@ -515,9 +525,9 @@ def load_corpus(path) -> list[ReportRecord]:
                 raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")
             records.append(ReportRecord(
                 id=obj["id"],
-                sentences=[[int(t) for t in s] for s in obj["sentences"]],
+                sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
                 abnormal_flags=list(obj["abnormal"]),
-                mti_labels=tuple(int(x) for x in obj["mti"]),
+                mti_labels=tuple(json_int(x, "label") for x in obj["mti"]),
                 feature_ref=load_features(path.parent / obj["feature"]),
             ))
         except (ValueError, TypeError) as e:

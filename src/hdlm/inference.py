@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (
-    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, read_jsonl, write_jsonl,
+    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, json_int, read_jsonl, write_jsonl,
 )
 from .layers import embed
 from .model import BRANCH_NAMES, ModelConfig, ModelParams, sentence_forward, word_step
@@ -140,7 +140,7 @@ def load_generated(path) -> list[GeneratedReport]:
                 raise ValueError("per-sentence lists disagree in length")
             reports.append(GeneratedReport(
                 id=obj["id"],
-                sentences=[[int(t) for t in s] for s in obj["sentences"]],
+                sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
                 branches=list(obj["branches"]),
                 stop_probs=[float(v) for v in obj["stop_probs"]],
                 abnormal_probs=[float(v) for v in obj["abnormal_probs"]],

@@ -1,6 +1,6 @@
 """Neural building blocks: linear maps, an LSTM cell whose every call, one
 step or a whole sequence, is one recurrence op, embeddings, and additive
-soft attention over spatial locations.
+soft attention over spatial locations, one ``attention`` op per call.
 
 Layer parameters are plain ``Tensor`` leaves grouped in small dataclasses;
 ``named(layer, prefix)`` lists them so the model can assemble a flat,
@@ -19,18 +19,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import (
-    ShapeError,
-    Tensor,
-    add_bias,
-    additive_scores,
-    gather_rows,
-    linear,
-    lstm,
-    matmul,
-    softmax_lastdim,
-    weighted_sum_rowgroups,
-)
+from .tensor import ShapeError, Tensor, add_bias, attention, gather_rows, linear, lstm, matmul
 
 INIT_RANGE = 0.08
 
@@ -57,14 +46,12 @@ class LinearLayer:
     def create(cls, out_dim: int, in_dim: int, rng: np.random.Generator, bias: bool = True):
         return cls(_uniform(rng, (out_dim, in_dim)), _uniform(rng, (out_dim,)) if bias else None)
 
-    def apply(self, x: Tensor | np.ndarray) -> Tensor:
+    def __call__(self, x: Tensor | np.ndarray) -> Tensor:
         """[S, in] rows -> [S, out] rows; a plain-array ``x`` is a constant."""
         y = linear(x, self.weight)
         if self.bias is not None:
             y = add_bias(y, self.bias)
         return y
-
-    __call__ = apply
 
 
 @dataclass
@@ -78,10 +65,6 @@ class LSTMCellParams:
     @property
     def hidden_size(self) -> int:
         return self.w_recur.shape[1]
-
-    @property
-    def input_size(self) -> int:
-        return self.w_input.shape[1]
 
     @classmethod
     def create(cls, input_dim: int, hidden_dim: int, rng: np.random.Generator):
@@ -150,20 +133,14 @@ def attention_keys(params: AttentionParams, img_embed: LinearLayer, features: np
 
 def soft_attention_batch(
     params: AttentionParams, features: np.ndarray, keys: Tensor, h_prev: Tensor, locations: int
-) -> tuple[Tensor, Tensor]:
+) -> tuple[Tensor, np.ndarray]:
     """Attend over ``locations`` consecutive rows per batch element.
 
     features: [B*L, C] constant rows; keys: their ``attention_keys`` [B*L, A];
-    h_prev: [B, H].  Returns (attended features [B, C], weights [B, L]);
-    the weights sum to one, so embedding the attended row equals attending
-    over the embedded locations."""
-    if locations < 1:
-        raise ShapeError("soft_attention_batch needs at least one location")
-    if (features.ndim != 2 or h_prev.data.ndim != 2 or features.shape[0] != h_prev.shape[0] * locations
-            or keys.shape != (features.shape[0], params.score.shape[0])):
-        raise ShapeError(
-            f"soft_attention_batch shapes do not agree: features={features.shape}, keys={keys.shape}, "
-            f"h_prev={h_prev.shape}, locations={locations}"
-        )
-    weights = softmax_lastdim(additive_scores(keys, linear(h_prev, params.w_state), params.score))
-    return weighted_sum_rowgroups(features, weights), weights
+    h_prev: [B, H].  Returns (attended features [B, C], weights [B, L] as a
+    plain array); the weights sum to one, so embedding the attended row
+    equals attending over the embedded locations.  One ``attention`` op."""
+    if locations < 1 or len(features) != len(h_prev.data) * locations:
+        raise ShapeError(f"soft_attention_batch needs {locations} >= 1 locations per state, got features "
+                         f"{features.shape} and h_prev {h_prev.shape}")
+    return attention(features, keys, h_prev, params.w_state, params.score)

@@ -3,7 +3,8 @@
 Spatial visual features are pooled by additive attention, embedded by a
 linear map, and fed to a sentence-level LSTM.  As the map is linear, the
 attention mixes the raw features, with keys from the composed matrix
-``W_loc W_img``.  Each sentence state yields a topic vector, a stop logit,
+``W_loc W_img`` formed once per batch; each sentence step attends in one
+tape op.  Each sentence state yields a topic vector, a stop logit,
 and an abnormality logit; the topic primes one of two word-level LSTMs
 (abnormal or normal) that share an embedding table but keep separate
 recurrent weights and output projections.  A multi-label tag head reads

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .data import CorpusFormatError, read_jsonl, write_jsonl
+from .data import CorpusFormatError, json_int, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -110,9 +110,9 @@ def load_history(path) -> list[CheckpointRecord]:
     for lineno, obj in read_jsonl(path, ("iteration", "bleu4", "distinct")):
         try:
             history.append(CheckpointRecord(
-                iteration=int(obj["iteration"]),
+                iteration=json_int(obj["iteration"], "iteration"),
                 bleu4=float(obj["bleu4"]),
-                distinct=tuple(int(v) for v in obj["distinct"]),
+                distinct=tuple(json_int(v, "distinct count") for v in obj["distinct"]),
                 path=obj.get("path"),
             ))
         except (ValueError, TypeError) as e:

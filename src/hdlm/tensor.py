@@ -4,10 +4,11 @@ A ``Tape`` records one forward pass: enter it as a context manager, run the
 forward math, then call :func:`backward` on a scalar result to get the
 gradient of each leaf, keyed by the leaf tensor itself.  Each op records
 one entry, even one with two outputs: :func:`lstm` runs a whole recurrence
-as one entry.  The walk uses the tape up, so each tape serves one
-``backward``; tapes are rebuilt on every pass.  Forward values are
-identical whether or not a tape is active, so the same code path serves
-training, inference, and finite-difference probing.
+as one entry, and :func:`attention` one step of additive soft attention
+(query, scores, softmax and weighted sum).  The walk uses the tape up, so
+each tape serves one ``backward``; tapes are rebuilt on every pass.
+Forward values are identical whether or not a tape is active, so the same
+code path serves training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
 """
@@ -24,14 +25,13 @@ __all__ = [
     "Tape",
     "ShapeError",
     "TapeError",
-    "additive_scores",
+    "attention",
     "backward",
     "collect_gradients",
     "gradient_audit",
     "linear",
     "matmul",
     "lstm",
-    "softmax_lastdim",
     "tanh",
     "relu",
     "add",
@@ -39,7 +39,6 @@ __all__ = [
     "add_bias",
     "slice_rows",
     "concat_rows",
-    "weighted_sum_rowgroups",
     "sum_all",
     "gather_rows",
     "sigmoid_ce",
@@ -318,27 +317,55 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) ->
     return out, c_last
 
 
+def attention(features: np.ndarray, keys: Tensor, h: Tensor, w_state: Tensor,
+              score: Tensor) -> tuple[Tensor, np.ndarray]:
+    """Additive soft attention of each of G states over its K locations:
+    e = tanh(key + W_state h) . score, α = softmax(e), attended = Σ α · row.
+
+    ``features`` [G*K, C] is a constant; keys [G*K, A], h [G, H], w_state
+    [A, H] and score [A] get gradients.  Returns (attended [G, C], the weights
+    α as a plain [G, K] array with no gradient).  One tape entry; the
+    weight's gradient goes to ``backward`` as its two factors, as in
+    ``linear``.
+    """
+    X = np.asarray(features, dtype=np.float64)
+    Kd, H, W, s = keys.data, h.data, w_state.data, score.data
+    groups = len(H) if H.ndim == 2 else 0
+    if (X.ndim != 2 or not groups or not len(X) or len(X) % groups or s.ndim != 1
+            or Kd.shape != (len(X), len(s)) or W.shape != (len(s), H.shape[1])):
+        raise ShapeError(f"attention needs [G*K, C] features, [G*K, A] keys, [G, H] states, an [A, H] "
+                         f"weight and an [A] score, got {X.shape}, keys {Kd.shape}, {H.shape}, "
+                         f"{W.shape} and {s.shape}")
+    attn = len(s)
+    t = Kd.reshape(groups, -1, attn) + (H @ W.T)[:, None, :]
+    np.tanh(t, out=t)
+    e = (t.reshape(-1, attn) @ s[:, None]).reshape(groups, -1)
+    e = np.exp(e - e.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
+    x3 = X.reshape(groups, -1, X.shape[1])
+    out = Tensor(np.matmul(y[:, None, :], x3)[:, 0, :])
+
+    def grad(g):
+        # the numpy calls of the weighted sum, softmax, scores and query
+        # product it replaced, in their order: the gradients stay bitwise equal
+        gy = np.matmul(x3, g[:, :, None])[:, :, 0]
+        ge = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
+        d = np.multiply(t, t)
+        np.subtract(1.0, d, out=d)
+        d *= s
+        d *= ge[:, :, None]
+        gq = d.sum(axis=1)
+        return d.reshape(Kd.shape), gq @ W, _Outer(gq, H), ge.reshape(-1) @ t.reshape(-1, attn)
+
+    _record(out, (keys, h, w_state, score), grad)
+    return out, y
+
+
 def relu(x: Tensor) -> Tensor:
     # gradient at exactly zero is zero
     mask = x.data > 0
     out = Tensor(np.where(mask, x.data, 0.0))
     _record(out, (x,), lambda g: (g * mask,))
-    return out
-
-
-def softmax_lastdim(x: Tensor) -> Tensor:
-    if x.data.ndim == 0 or x.data.shape[-1] == 0:
-        raise ShapeError(f"softmax_lastdim needs a nonempty last axis, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y)
-
-    def grad(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    _record(out, (x,), grad)
     return out
 
 
@@ -398,44 +425,6 @@ def concat_rows(parts: Sequence[Tensor]) -> Tensor:
         return tuple(pieces)
 
     _record(out, tuple(parts), grad)
-    return out
-
-
-def weighted_sum_rowgroups(x: np.ndarray, weights: Tensor) -> Tensor:
-    """[G*K, D] constant rows and [G, K] weights -> [G, D]: each group's rows
-    summed with its own weights.  Only the weights get a gradient."""
-    X = np.asarray(x, dtype=np.float64)
-    if X.ndim != 2 or weights.data.ndim != 2 or X.shape[0] != weights.size:
-        raise ShapeError(f"weighted_sum_rowgroups shapes do not agree: {X.shape} and {weights.shape}")
-    groups, size = weights.shape
-    x3 = X.reshape(groups, size, X.shape[1])
-    out = Tensor(np.matmul(weights.data[:, None, :], x3)[:, 0, :])
-    _record(out, (weights,), lambda g: (np.matmul(x3, g[:, :, None])[:, :, 0],))
-    return out
-
-
-def additive_scores(keys: Tensor, query: Tensor, score: Tensor) -> Tensor:
-    """Additive attention scores ``tanh(key + query of its group) . score``:
-    [G*K, A] keys, [G, A] queries and an [A] score vector give [G, K]."""
-    Kd, Q, s = keys.data, query.data, score.data
-    if (Kd.ndim != 2 or Q.ndim != 2 or s.ndim != 1 or Q.shape[0] == 0
-            or Kd.shape[0] % Q.shape[0] or Kd.shape[1] != s.shape[0] or Q.shape[1] != s.shape[0]):
-        raise ShapeError(
-            f"additive_scores shapes do not agree: keys {Kd.shape}, query {Q.shape}, score {s.shape}"
-        )
-    groups, attn = Q.shape
-    t = Kd.reshape(groups, -1, attn) + Q[:, None, :]
-    np.tanh(t, out=t)
-    out = Tensor((t.reshape(-1, attn) @ s[:, None]).reshape(groups, -1))
-
-    def grad(g):
-        d = np.multiply(t, t)
-        np.subtract(1.0, d, out=d)
-        d *= s
-        d *= g[:, :, None]
-        return d.reshape(Kd.shape), d.sum(axis=1), g.reshape(-1) @ t.reshape(-1, attn)
-
-    _record(out, (keys, query, score), grad)
     return out
 
 

@@ -129,6 +129,8 @@ class TrainConfig:
         # written so that NaN fails every range check
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1 or self.epochs < 1:
             raise ConfigError("batch_size and epochs must be >= 1")
         if not 0.0 < self.clip_norm < math.inf:

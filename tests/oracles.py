@@ -14,8 +14,10 @@ intermediate.  The LSTM cell keeps its unfused gate composition, and a
 masked cross-entropy its chain ``mul_const(sub(logsumexp_lastdim(x),
 select_positions(x, targets)), mask)``.  Ops the package no longer calls
 (``reshape``, ``sigmoid``, ``mul``, ``slice_cols``, ``repeat_rows``,
-``sum_rowgroups``, ``sub``, ``mul_const``, ``select_positions`` and
-``logsumexp_lastdim``) live on here as test-local ops.
+``sum_rowgroups``, ``sub``, ``mul_const``, ``select_positions``,
+``logsumexp_lastdim``, and the attention chain ``additive_scores``,
+``softmax_lastdim`` and ``weighted_sum_rowgroups`` that ``attention``
+replaced) live on here as test-local ops.
 
 The scoring kernels keep their first formulations as well: BLEU recounts
 every order for each BLEU-n, the LCS fills the quadratic table, the METEOR
@@ -47,7 +49,6 @@ from hdlm.tensor import (
     relu,
     scale,
     sigmoid_ce,
-    softmax_lastdim,
     sum_all,
     tanh,
     zeros,
@@ -63,6 +64,67 @@ def sum_rowgroups(x, group_size):
     out = Tensor(x.data.reshape(groups, group_size, k).sum(axis=1))
     _record(out, (x,), lambda g: (np.repeat(g, group_size, axis=0),))
     return out
+
+
+def softmax_lastdim(x):
+    if x.data.ndim == 0 or x.data.shape[-1] == 0:
+        raise ShapeError(f"softmax_lastdim needs a nonempty last axis, got shape {x.shape}")
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    y = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(y)
+
+    def grad(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return (y * (g - dot),)
+
+    _record(out, (x,), grad)
+    return out
+
+
+def weighted_sum_rowgroups(x, weights):
+    """[G*K, D] constant rows and [G, K] weights -> [G, D]: each group's rows
+    summed with its own weights.  Only the weights get a gradient."""
+    X = np.asarray(x, dtype=np.float64)
+    if X.ndim != 2 or weights.data.ndim != 2 or X.shape[0] != weights.size:
+        raise ShapeError(f"weighted_sum_rowgroups shapes do not agree: {X.shape} and {weights.shape}")
+    groups, size = weights.shape
+    x3 = X.reshape(groups, size, X.shape[1])
+    out = Tensor(np.matmul(weights.data[:, None, :], x3)[:, 0, :])
+    _record(out, (weights,), lambda g: (np.matmul(x3, g[:, :, None])[:, :, 0],))
+    return out
+
+
+def additive_scores(keys, query, score):
+    """Additive attention scores ``tanh(key + query of its group) . score``:
+    [G*K, A] keys, [G, A] queries and an [A] score vector give [G, K]."""
+    Kd, Q, s = keys.data, query.data, score.data
+    if (Kd.ndim != 2 or Q.ndim != 2 or s.ndim != 1 or Q.shape[0] == 0
+            or Kd.shape[0] % Q.shape[0] or Kd.shape[1] != s.shape[0] or Q.shape[1] != s.shape[0]):
+        raise ShapeError(
+            f"additive_scores shapes do not agree: keys {Kd.shape}, query {Q.shape}, score {s.shape}"
+        )
+    groups, attn = Q.shape
+    t = Kd.reshape(groups, -1, attn) + Q[:, None, :]
+    np.tanh(t, out=t)
+    out = Tensor((t.reshape(-1, attn) @ s[:, None]).reshape(groups, -1))
+
+    def grad(g):
+        d = np.multiply(t, t)
+        np.subtract(1.0, d, out=d)
+        d *= s
+        d *= g[:, :, None]
+        return d.reshape(Kd.shape), d.sum(axis=1), g.reshape(-1) @ t.reshape(-1, attn)
+
+    _record(out, (keys, query, score), grad)
+    return out
+
+
+def attention_chain(features, keys, h, w_state, score):
+    """``hdlm.tensor.attention`` as the four ops it replaced: (attended,
+    weights), both tensors."""
+    weights = softmax_lastdim(additive_scores(keys, linear(h, w_state), score))
+    return weighted_sum_rowgroups(features, weights), weights
 
 
 def encode_image_batch(params, features, locations):

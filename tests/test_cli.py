@@ -380,6 +380,48 @@ def _history_line_is_invalid_utf8(data, tmp):
     return ["select", str(history)], f"{history}:2: invalid UTF-8"
 
 
+def _val_grid_unlike_first_record(data, tmp):
+    val = data / "val.jsonl"
+    record = json.loads(val.read_text().splitlines()[1])
+    grid = load_features(data / record["feature"]).shape
+    save_features(data / record["feature"], np.zeros((grid[0] - 1, grid[1])))
+    # the grid is checked before the model is built or the checkpoint read
+    return (["generate", str(val), "--checkpoint", str(tmp / "nowhere.bin"), "--out", str(tmp / "gen")],
+            f"{val}: record {record['id']!r}: feature map ({grid[0] - 1}, {grid[1]}) "
+            f"does not match the first record's {grid}")
+
+
+def _train_token_is_fractional(data, tmp):
+    first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+    sentences = [[14.5, *first["sentences"][0][1:]], *first["sentences"][1:]]
+    where, _ = _edit_line(data / "train.jsonl", 1, sentences=sentences)
+    return ["train", str(data), "--out", str(tmp / "run")], f"{where} token id 14.5 is not an integer"
+
+
+def _train_label_is_a_bool(data, tmp):
+    where, _ = _edit_line(data / "train.jsonl", 2, mti=[True, 1.9])
+    return ["train", str(data), "--out", str(tmp / "run")], f"{where} label True is not an integer"
+
+
+def _generated_token_is_fractional(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text(json.dumps({"id": "a", "sentences": [[7.9, 2]], "branches": ["normal"],
+                               "stop_probs": [0.9], "abnormal_probs": [0.1]}) + "\n")
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: token id 7.9 is not an integer"
+
+
+def _history_iteration_is_a_bool(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_text('{"iteration": true, "bleu4": 0.5, "distinct": [4]}\n')
+    return ["select", str(history)], f"{history}:1: iteration True is not an integer"
+
+
+def _history_distinct_is_fractional(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_text('{"iteration": 0, "bleu4": 0.5, "distinct": [1.7, 2]}\n')
+    return ["analyze", str(history)], f"{history}:1: distinct count 1.7 is not an integer"
+
+
 def _feature_header_truncated(data, tmp):
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
     (data / first["feature"]).write_bytes(b"FMAP" + bytes(6))
@@ -398,6 +440,8 @@ def _vocab_without_tokens(data, tmp):
     _vocab_without_tokens, _train_label_is_negative, _train_flag_is_a_string,
     _val_id_is_a_list, _generated_id_is_a_list, _val_id_repeated, _generated_id_repeated,
     _generated_file_is_empty, _references_file_is_empty, _generated_id_not_in_references,
+    _val_grid_unlike_first_record, _train_token_is_fractional, _train_label_is_a_bool,
+    _generated_token_is_fractional, _history_iteration_is_a_bool, _history_distinct_is_fractional,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -496,8 +540,9 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("setting", [
     "synth.records = 0", "train.clip_norm = nan", "train.learning_rate = inf",
-    "model.lambda_mti = nan", "synth.zipf_exponent = nan",
-], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan"])
+    "model.lambda_mti = nan", "synth.zipf_exponent = nan", "synth.seed = -1", "train.seed = -1",
+], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan",
+        "synth_seed_negative", "train_seed_negative"])
 def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
     # a synth setting fails `hdlm synth`; the rest fail `hdlm train`
     bad = tmp_path / "bad.cfg"
@@ -513,6 +558,18 @@ def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
     field = setting.split(".")[1].split()[0]
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_negative_seed_flag_exit_code(tmp_path, tiny_cfg, capsys):
+    data = tmp_path / "data"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    out = tmp_path / "o"
+    for argv in (["synth", "--seed", "-3", "--out", str(out)],
+                 ["train", str(data), "--seed", "-2", "--out", str(out)], ["gradcheck", "--seed", "-1"]):
+        capsys.readouterr()
+        assert run(argv) == 4
+        assert f"error: seed must be >= 0, got {argv[argv.index('--seed') + 1]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

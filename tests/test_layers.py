@@ -174,7 +174,7 @@ def test_attention_identical_locations_uniform():
     row = rng.normal(size=3)
     v_e = np.tile(row, (5, 1))
     context, weights = attend(params, v_e, Tensor(rng.normal(size=(1, 2))), 5)
-    np.testing.assert_allclose(weights.data, np.full((1, 5), 0.2), atol=1e-12)
+    np.testing.assert_allclose(weights, np.full((1, 5), 0.2), atol=1e-12)
     np.testing.assert_allclose(context.data[0], row, atol=1e-12)
 
 
@@ -184,7 +184,7 @@ def test_attention_zero_score_vector_means_mean():
     params.score.data[:] = 0.0
     v = rng.normal(size=(6, 3))
     context, weights = attend(params, v, Tensor(np.zeros((1, 2))), 6)
-    np.testing.assert_allclose(weights.data, np.full((1, 6), 1 / 6), atol=1e-12)
+    np.testing.assert_allclose(weights, np.full((1, 6), 1 / 6), atol=1e-12)
     np.testing.assert_allclose(context.data[0], v.mean(axis=0), atol=1e-12)
 
 
@@ -204,7 +204,7 @@ def test_attention_two_location_hand_oracle():
     w = e / e.sum()
     want_context = w[0] * v[0] + w[1] * v[1]
     context, weights = attend(params, v, Tensor(h[None]), 2)
-    np.testing.assert_allclose(weights.data[0], w, atol=1e-12, rtol=0)
+    np.testing.assert_allclose(weights[0], w, atol=1e-12, rtol=0)
     np.testing.assert_allclose(context.data[0], want_context, atol=1e-12, rtol=0)
 
 
@@ -215,8 +215,8 @@ def test_attention_weights_simplex_and_hull():
         v = rng.normal(size=(7, 4)) * 3
         h = rng.normal(size=(1, 3))
         context, weights = attend(params, v, Tensor(h), 7)
-        assert np.all(weights.data >= 0)
-        assert abs(weights.data.sum() - 1.0) <= 1e-12
+        assert np.all(weights >= 0)
+        assert abs(weights.sum() - 1.0) <= 1e-12
         assert np.all(context.data >= v.min(axis=0) - 1e-10)
         assert np.all(context.data <= v.max(axis=0) + 1e-10)
 
@@ -267,7 +267,7 @@ def test_attention_batch_agrees_with_single():
     for b in range(2):
         ctx, w = attend(params, v[b], Tensor(h[b:b + 1]), 6)
         np.testing.assert_allclose(ctx_b.data[b], ctx.data[0], atol=1e-12)
-        np.testing.assert_allclose(w_b.data[b], w.data[0], atol=1e-12)
+        np.testing.assert_allclose(w_b[b], w[0], atol=1e-12)
 
 
 # --- embeddings -----------------------------------------------------------------
