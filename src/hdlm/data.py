@@ -9,6 +9,7 @@ sentences always end with EOS and never contain BOS.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from collections import Counter
 from dataclasses import dataclass
@@ -470,6 +471,19 @@ def json_int(value, what: str) -> int:
     if type(value) is not int:
         raise ValueError(f"{what} {value!r} is not an integer")
     return value
+
+
+def json_float(value, what: str) -> float:
+    """``value`` as a float when it is a finite JSON number; anything else,
+    a bool, a string, NaN or an infinity included, raises ``ValueError``
+    naming ``what``."""
+    try:
+        finite = type(value) in (int, float) and math.isfinite(value)
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise ValueError(f"{what} {value!r} is not a finite number")
+    return float(value)
 
 
 # ---------------------------------------------------------------------------

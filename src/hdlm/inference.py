@@ -21,7 +21,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .data import (
-    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, json_int, read_jsonl, write_jsonl,
+    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, json_float, json_int, read_jsonl,
+    write_jsonl,
 )
 from .layers import embed
 from .model import BRANCH_NAMES, ModelConfig, ModelParams, sentence_forward, word_step
@@ -142,8 +143,8 @@ def load_generated(path) -> list[GeneratedReport]:
                 id=obj["id"],
                 sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
                 branches=list(obj["branches"]),
-                stop_probs=[float(v) for v in obj["stop_probs"]],
-                abnormal_probs=[float(v) for v in obj["abnormal_probs"]],
+                stop_probs=[json_float(v, "stop probability") for v in obj["stop_probs"]],
+                abnormal_probs=[json_float(v, "abnormal probability") for v in obj["abnormal_probs"]],
             ))
         except (ValueError, TypeError) as e:
             raise CorpusFormatError(f"{path}:{lineno}: {e}") from None

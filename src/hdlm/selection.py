@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .data import CorpusFormatError, json_int, read_jsonl, write_jsonl
+from .data import CorpusFormatError, json_float, json_int, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -111,7 +111,7 @@ def load_history(path) -> list[CheckpointRecord]:
         try:
             history.append(CheckpointRecord(
                 iteration=json_int(obj["iteration"], "iteration"),
-                bleu4=float(obj["bleu4"]),
+                bleu4=json_float(obj["bleu4"], "bleu4"),
                 distinct=tuple(json_int(v, "distinct count") for v in obj["distinct"]),
                 path=obj.get("path"),
             ))

@@ -56,6 +56,9 @@ class AdamState:
         )
 
 
+_ADAM_BLOCK = 1 << 15  # elements: p, g, m, v and 2 scratch blocks = 1.5 MiB, within L2
+
+
 def adam_step(
     named_params: dict[str, Tensor],
     grads: dict[str, np.ndarray],
@@ -68,33 +71,47 @@ def adam_step(
     """One bias-corrected Adam update, in place.
 
     A zero gradient on fresh state is an exact no-op, so parameters whose
-    loss terms were absent this batch stay bitwise unchanged.  Temporaries
-    go to two scratch buffers, in the operation order of
+    loss terms were absent this batch stay bitwise unchanged.  A parameter
+    of at most ``_ADAM_BLOCK`` elements is one block; a larger one is split
+    into blocks of whole rows along its leading axis, as many as fit in
+    ``_ADAM_BLOCK`` elements and at least one.  A block is a view of the
+    parameter, its gradient and both moments in any memory layout, so each
+    pass over it runs in cache.  Temporaries go to two scratch buffers the
+    size of the largest block, in the operation order of
     ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.
+    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.  The update is
+    elementwise, so a block rounds exactly as the whole array would.
     """
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
-    size = max((t.data.size for t in named_params.values()), default=0)
-    scratch_a, scratch_b = np.empty(size), np.empty(size)
+    d1, d2 = 1.0 - beta1, 1.0 - beta2
+    scratch_a = scratch_b = np.empty(0)
+    multiply, divide, sqrt = np.multiply, np.divide, np.sqrt  # small parameters are call-bound
     for name, tensor in named_params.items():
-        g = grads[name]
-        m = state.m[name]
-        v = state.v[name]
-        a = scratch_a[:g.size].reshape(g.shape)
-        b = scratch_b[:g.size].reshape(g.shape)
-        m *= beta1
-        m += np.multiply(g, 1.0 - beta1, out=a)
-        v *= beta2
-        np.multiply(g, 1.0 - beta2, out=a)
-        v += np.multiply(a, g, out=a)
-        np.divide(m, c1, out=a)
-        a *= learning_rate
-        np.divide(v, c2, out=b)
-        np.sqrt(b, out=b)
-        b += eps
-        tensor.data -= np.divide(a, b, out=a)
+        p, g, m, v = tensor.data, grads[name], state.m[name], state.v[name]
+        blocks = [(p, g, m, v)]
+        if p.size > _ADAM_BLOCK:  # whole rows along the leading axis
+            step = max(1, _ADAM_BLOCK * len(p) // p.size)
+            blocks = [(p[i:i + step], g[i:i + step], m[i:i + step], v[i:i + step])
+                      for i in range(0, len(p), step)]
+        for pb, gb, mb, vb in blocks:
+            n = gb.size
+            if n > scratch_a.size:  # the scratch grows to the largest block
+                scratch_a, scratch_b = np.empty(n), np.empty(n)
+            a = scratch_a[:n].reshape(gb.shape)
+            b = scratch_b[:n].reshape(gb.shape)
+            mb *= beta1
+            mb += multiply(gb, d1, out=a)
+            vb *= beta2
+            multiply(gb, d2, out=a)
+            vb += multiply(a, gb, out=a)
+            divide(mb, c1, out=a)
+            a *= learning_rate
+            divide(vb, c2, out=b)
+            sqrt(b, out=b)
+            b += eps
+            pb -= divide(a, b, out=a)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
@@ -171,9 +188,9 @@ def train(
     pure function of the seed.  ``eval_hook(iteration, params)`` fires at the
     configured batch boundaries.  Per-iteration losses, the pre-clip
     gradient norm, whether it was clipped, the tape size and the wall time
-    of the forward, backward and clip-plus-Adam phases in milliseconds are
-    appended to the history and, when ``log_path`` is given, streamed as
-    JSON lines.
+    of the forward, backward and clip-plus-Adam phases in milliseconds, with
+    the clip's own share, are appended to the history and, when
+    ``log_path`` is given, streamed as JSON lines.
     """
     if len(records) == 0:
         raise ValueError("train needs a nonempty record list")
@@ -207,13 +224,15 @@ def train(
                 grads = collect_gradients(backward(tape, bundle.total), named)
                 t2 = time.perf_counter()
                 grad_norm = clip_gradients(grads, config.clip_norm)
-                adam_step(named, grads, state, config.learning_rate)
                 t3 = time.perf_counter()
+                adam_step(named, grads, state, config.learning_rate)
+                t4 = time.perf_counter()
                 iteration += 1
                 entry = {"iteration": iteration, **numbers,
                          "grad_norm": grad_norm, "clipped": grad_norm > config.clip_norm,
                          "tape_entries": tape_entries, "forward_ms": (t1 - t0) * 1e3,
-                         "backward_ms": (t2 - t1) * 1e3, "update_ms": (t3 - t2) * 1e3}
+                         "backward_ms": (t2 - t1) * 1e3, "update_ms": (t4 - t2) * 1e3,
+                         "clip_ms": (t3 - t2) * 1e3}
                 history.append(entry)
                 if log_fh is not None:
                     log_fh.write(json.dumps(entry) + "\n")

@@ -422,6 +422,33 @@ def _history_distinct_is_fractional(data, tmp):
     return ["analyze", str(history)], f"{history}:1: distinct count 1.7 is not an integer"
 
 
+def _history_with_bleu4(tmp, text):
+    history = tmp / "history.jsonl"
+    history.write_text(f'{{"iteration": 8, "bleu4": {text}, "distinct": [4]}}\n'
+                       '{"iteration": 16, "bleu4": 0.5, "distinct": [4]}\n')
+    shown = repr(json.loads(text))
+    return ["select", str(history), "--min-distinct", "1"], f"{history}:1: bleu4 {shown} is not a finite number"
+
+
+def _history_bleu4_is_a_bool(data, tmp):
+    return _history_with_bleu4(tmp, "true")
+
+
+def _history_bleu4_is_a_string(data, tmp):
+    return _history_with_bleu4(tmp, '"0.5"')
+
+
+def _history_bleu4_is_nan(data, tmp):
+    return _history_with_bleu4(tmp, "NaN")
+
+
+def _generated_stop_prob_is_a_bool(data, tmp):
+    gen = tmp / "generated.jsonl"
+    gen.write_text(json.dumps({"id": "a", "sentences": [[7, 2]], "branches": ["normal"],
+                               "stop_probs": [True], "abnormal_probs": [0.1]}) + "\n")
+    return ["evaluate", str(gen), str(data / "val.jsonl")], f"{gen}:1: stop probability True is not a finite number"
+
+
 def _feature_header_truncated(data, tmp):
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
     (data / first["feature"]).write_bytes(b"FMAP" + bytes(6))
@@ -442,6 +469,8 @@ def _vocab_without_tokens(data, tmp):
     _generated_file_is_empty, _references_file_is_empty, _generated_id_not_in_references,
     _val_grid_unlike_first_record, _train_token_is_fractional, _train_label_is_a_bool,
     _generated_token_is_fractional, _history_iteration_is_a_bool, _history_distinct_is_fractional,
+    _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
+    _generated_stop_prob_is_a_bool,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

@@ -2,6 +2,7 @@
 round trips."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hdlm.data import EOS_ID, ConfigError, ReportRecord
 from hdlm.model import ModelConfig, ModelParams, compute_losses
 from hdlm.tensor import Tensor, seeded_rng
 from hdlm.training import (
+    _ADAM_BLOCK,
     AdamState,
     CheckpointError,
     TrainConfig,
@@ -84,16 +86,28 @@ def test_adam_matches_reference_equations():
 
 
 def test_adam_and_clip_bitwise_equal_to_first_formulation():
-    # the scratch-buffer update must round exactly as the one that built a
-    # fresh array for every term; "still" never gets a gradient
+    # the blocked scratch-buffer update must round exactly as the one that
+    # built a fresh array for every term; "still" never gets a gradient
     rng = seeded_rng(17)
     shapes = {"big": (5, 7), "row": (7,), "still": (3, 2), "cell": ()}
     starts = {n: rng.normal(size=s) for n, s in shapes.items()}
-    ours = {n: Tensor(a.copy()) for n, a in starts.items()}
-    ref = {n: Tensor(a.copy()) for n, a in starts.items()}
+    steps = [{n: rng.normal(size=s) * 10.0 ** (step - 1) for n, s in shapes.items()}
+             for step in range(3)]
+    # drawn after the shapes above, so those see the same numbers: exactly
+    # one block, a ragged last block, rows longer than a block, and a
+    # transposed parameter (with transposed moments) over one block
+    edges = {"one_block": (128, _ADAM_BLOCK // 128), "ragged": (2 * _ADAM_BLOCK + 7, 1),
+             "long_rows": (2, _ADAM_BLOCK + 3), "turned": (200, 300)}
+    starts.update({n: rng.normal(size=s) for n, s in edges.items() if n != "turned"})
+    starts["turned"] = rng.normal(size=(300, 200)).T
+    for grads in steps:
+        grads.update({n: rng.normal(size=s) for n, s in edges.items()})
+    shapes.update(edges)
+    ours = {n: Tensor(a.copy(order="K")) for n, a in starts.items()}
+    ref = {n: Tensor(a.copy(order="K")) for n, a in starts.items()}
     ours_state, ref_state = AdamState.create(ours), AdamState.create(ref)
-    for step in range(3):
-        grads = {n: rng.normal(size=s) * 10.0 ** (step - 1) for n, s in shapes.items()}
+    assert not ours["turned"].data.flags.c_contiguous and not ours_state.m["turned"].flags.c_contiguous
+    for step, grads in enumerate(steps):
         grads["still"] = np.zeros(shapes["still"])
         ref_grads = {n: g.copy() for n, g in grads.items()}
         assert clip_gradients(grads, 4.0) == clip_gradients_reference(ref_grads, 4.0)
@@ -105,6 +119,23 @@ def test_adam_and_clip_bitwise_equal_to_first_formulation():
             assert ours_state.m[n].tobytes() == ref_state.m[n].tobytes(), (step, n)
             assert ours_state.v[n].tobytes() == ref_state.v[n].tobytes(), (step, n)
     assert ours["still"].data.tobytes() == starts["still"].tobytes()
+
+
+def test_adam_scratch_stays_block_sized():
+    # numpy reports its buffers to tracemalloc: a parameter of 8 blocks must
+    # be updated through block-sized scratch, not scratch of its own size
+    shape = (8 * _ADAM_BLOCK // 64, 64)
+    named = {"w": Tensor(np.ones(shape))}
+    state = AdamState.create(named)
+    grads = {"w": np.full(shape, 0.5)}
+    tracemalloc.start()
+    try:
+        adam_step(named, grads, state, learning_rate=0.01)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _ADAM_BLOCK * 8, peak
+    assert np.all(named["w"].data < 1.0)
 
 
 def test_adam_first_step_is_signlike():
@@ -230,13 +261,14 @@ def test_train_writes_jsonl_log(tmp_path):
     assert entries == result.history
     assert set(entries[0]) == {"iteration", "stop", "hierarchical", "abnormal", "mti", "total",
                                "grad_norm", "clipped", "tape_entries", "forward_ms",
-                               "backward_ms", "update_ms"}
+                               "backward_ms", "update_ms", "clip_ms"}
     for e in entries:
         assert type(e["grad_norm"]) is float and e["grad_norm"] > 0.0
         assert type(e["clipped"]) is bool
         assert type(e["tape_entries"]) is int and e["tape_entries"] > 0
-        for phase in ("forward_ms", "backward_ms", "update_ms"):
+        for phase in ("forward_ms", "backward_ms", "update_ms", "clip_ms"):
             assert type(e[phase]) is float and e[phase] >= 0.0
+        assert e["clip_ms"] <= e["update_ms"]
     assert [e["iteration"] for e in entries] == [1, 2, 3, 4]
 
 
