@@ -115,6 +115,8 @@ def parse_config_file(path) -> dict[str, str]:
     settings = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"{path}: invalid UTF-8") from None
     except OSError as exc:
         raise FileNotFoundError(f"config file {path}: {exc.strerror}") from exc
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -102,8 +102,10 @@ def save_vocab(path, vocab: Vocabulary) -> None:
 def load_vocab(path) -> Vocabulary:
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as e:
-        raise CorpusFormatError(f"{path}: invalid JSON ({e.msg})") from None
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path}: invalid UTF-8") from None
+    except (ValueError, RecursionError) as e:  # a digit or nesting limit as well as bad syntax
+        raise CorpusFormatError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})") from None
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CorpusFormatError(f"{path}: expected a JSON object with a \"tokens\" string list")
@@ -455,8 +457,8 @@ def read_jsonl(path, fields=()):
     for lineno, line in _nonblank_lines(path):
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as e:
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({e.msg})") from None
+        except (ValueError, RecursionError) as e:  # a digit or nesting limit as well as bad syntax
+            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from None
         if not isinstance(obj, dict):
             raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
         missing = set(fields) - obj.keys()

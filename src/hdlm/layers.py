@@ -1,6 +1,7 @@
-"""Neural building blocks: linear maps, an LSTM cell whose every call, one
-step or a whole sequence, is one recurrence op, embeddings, and additive
-soft attention over spatial locations, one ``attention`` op per call.
+"""Neural building blocks: linear maps, one ``linear`` op per call with its
+bias; an LSTM cell whose every call, one step or a whole sequence, is one
+recurrence op; embeddings; and additive soft attention over spatial
+locations, one ``attention`` op per call.
 
 Layer parameters are plain ``Tensor`` leaves grouped in small dataclasses;
 ``named(layer, prefix)`` lists them so the model can assemble a flat,
@@ -19,7 +20,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .tensor import ShapeError, Tensor, add_bias, attention, gather_rows, linear, lstm, matmul
+from .tensor import ShapeError, Tensor, attention, gather_rows, linear, lstm, matmul
 
 INIT_RANGE = 0.08
 
@@ -37,7 +38,7 @@ def _uniform(rng: np.random.Generator, shape) -> Tensor:
 
 @dataclass
 class LinearLayer:
-    """y = x W^T (+ bias)."""
+    """y = x W^T (+ bias), one ``linear`` op."""
 
     weight: Tensor
     bias: Tensor | None = None
@@ -48,10 +49,7 @@ class LinearLayer:
 
     def __call__(self, x: Tensor | np.ndarray) -> Tensor:
         """[S, in] rows -> [S, out] rows; a plain-array ``x`` is a constant."""
-        y = linear(x, self.weight)
-        if self.bias is not None:
-            y = add_bias(y, self.bias)
-        return y
+        return linear(x, self.weight, self.bias)
 
 
 @dataclass
@@ -128,7 +126,7 @@ def attention_keys(params: AttentionParams, img_embed: LinearLayer, features: np
     so the [B*L, D] location embeddings are never formed.  The keys do not
     depend on the sentence state: one product serves every sentence step."""
     w = params.w_location
-    return add_bias(linear(features, matmul(w, img_embed.weight)), matmul(w, img_embed.bias))
+    return linear(features, matmul(w, img_embed.weight), matmul(w, img_embed.bias))
 
 
 def soft_attention_batch(

@@ -50,7 +50,6 @@ from .tensor import (
     sigmoid_ce,
     slice_rows,
     softmax_ce,
-    sum_all,
     tanh,
     zeros,
 )
@@ -263,7 +262,7 @@ def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: i
     logits = proj(slice_rows(states, count, states.shape[0]))
     targets = [g[t] if t < len(g) else 0 for t in range(1, longest) for g in golds]
     mask = np.array([1.0 if t < len(g) else 0.0 for t in range(1, longest) for g in golds])
-    return sum_all(softmax_ce(logits, targets, mask))
+    return softmax_ce(logits, targets, mask)
 
 
 def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBundle:
@@ -284,12 +283,12 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     step = np.arange(depth)[:, None]
     exists = (step < lengths).astype(np.float64).reshape(-1, 1)
     is_last = (step == lengths - 1).astype(np.float64).reshape(-1, 1)
-    stop_sum = sum_all(sigmoid_ce(stop_logits, is_last, exists))
+    stop_sum = sigmoid_ce(stop_logits, is_last, exists)
     if config.dual_enabled:
         flags = np.zeros((depth, batch))
         for b, r in enumerate(records):
             flags[:len(r.sentences), b] = r.abnormal_flags
-        abnormal_sum = sum_all(sigmoid_ce(abn_logits, flags.reshape(-1, 1), exists))
+        abnormal_sum = sigmoid_ce(abn_logits, flags.reshape(-1, 1), exists)
 
     routes = {name: [] for name in BRANCH_NAMES}
     for b, r in enumerate(records):
@@ -301,7 +300,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     word_sum = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
 
     targets = np.stack([r.multi_hot(config.mti_labels) for r in records])
-    mti_sum = sum_all(sigmoid_ce(params.mti_head(v_hat), targets))
+    mti_sum = sigmoid_ce(params.mti_head(v_hat), targets)
 
     inv = 1.0 / batch
     stop_loss = scale(stop_sum, inv)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .data import CorpusFormatError, json_float, json_int, read_jsonl, write_jsonl
+from .data import ConfigError, CorpusFormatError, json_float, json_int, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -57,8 +57,10 @@ def select_model(
     reaches ``min_distinct_m0`` (every position, with ``require_all_indices``).
     Among eligible checkpoints the highest BLEU-4 wins; ties go to the
     earliest iteration.  Returns a result with ``chosen=None`` and a
-    diagnostic ``reason`` when nothing qualifies.
+    diagnostic ``reason`` when nothing qualifies; a negative gate is a ``ConfigError``.
     """
+    if min_distinct_m0 < 0:
+        raise ConfigError(f"min_distinct must be >= 0, got {min_distinct_m0}")
     history = list(history)
     where = "every position" if require_all_indices else "position 0"
     if not history:

@@ -3,10 +3,10 @@
 A ``Tape`` records one forward pass: enter it as a context manager, run the
 forward math, then call :func:`backward` on a scalar result to get the
 gradient of each leaf, keyed by the leaf tensor itself.  Each op records
-one entry, even one with two outputs: :func:`lstm` runs a whole recurrence
-as one entry, and :func:`attention` one step of additive soft attention
-(query, scores, softmax and weighted sum).  The walk uses the tape up, so
-each tape serves one ``backward``; tapes are rebuilt on every pass.
+one entry, even one with two outputs: :func:`lstm` a whole recurrence,
+:func:`attention` a step of additive soft attention, :func:`linear` a product
+and its bias, and each cross-entropy its weighted sum.  The walk uses the
+tape up, so each tape serves one ``backward``; tapes are rebuilt each pass.
 Forward values are identical whether or not a tape is active, so the same
 code path serves training, inference, and finite-difference probing.
 
@@ -36,7 +36,6 @@ __all__ = [
     "relu",
     "add",
     "scale",
-    "add_bias",
     "slice_rows",
     "concat_rows",
     "sum_all",
@@ -214,8 +213,9 @@ def collect_gradients(grads, named_params: dict[str, Tensor]) -> dict[str, np.nd
 # operations
 
 
-def linear(x: Tensor | np.ndarray, w: Tensor) -> Tensor:
-    """[S, I] rows times the transpose of an [O, I] weight, giving [S, O].
+def linear(x: Tensor | np.ndarray, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """[S, I] rows times the transpose of an [O, I] weight, plus an optional
+    [O] bias row, giving [S, O].
 
     A plain-array ``x`` is a constant and gets no gradient.  The weight's
     gradient ``g^T x`` goes to ``backward`` as its two factors.
@@ -223,13 +223,18 @@ def linear(x: Tensor | np.ndarray, w: Tensor) -> Tensor:
     constant = not isinstance(x, Tensor)
     X = np.asarray(x, dtype=np.float64) if constant else x.data
     W = w.data
-    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1]:
-        raise ShapeError(f"linear shapes do not agree: {X.shape} x {W.shape}^T")
+    if X.ndim != 2 or W.ndim != 2 or X.shape[1] != W.shape[1] or (b is not None and b.shape != W.shape[:1]):
+        raise ShapeError(f"linear shapes do not agree: {X.shape} x {W.shape}^T"
+                         + ("" if b is None else f" + {b.shape}"))
     out = Tensor(X @ W.T)
-    if constant:
-        _record(out, (w,), lambda g: (_Outer(g, X),))
-    else:
-        _record(out, (x, w), lambda g: (g @ W, _Outer(g, X)))
+    if b is not None:
+        out.data += b.data
+
+    def grad(g):
+        g_in = (_Outer(g, X),) if constant else (g @ W, _Outer(g, X))
+        return g_in if b is None else (*g_in, g.sum(axis=0))
+
+    _record(out, ((w,) if constant else (x, w)) + (() if b is None else (b,)), grad)
     return out
 
 
@@ -384,15 +389,6 @@ def scale(x: Tensor, s: float) -> Tensor:
     return out
 
 
-def add_bias(x: Tensor, b: Tensor) -> Tensor:
-    """Add a length-K bias row to every row of a [S, K] tensor."""
-    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
-        raise ShapeError(f"add_bias shapes do not agree: {x.shape} + {b.shape}")
-    out = Tensor(x.data + b.data)
-    _record(out, (x, b), lambda g: (g, g.sum(axis=0)))
-    return out
-
-
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
@@ -455,27 +451,27 @@ def gather_rows(x: Tensor, indices) -> Tensor:
 
 
 def sigmoid_ce(logits: Tensor, targets, weights=1.0) -> Tensor:
-    """Elementwise sigmoid cross-entropy computed in log space from logits,
-    times constant ``weights`` (a scalar or the logits' shape; no gradient
-    flows into them).
+    """Sigmoid cross-entropy computed in log space from logits, times
+    constant ``weights`` (a scalar or the logits' shape; no gradient flows
+    into them), summed over every element to a scalar.
 
     ``targets`` is a constant array of the same shape with values in [0, 1].
-    The value equals -y*log(sigmoid(z)) - (1-y)*log(1 - sigmoid(z)) but never
-    forms the probability first, so large logits stay finite.
+    Each element equals -y*log(sigmoid(z)) - (1-y)*log(1 - sigmoid(z)) but
+    never forms the probability first, so large logits stay finite.
     """
     y = np.asarray(targets, dtype=np.float64)
     w = np.asarray(weights, dtype=np.float64)
     if y.shape != logits.shape or (w.ndim and w.shape != logits.shape):
         raise ShapeError(f"sigmoid_ce targets {y.shape} and weights {w.shape} do not match logits {logits.shape}")
     z = logits.data
-    out = Tensor((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) * w)
+    out = Tensor(((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) * w).sum())
     _record(out, (logits,), lambda g: (g * w * (_stable_sigmoid(z) - y),))
     return out
 
 
 def softmax_ce(logits: Tensor, targets, weights) -> Tensor:
     """Each row's softmax cross-entropy ``logsumexp(x) - x[target]``, times a
-    constant weight: [S, V] logits, S target columns and S weights give [S]."""
+    constant weight, summed: [S, V] logits, S targets and S weights give a scalar."""
     x = logits.data
     pos = np.asarray(targets, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
@@ -489,7 +485,7 @@ def softmax_ce(logits: Tensor, targets, weights) -> Tensor:
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     z = e.sum(axis=1, keepdims=True)
-    out = Tensor(((m + np.log(z)).reshape(-1) - x[rows, pos]) * w)
+    out = Tensor((((m + np.log(z)).reshape(-1) - x[rows, pos]) * w).sum())
     soft = e / z
 
     def grad(g):

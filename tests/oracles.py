@@ -11,13 +11,16 @@ locations, where the package attends over the raw features and embeds the
 result (``encode_image_batch`` keeps the embed-first path).
 The optimizer keeps its first formulation too, with a fresh array for every
 intermediate.  The LSTM cell keeps its unfused gate composition, and a
-masked cross-entropy its chain ``mul_const(sub(logsumexp_lastdim(x),
-select_positions(x, targets)), mask)``.  Ops the package no longer calls
+masked cross-entropy its chain ``sum_all(mul_const(sub(logsumexp_lastdim(x),
+select_positions(x, targets)), mask))``.  Ops the package no longer calls
 (``reshape``, ``sigmoid``, ``mul``, ``slice_cols``, ``repeat_rows``,
 ``sum_rowgroups``, ``sub``, ``mul_const``, ``select_positions``,
-``logsumexp_lastdim``, and the attention chain ``additive_scores``,
+``logsumexp_lastdim``, the attention chain ``additive_scores``,
 ``softmax_lastdim`` and ``weighted_sum_rowgroups`` that ``attention``
-replaced) live on here as test-local ops.
+replaced, ``add_bias``, which ``linear`` took in, and the elementwise
+cross-entropies ``sigmoid_ce_elementwise`` and ``softmax_ce_elementwise``
+that the package's ``sigmoid_ce`` and ``softmax_ce`` sum) live on here as
+test-local ops.
 
 The scoring kernels keep their first formulations as well: BLEU recounts
 every order for each BLEU-n, the LCS fills the quadratic table, the METEOR
@@ -41,14 +44,12 @@ from hdlm.tensor import (
     _record,
     _stable_sigmoid,
     add,
-    add_bias,
     concat_rows,
     gather_rows,
     linear,
     matmul,
     relu,
     scale,
-    sigmoid_ce,
     sum_all,
     tanh,
     zeros,
@@ -228,14 +229,63 @@ def logsumexp_lastdim(x):
     return out
 
 
+def add_bias(x, b):
+    """Add a length-K bias row to every row of a [S, K] tensor."""
+    if x.data.ndim != 2 or b.data.ndim != 1 or x.shape[1] != b.shape[0]:
+        raise ShapeError(f"add_bias shapes do not agree: {x.shape} + {b.shape}")
+    out = Tensor(x.data + b.data)
+    _record(out, (x, b), lambda g: (g, g.sum(axis=0)))
+    return out
+
+
+def sigmoid_ce_elementwise(logits, targets, weights=1.0):
+    """``hdlm.tensor.sigmoid_ce`` before its sum: each element's weighted
+    cross-entropy, the logits' shape."""
+    y = np.asarray(targets, dtype=np.float64)
+    w = np.asarray(weights, dtype=np.float64)
+    if y.shape != logits.shape or (w.ndim and w.shape != logits.shape):
+        raise ShapeError(f"sigmoid_ce targets {y.shape} and weights {w.shape} do not match logits {logits.shape}")
+    z = logits.data
+    out = Tensor((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) * w)
+    _record(out, (logits,), lambda g: (g * w * (_stable_sigmoid(z) - y),))
+    return out
+
+
+def softmax_ce_elementwise(logits, targets, weights):
+    """``hdlm.tensor.softmax_ce`` before its sum: [S, V] logits, S target
+    columns and S weights give each row's weighted cross-entropy, [S]."""
+    x = logits.data
+    pos = np.asarray(targets, dtype=np.int64)
+    w = np.asarray(weights, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] == 0 or pos.shape != (x.shape[0],) or w.shape != pos.shape:
+        raise ShapeError(f"softmax_ce needs nonempty [S, V] logits, S targets and S weights, "
+                         f"got {x.shape}, {pos.shape} and {w.shape}")
+    rows = np.arange(x.shape[0])
+    m = x.max(axis=1, keepdims=True)
+    e = np.exp(x - m)
+    z = e.sum(axis=1, keepdims=True)
+    out = Tensor(((m + np.log(z)).reshape(-1) - x[rows, pos]) * w)
+    soft = e / z
+
+    def grad(g):
+        gw = g * w
+        gx = soft * gw[:, None]
+        gx[rows, pos] -= gw
+        return (gx,)
+
+    _record(out, (logits,), grad)
+    return out
+
+
 def softmax_ce_chain(logits, targets, weights):
     """``hdlm.tensor.softmax_ce`` as the chain of ops it fuses."""
-    return mul_const(sub(logsumexp_lastdim(logits), select_positions(logits, targets)), weights)
+    return sum_all(mul_const(sub(logsumexp_lastdim(logits), select_positions(logits, targets)), weights))
 
 
 def sigmoid_ce_chain(logits, targets, weights):
-    """Weighted ``hdlm.tensor.sigmoid_ce`` as an unweighted one times a constant."""
-    return mul_const(sigmoid_ce(logits, targets), weights)
+    """Weighted ``hdlm.tensor.sigmoid_ce`` as the sum of an unweighted
+    elementwise one times a constant."""
+    return sum_all(mul_const(sigmoid_ce_elementwise(logits, targets), weights))
 
 
 def lstm_update_composed(params, x_proj, h, c):
@@ -358,15 +408,15 @@ def reference_total_loss(params, config, records):
         last = len(r.sentences) - 1
         for m, sent in enumerate(r.sentences):
             h, c, topic, stop_logit, abn_logit = sentence_step_ref(params, v_e, h, c)
-            stop.append(sigmoid_ce(stop_logit, [[1.0 if m == last else 0.0]]))
+            stop.append(sigmoid_ce_elementwise(stop_logit, [[1.0 if m == last else 0.0]]))
             branch = "normal"
             if config.dual_enabled:
-                abnormal.append(sigmoid_ce(abn_logit, [[float(r.abnormal_flags[m])]]))
+                abnormal.append(sigmoid_ce_elementwise(abn_logit, [[float(r.abnormal_flags[m])]]))
                 branch = "abnormal" if r.abnormal_flags[m] else "normal"
             gold = [BOS_ID] + list(sent)
             logits = gather_rows(word_forward(params, topic, gold, branch), range(1, len(gold)))
             words.append(sub(logsumexp_lastdim(logits), select_positions(logits, gold[1:])))
-        tags.append(sigmoid_ce(params.mti_head(v_hat), r.multi_hot(config.mti_labels)[None]))
+        tags.append(sigmoid_ce_elementwise(params.mti_head(v_hat), r.multi_hot(config.mti_labels)[None]))
     inv = 1.0 / len(records)
     total = _sum([
         scale(_sum([sum_all(t) for t in stop]), config.lambda_stop * inv),

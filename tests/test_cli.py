@@ -264,6 +264,14 @@ def test_unknown_config_key_exit_code(tmp_path):
     assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
 
 
+def test_config_file_not_utf8_exit_code(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"synth.records = 7\n# caf\xe9\n")
+    assert run(["synth", "--config", str(bad), "--out", str(tmp_path / "o")]) == 4
+    assert f"error: {bad}: invalid UTF-8" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_malformed_history_exit_code(tmp_path):
     bad = tmp_path / "bad.jsonl"
     bad.write_text("not json\n")
@@ -461,6 +469,33 @@ def _vocab_without_tokens(data, tmp):
     return ["train", str(data), "--out", str(tmp / "run")], f"{data / 'vocab.json'}: expected a JSON object"
 
 
+def _history_iteration_has_5001_digits(data, tmp):
+    # json.loads raises a plain ValueError past the interpreter's digit limit
+    history = tmp / "history.jsonl"
+    history.write_text(f'{{"iteration": {"7" * 5001}, "bleu4": 0.5, "distinct": [4]}}\n')
+    return ["select", str(history)], f"{history}:1: invalid JSON (Exceeds the limit (4300 digits)"
+
+
+def _history_line_nested_100000_deep(data, tmp):
+    # ... and a RecursionError past its recursion limit
+    history = tmp / "history.jsonl"
+    history.write_text('{"iteration": 0, "bleu4": 0.5, "distinct": [4]}\n' + "[" * 100000 + "]" * 100000 + "\n")
+    return ["select", str(history)], f"{history}:2: invalid JSON (maximum recursion depth exceeded"
+
+
+def _vocab_min_frequency_has_5001_digits(data, tmp):
+    vocab = data / "vocab.json"
+    payload = json.loads(vocab.read_text())
+    vocab.write_text(json.dumps(payload)[:-1] + f', "min_frequency": {"1" * 5001}}}')
+    return ["train", str(data), "--out", str(tmp / "run")], f"{vocab}: invalid JSON (Exceeds the limit"
+
+
+def _vocab_is_invalid_utf8(data, tmp):
+    vocab = data / "vocab.json"
+    vocab.write_bytes(vocab.read_bytes()[:-1] + b', "\xff": 1}')
+    return ["train", str(data), "--out", str(tmp / "run")], f"{vocab}: invalid UTF-8"
+
+
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
@@ -470,7 +505,8 @@ def _vocab_without_tokens(data, tmp):
     _val_grid_unlike_first_record, _train_token_is_fractional, _train_label_is_a_bool,
     _generated_token_is_fractional, _history_iteration_is_a_bool, _history_distinct_is_fractional,
     _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
-    _generated_stop_prob_is_a_bool,
+    _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
+    _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -570,20 +606,26 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("setting", [
     "synth.records = 0", "train.clip_norm = nan", "train.learning_rate = inf",
     "model.lambda_mti = nan", "synth.zipf_exponent = nan", "synth.seed = -1", "train.seed = -1",
+    "select.min_distinct = -1",
 ], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan",
-        "synth_seed_negative", "train_seed_negative"])
+        "synth_seed_negative", "train_seed_negative", "min_distinct_negative"])
 def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
-    # a synth setting fails `hdlm synth`; the rest fail `hdlm train`
+    # a synth setting fails `hdlm synth`, a select setting `hdlm select` on
+    # a one-line history; the rest fail `hdlm train`
     bad = tmp_path / "bad.cfg"
     bad.write_text(setting + "\n")
-    argv = ["synth"]
-    if not setting.startswith("synth."):
+    out = tmp_path / "o"
+    argv = ["synth", "--out", str(out)]
+    if setting.startswith("select."):
+        history = tmp_path / "history.jsonl"
+        history.write_text('{"iteration": 8, "bleu4": 0.5, "distinct": [4]}\n')
+        argv = ["select", str(history)]
+    elif not setting.startswith("synth."):
         data = tmp_path / "data"
         assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
-        argv = ["train", str(data)]
+        argv = ["train", str(data), "--out", str(out)]
     capsys.readouterr()
-    out = tmp_path / "o"
-    assert run([*argv, "--config", str(bad), "--out", str(out)]) == 4
+    assert run([*argv, "--config", str(bad)]) == 4
     field = setting.split(".")[1].split()[0]
     assert f"error: {field} must be" in capsys.readouterr().err
     assert not out.exists()
@@ -599,6 +641,15 @@ def test_negative_seed_flag_exit_code(tmp_path, tiny_cfg, capsys):
         assert run(argv) == 4
         assert f"error: seed must be >= 0, got {argv[argv.index('--seed') + 1]}" in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_negative_min_distinct_flag_exit_code(tmp_path, capsys):
+    history = tmp_path / "history.jsonl"
+    history.write_text('{"iteration": 8, "bleu4": 0.5, "distinct": [4]}\n')
+    for command in ("select", "analyze"):
+        capsys.readouterr()
+        assert run([command, str(history), "--min-distinct", "-3"]) == 4
+        assert "error: min_distinct must be >= 0, got -3" in capsys.readouterr().err
 
 
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid value:RuntimeWarning")

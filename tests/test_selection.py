@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hdlm.data import EOS_ID, CorpusFormatError, ReportRecord
+from hdlm.data import EOS_ID, ConfigError, CorpusFormatError, ReportRecord
 from hdlm.selection import (
     CheckpointRecord,
     load_history,
@@ -63,6 +63,13 @@ def test_custom_threshold():
     history = [ckpt(1, 0.9, [4])]
     assert select_model(history, min_distinct_m0=5).chosen is None
     assert select_model(history, min_distinct_m0=4).chosen is history[0]
+
+
+def test_negative_gate_is_a_config_error():
+    history = [ckpt(0, 0.5, [4])]
+    assert select_model(history, min_distinct_m0=0).chosen is history[0]
+    with pytest.raises(ConfigError, match="min_distinct must be >= 0, got -1"):
+        select_model(history, min_distinct_m0=-1)
 
 
 def test_matches_brute_force_on_random_histories():

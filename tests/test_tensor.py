@@ -12,9 +12,9 @@ from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
 from oracles import (
-    additive_scores, attention_chain, logsumexp_lastdim, mul, mul_const, repeat_rows, reshape,
-    select_positions, sigmoid, sigmoid_ce_chain, slice_cols, softmax_ce_chain, softmax_lastdim, sub,
-    sum_rowgroups, weighted_sum_rowgroups,
+    add_bias, additive_scores, attention_chain, logsumexp_lastdim, mul, mul_const, repeat_rows, reshape,
+    select_positions, sigmoid, sigmoid_ce_chain, sigmoid_ce_elementwise, slice_cols, softmax_ce_chain,
+    softmax_ce_elementwise, softmax_lastdim, sub, sum_rowgroups, weighted_sum_rowgroups,
 )
 
 
@@ -94,6 +94,41 @@ def test_linear_against_triple_loop_oracle():
 def test_linear_shape_error_names_both_shapes():
     with pytest.raises(T.ShapeError, match=r"\(2, 3\).*\(4, 2\)"):
         T.linear(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+
+
+def test_linear_rejects_a_bias_that_is_not_one_per_output():
+    x, w = Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 3)))
+    for bias, shown in ((np.zeros(3), r"\(3,\)"), (np.zeros((1, 4)), r"\(1, 4\)")):
+        with pytest.raises(T.ShapeError, match=r"\(2, 3\) x \(4, 3\)\^T \+ " + shown):
+            T.linear(x, w, Tensor(bias))
+
+
+def test_linear_bias_bitwise_equal_to_add_bias_oracle():
+    # one bias fans out over three calls: on a tensor input, on that call's
+    # activated output and on a constant input; a fourth call's weight and
+    # bias are products, as in attention_keys.  Every value and leaf
+    # gradient equals that of the linear-then-add_bias pair it replaced.
+    rng = T.seeded_rng(44)
+    x0 = Tensor(rng.normal(size=(7, 4)))
+    const = rng.normal(size=(7, 4)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+    w, b = Tensor(rng.normal(size=(4, 4))), Tensor(rng.normal(size=4))
+    m = Tensor(rng.normal(size=(3, 4)))
+    w_in, b_in = Tensor(rng.normal(size=(4, 5))), Tensor(rng.normal(size=4))
+    features = rng.normal(size=(7, 5))
+    coef = rng.normal(size=(7, 3)) * 10.0 ** rng.integers(-3, 4, size=(7, 1))
+
+    def run(op):
+        with Tape() as tape:
+            h = T.tanh(op(T.tanh(op(x0, w, b)), w, b))
+            y = op(const, w, b)
+            keys = op(features, T.matmul(m, w_in), T.matmul(m, b_in))
+            loss = T.add(T.sum_all(mul(h, y)), T.sum_all(mul_const(keys, coef)))
+        values = [h.data, y.data, keys.data, loss.data]
+        grads = backward(tape, loss)
+        return values + [grads[t] for t in (x0, w, b, m, w_in, b_in)]
+
+    for got, want in zip(run(T.linear), run(lambda x, w, b: add_bias(T.linear(x, w), b)), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_linear_weight_gradient_is_contiguous():
@@ -501,6 +536,7 @@ def _op_cases(rng):
     att_state = Tensor(rng.normal(size=(2, 3)))
     w_state = Tensor(rng.normal(size=(5, 3)))
     score = Tensor(rng.normal(size=5))
+    out_bias = Tensor(rng.normal(size=3))
     return {
         "matmul": ([a, b], lambda: T.matmul(a, b)),
         "linear": ([a, w_out], lambda: T.linear(a, w_out)),
@@ -514,7 +550,7 @@ def _op_cases(rng):
         "mul": ([a, s], lambda: mul(a, s)),
         "scale": ([a], lambda: T.scale(a, -1.7)),
         "mul_const": ([a], lambda: mul_const(a, np.sign(s.data) + 0.5)),
-        "add_bias": ([a, bias], lambda: T.add_bias(a, bias)),
+        "linear_bias": ([a, w_out, out_bias], lambda: T.linear(a, w_out, out_bias)),
         "reshape": ([a], lambda: reshape(a, (2, 10))),
         "slice_cols": ([a], lambda: slice_cols(a, 1, 4)),
         "slice_rows": ([a], lambda: T.slice_rows(a, 1, 3)),
@@ -601,9 +637,12 @@ def _value_and_leaf_grads(build, leaves):
 
 
 def test_fused_ce_ops_equal_oracle_chains_bitwise():
-    # the fused gradient soft*gw - gw at a target equals the chain's
-    # (-gw) + soft*gw exactly, because IEEE addition commutes and a - b is
-    # a + (-b); the logits come from a product so the gradient reaches leaves
+    # each op's weighted sum and its gradient equal the sum_all of its
+    # elementwise form, since a scalar g*w equals a filled one, and the
+    # chain of ops it fuses: the fused gradient soft*gw - gw at a target
+    # equals the chain's (-gw) + soft*gw exactly, because IEEE addition
+    # commutes and a - b is a + (-b); the logits come from a product so the
+    # gradient reaches leaves
     rng = T.seeded_rng(41)
     for rep in range(40):
         rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 9))
@@ -617,21 +656,23 @@ def test_fused_ce_ops_equal_oracle_chains_bitwise():
         factor = [0.0, 0.5, 3.0][rep % 3]
         cases = [
             (lambda: T.softmax_ce(T.linear(x, w), targets, weights),
+             lambda: T.sum_all(softmax_ce_elementwise(T.linear(x, w), targets, weights)),
              lambda: softmax_ce_chain(T.linear(x, w), targets, weights)),
             (lambda: T.sigmoid_ce(T.linear(x, w), labels, grid),
+             lambda: T.sum_all(sigmoid_ce_elementwise(T.linear(x, w), labels, grid)),
              lambda: sigmoid_ce_chain(T.linear(x, w), labels, grid)),
             (lambda: T.sigmoid_ce(T.linear(x, w), labels, 0.37),
+             lambda: T.sum_all(sigmoid_ce_elementwise(T.linear(x, w), labels, 0.37)),
              lambda: sigmoid_ce_chain(T.linear(x, w), labels, 0.37)),
         ]
-        for fused, chain in cases:
-            def total(op):
-                return lambda: T.scale(T.sum_all(op()), factor)
-
-            got = _value_and_leaf_grads(total(fused), [x, w])
-            want = _value_and_leaf_grads(total(chain), [x, w])
-            for g, h in zip(got, want, strict=True):
-                np.testing.assert_array_equal(g, h)
-            np.testing.assert_array_equal(fused().data, chain().data)
+        for fused, *oracles in cases:
+            assert fused().shape == ()
+            got = _value_and_leaf_grads(lambda: T.scale(fused(), factor), [x, w])
+            for oracle in oracles:
+                want = _value_and_leaf_grads(lambda: T.scale(oracle(), factor), [x, w])
+                for g, h in zip(got, want, strict=True):
+                    np.testing.assert_array_equal(g, h)
+                np.testing.assert_array_equal(fused().data, oracle().data)
 
 
 def test_softmax_ce_rejects_bad_targets_and_shapes():
