@@ -111,7 +111,14 @@ def load_vocab(path) -> Vocabulary:
         raise CorpusFormatError(f"{path}: expected a JSON object with a \"tokens\" string list")
     if tokens[: len(RESERVED_TOKENS)] != list(RESERVED_TOKENS):
         raise CorpusFormatError(f"{path}: vocabulary does not start with the reserved tokens")
-    return Vocabulary(tokens, {t: i for i, t in enumerate(tokens)}, payload.get("min_frequency", 1))
+    token_to_id = {t: i for i, t in enumerate(tokens)}
+    if len(token_to_id) != len(tokens):
+        repeated = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
+        raise CorpusFormatError(f"{path}: token {repeated!r} appears more than once")
+    try:
+        return Vocabulary(tokens, token_to_id, json_int(payload.get("min_frequency", 1), "min_frequency"))
+    except ValueError as e:
+        raise CorpusFormatError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,8 @@ def load_history(path) -> list[CheckpointRecord]:
     history = []
     for lineno, obj in read_jsonl(path, ("iteration", "bleu4", "distinct")):
         try:
+            if not isinstance(obj.get("path"), (str, type(None))):
+                raise ValueError(f"path {obj['path']!r} is not a string or null")
             history.append(CheckpointRecord(
                 iteration=json_int(obj["iteration"], "iteration"),
                 bleu4=json_float(obj["bleu4"], "bleu4"),

@@ -8,6 +8,10 @@ iteration, then repeated entries of (u32 name length, name bytes, u32 rank,
 u32 dims..., f64 values).  Optimizer moments are stored under
 ``adam/m/<name>`` and ``adam/v/<name>`` plus a scalar ``adam/t``; the model
 configuration is fingerprinted as a sha256 digest under ``meta/config``.
+
+A reader takes each entry at most once, only under a name of the model's
+own table and with the shape that table gives it; the optimizer state is
+whole or absent; and a load that fails leaves the parameters untouched.
 """
 
 from __future__ import annotations
@@ -302,74 +306,57 @@ def _read_exact(fh, n: int, path, what: str) -> bytes:
     return blob
 
 
-def _parse_checkpoint(path) -> tuple[int, dict[str, np.ndarray]]:
+def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int, AdamState | None]:
+    """Restore parameters (in place) and optimizer state from ``path``, in
+    one pass against the entry table ``save_checkpoint`` writes from."""
+    named = params.named_parameters()
+    adam = AdamState(m={n: np.empty(t.data.shape) for n, t in named.items()},
+                     v={n: np.empty(t.data.shape) for n, t in named.items()})
+    # the file's values go to fresh arrays, never to the parameters' own
+    want = {name: np.empty(arr.shape) if name in named else arr
+            for name, arr in _checkpoint_entries(params, config, adam)}
+    longest = max(len(name.encode("utf-8")) for name in want)
+    seen: set[str] = set()
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = _read_exact(fh, 16, path, "header")
-        magic, version, iteration = struct.unpack("<4sIQ", head)
+        magic, version, iteration = struct.unpack("<4sIQ", _read_exact(fh, 16, path, "header"))
         if magic != CHECKPOINT_MAGIC:
             raise CheckpointError(f"{path}: bad checkpoint magic {magic!r}")
         if version != CHECKPOINT_VERSION:
             raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
-        entries: dict[str, np.ndarray] = {}
-        while True:
-            raw = fh.read(4)
-            if not raw:
-                break
+        while raw := fh.read(4):
             if len(raw) != 4:
                 raise CheckpointError(f"{path}: truncated while reading entry header")
             (name_len,) = struct.unpack("<I", raw)
+            if name_len > longest:
+                raise CheckpointError(f"{path}: entry name of {name_len} bytes is longer than any entry's")
             try:
                 name = _read_exact(fh, name_len, path, "entry name").decode("utf-8")
             except UnicodeDecodeError:
                 raise CheckpointError(f"{path}: entry name is not valid UTF-8") from None
+            if name not in want or name in seen:
+                raise CheckpointError(f"{path}: {'repeated' if name in seen else 'unknown'} entry {name!r}")
+            arr = want[name]
             (rank,) = struct.unpack("<I", _read_exact(fh, 4, path, f"{name} rank"))
+            if rank != arr.ndim:
+                raise CheckpointError(f"{path}: {name!r} has rank {rank}, expected {arr.ndim}")
             dims = struct.unpack(f"<{rank}I", _read_exact(fh, 4 * rank, path, f"{name} dims"))
-            if 8 * math.prod(dims) > size - fh.tell():  # a corrupt dim fails here, not in np.empty
-                raise CheckpointError(f"{path}: truncated while reading {name} values (dims {list(dims)})")
-            entries[name] = values = np.empty(dims, dtype="<f8")
-            fh.readinto(values.data)
-    return iteration, entries
-
-
-def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int, AdamState | None]:
-    """Restore parameters (in place) and optimizer state from ``path``.
-
-    The stored config fingerprint must match ``config``; every parameter must
-    be present with its exact shape, and no unknown entries may remain.
-    """
-    iteration, entries = _parse_checkpoint(path)
-    digest = entries.pop("meta/config", None)
-    if digest is None or not np.array_equal(digest, config_fingerprint(config)):
-        raise CheckpointError(
-            f"{path}: checkpoint was written for a different model configuration"
-        )
-    named = params.named_parameters()
-    for name, t in named.items():
-        arr = entries.pop(name, None)
-        if arr is None:
-            raise CheckpointError(f"{path}: missing parameter {name!r}")
-        if arr.shape != t.data.shape:
-            raise CheckpointError(
-                f"{path}: parameter {name!r} has shape {arr.shape}, expected {t.data.shape}"
-            )
-        t.data[...] = arr
-    adam = None
-    if "adam/t" in entries:
-        t_arr = entries.pop("adam/t")
-        if t_arr.size != 1:
-            raise CheckpointError(f"{path}: 'adam/t' holds {t_arr.size} values, expected 1")
-        step = t_arr.item()
+            if dims != arr.shape:
+                raise CheckpointError(f"{path}: {name!r} has shape {dims}, expected {arr.shape}")
+            if fh.readinto(arr.data) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated while reading {name} values")
+            seen.add(name)
+    missing = [name for name in want if name not in seen]  # in table order
+    if "meta/config" in missing or not np.array_equal(want["meta/config"], config_fingerprint(config)):
+        raise CheckpointError(f"{path}: checkpoint was written for a different model configuration")
+    if missing and missing[0] in named:
+        raise CheckpointError(f"{path}: missing parameter {missing[0]!r}")
+    if "adam/t" in seen:
+        step = want["adam/t"].item()
         if not (step >= 0 and step.is_integer()):  # also rejects nan and inf
             raise CheckpointError(f"{path}: 'adam/t' is {step!r}, expected a whole number >= 0")
-        adam = AdamState(m={}, v={}, t=int(step))
-        for name, t in named.items():
-            for kind, store in (("m", adam.m), ("v", adam.v)):
-                key = f"adam/{kind}/{name}"
-                arr = entries.pop(key, None)
-                if arr is None or arr.shape != t.data.shape:
-                    raise CheckpointError(f"{path}: missing or misshapen {key!r}")
-                store[name] = arr
-    if entries:
-        raise CheckpointError(f"{path}: unknown entry {next(iter(entries))!r}")
-    return iteration, adam
+        adam.t = int(step)
+    if missing and len(seen) > 1 + len(named):  # some, but not all, of the optimizer state
+        raise CheckpointError(f"{path}: optimizer state is missing {missing[0]!r}")
+    for name, t in named.items():
+        t.data[...] = want[name]
+    return iteration, None if missing else adam

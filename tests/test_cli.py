@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import struct
@@ -14,8 +15,9 @@ from hdlm.cli import (
     run,
 )
 from hdlm.data import ConfigError, load_features, save_features
+from hdlm.model import ModelParams
 from hdlm.selection import CheckpointRecord, load_history, save_history
-from hdlm.training import save_checkpoint
+from hdlm.training import AdamState, load_checkpoint, save_checkpoint
 
 TINY = """\
 # quick profile for tests
@@ -496,6 +498,28 @@ def _vocab_is_invalid_utf8(data, tmp):
     return ["train", str(data), "--out", str(tmp / "run")], f"{vocab}: invalid UTF-8"
 
 
+def _history_path_is_a_list(data, tmp):
+    history = tmp / "history.jsonl"
+    history.write_text('{"iteration": 8, "bleu4": 0.5, "distinct": [4], "path": ["a", 1]}\n')
+    return ["select", str(history)], f"{history}:1: path ['a', 1] is not a string or null"
+
+
+def _vocab_with(data, tmp, **fields):
+    vocab = data / "vocab.json"
+    vocab.write_text(json.dumps({**json.loads(vocab.read_text()), **fields}))
+    return ["train", str(data), "--out", str(tmp / "run")], vocab
+
+
+def _vocab_token_repeated(data, tmp):
+    argv, vocab = _vocab_with(data, tmp, tokens=["<pad>", "<bos>", "<eos>", "<unk>", "a", "a"])
+    return argv, f"{vocab}: token 'a' appears more than once"
+
+
+def _vocab_min_frequency_is_a_string(data, tmp):
+    argv, vocab = _vocab_with(data, tmp, min_frequency="x")
+    return argv, f"{vocab}: min_frequency 'x' is not an integer"
+
+
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
@@ -506,7 +530,8 @@ def _vocab_is_invalid_utf8(data, tmp):
     _generated_token_is_fractional, _history_iteration_is_a_bool, _history_distinct_is_fractional,
     _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
-    _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8,
+    _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
+    _vocab_token_repeated, _vocab_min_frequency_is_a_string,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -547,7 +572,7 @@ def test_corrupt_checkpoint_dims_exit_code(pipeline, tmp_path, capsys):
     assert run(["generate", str(data / "val.jsonl"), "--config", str(runs / "resolved.cfg"),
                 "--checkpoint", str(bad), "--out", str(tmp_path / "gen")]) == 5
     err = capsys.readouterr().err
-    assert f"error: {bad}: truncated while reading meta/config values (dims [2147483648]" in err
+    assert f"error: {bad}: 'meta/config' has shape (2147483648,), expected (32,)" in err
     assert "Traceback" not in err
 
 
@@ -556,17 +581,52 @@ def _entry(name: bytes, dims=()):
     return struct.pack("<I", len(name)) + name + struct.pack(f"<I{len(dims)}I", len(dims), *dims)
 
 
-@pytest.mark.parametrize("extra, message", [
-    (_entry(b"adam/t", (0,)), "'adam/t' holds 0 values, expected 1"),
-    (_entry(b"\xff\xfe"), "entry name is not valid UTF-8"),
-    (_entry(b"adam/t", (1,)) + struct.pack("<d", math.inf), "'adam/t' is inf, expected a whole number >= 0"),
-    (_entry(b"adam/t", (1,)) + struct.pack("<d", math.nan), "'adam/t' is nan, expected a whole number >= 0"),
-    (_entry(b"adam/t", (1,)) + struct.pack("<d", 2.5), "'adam/t' is 2.5, expected a whole number >= 0"),
-], ids=["adam_t_without_value", "name_not_utf8", "adam_t_infinite", "adam_t_nan", "adam_t_fractional"])
-def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, extra, message):
+def _appended(extra: bytes):
+    return lambda blob, runs, tmp: blob + extra
+
+
+def _first_entry_rank_is_max(blob, runs, tmp):
+    (name_len,) = struct.unpack_from("<I", blob, 16)
+    return blob[:20 + name_len] + struct.pack("<I", 0xFFFFFFFF) + blob[24 + name_len:]
+
+
+def _meta_config_repeated(blob, runs, tmp):
+    # the first entry: 11-byte name, rank 1, 32 values
+    return blob + blob[16:16 + 4 + 11 + 8 + 8 * 32]
+
+
+def _moments_without_step(blob, runs, tmp):
+    cfg = model_config_from(resolve_settings(argparse.Namespace(config=str(runs / "resolved.cfg"))), {})
+    params = ModelParams.create(cfg, seed=0)
+    iteration, _ = load_checkpoint(runs / "final.bin", params, cfg)
+    path = tmp / "with_moments.bin"
+    save_checkpoint(path, params, cfg, iteration, AdamState.create(params.named_parameters()))
+    moments = path.read_bytes()
+    step = _entry(b"adam/t", (1,)) + struct.pack("<d", 0.0)
+    assert moments.endswith(step)
+    return moments[:-len(step)]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_appended(_entry(b"adam/t", (0,))), "'adam/t' has shape (0,), expected (1,)"),
+    (_appended(_entry(b"\xff\xfe")), "entry name is not valid UTF-8"),
+    (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", math.inf)), "'adam/t' is inf, expected a whole number >= 0"),
+    (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", math.nan)), "'adam/t' is nan, expected a whole number >= 0"),
+    (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", 2.5)), "'adam/t' is 2.5, expected a whole number >= 0"),
+    (_first_entry_rank_is_max, "'meta/config' has rank 4294967295, expected 1"),
+    # once a 4 GiB read request, a MemoryError under a 4 GB address-space limit
+    (_appended(struct.pack("<I", 0xFFFFFFFF)), "entry name of 4294967295 bytes is longer than any entry's"),
+    (_meta_config_repeated, "repeated entry 'meta/config'"),
+    (_moments_without_step, "optimizer state is missing 'adam/t'"),
+    (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", 3.0)),
+     "optimizer state is missing 'adam/m/img_embed.weight'"),
+], ids=["adam_t_without_value", "name_not_utf8", "adam_t_infinite", "adam_t_nan", "adam_t_fractional",
+        "first_rank_max", "name_length_max", "meta_config_repeated", "moments_without_adam_t",
+        "adam_t_without_moments"])
+def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, corrupt, message):
     data, runs = pipeline / "data", pipeline / "run"
     bad = tmp_path / "final.bin"
-    bad.write_bytes((runs / "final.bin").read_bytes() + extra)
+    bad.write_bytes(corrupt((runs / "final.bin").read_bytes(), runs, tmp_path))
     capsys.readouterr()
     assert run(["generate", str(data / "val.jsonl"), "--config", str(runs / "resolved.cfg"),
                 "--checkpoint", str(bad), "--out", str(tmp_path / "gen")]) == 5

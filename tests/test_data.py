@@ -107,6 +107,12 @@ def test_vocab_round_trip(tmp_path):
     assert back.min_frequency == 1
 
 
+def test_load_vocab_without_min_frequency_means_one(tmp_path):
+    path = tmp_path / "vocab.json"
+    path.write_text(json.dumps({"tokens": ["<pad>", "<bos>", "<eos>", "<unk>", "a"]}))
+    assert load_vocab(path).min_frequency == 1
+
+
 def test_load_vocab_rejects_missing_reserved(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"tokens": ["a", "b"]}))

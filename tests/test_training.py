@@ -1,7 +1,10 @@
 """Optimizer math, the training loop's schedule and logging, and checkpoint
 round trips."""
 
+import hashlib
 import math
+import re
+import struct
 import tracemalloc
 
 import numpy as np
@@ -393,6 +396,49 @@ def test_checkpoint_rejects_missing_parameter(tmp_path):
     bigger = small_config(hidden_dim=6)
     with pytest.raises(CheckpointError):
         load_checkpoint(path, ModelParams.create(bigger, seed=0), bigger)
+
+
+def test_failed_load_leaves_parameters_unchanged(tmp_path):
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=13)
+    bare, full = tmp_path / "bare.ckpt", tmp_path / "full.ckpt"
+    save_checkpoint(bare, params, cfg, iteration=1)
+    state = AdamState.create(params.named_parameters())
+    state.t = 3
+    save_checkpoint(full, params, cfg, iteration=1, adam=state)
+    bias = b"mti_head.bias"
+    last = 4 + len(bias) + 4 + 4 + 8 * cfg.mti_labels  # the bare file's last entry
+    assert bare.read_bytes()[-last + 4:-last + 4 + len(bias)] == bias
+    fractional_step = full.read_bytes()[:-8] + struct.pack("<d", 2.5)
+    fresh = ModelParams.create(cfg, seed=99)
+    before = {name: t.data.tobytes() for name, t in fresh.named_parameters().items()}
+    assert len(before) == 27
+    for blob, message in [(fractional_step, "'adam/t' is 2.5"),
+                          (bare.read_bytes()[:-last], "missing parameter 'mti_head.bias'"),
+                          (full.read_bytes()[:-9], "truncated")]:
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(blob)
+        with pytest.raises(CheckpointError, match=re.escape(message)):
+            load_checkpoint(bad, fresh, cfg)
+        after = {name: t.data.tobytes() for name, t in fresh.named_parameters().items()}
+        assert after == before, message
+
+
+def test_checkpoint_v1_bytes_are_pinned(tmp_path):
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=0)
+    m = {n: np.arange(t.data.size, dtype=float).reshape(t.data.shape) / 8
+         for n, t in params.named_parameters().items()}
+    state = AdamState(m=m, v={n: a + 1.0 for n, a in m.items()}, t=3)
+    digests = []
+    for adam in (None, state):
+        path = tmp_path / "v1.ckpt"
+        save_checkpoint(path, params, cfg, iteration=5, adam=adam)
+        digests.append(hashlib.sha256(path.read_bytes()).hexdigest())
+    assert digests == [
+        "79b7e65135bb21792ee7911f0f331691257afecc89c14691fcfdc0fb0f80f0b4",
+        "2a5135300a345e5dfd460dce39634b42139018caba4f4625f3258be0baaa06ef",
+    ]
 
 
 def test_fingerprint_reflects_dual_normalization():
