@@ -415,15 +415,17 @@ def cmd_gradcheck(args) -> int:
         n = int(rng.integers(2, 5))
         return [int(v) for v in rng.integers(4, config.vocab_size, size=n)] + [EOS_ID]
 
+    # the shorter record comes first: the loss sorts it last, so the last
+    # sentence step runs on the longer record alone
     records = [
         ReportRecord(
             id=f"probe{i}",
-            sentences=[sentence() for _ in range(2)],
-            abnormal_flags=[True, False],
+            sentences=[sentence() for _ in range(count)],
+            abnormal_flags=[m % 2 == 0 for m in range(count)],
             mti_labels=[int(rng.integers(0, config.mti_labels))],
             feature_ref=rng.normal(size=(config.locations, config.channels)),
         )
-        for i in range(2)
+        for i, count in enumerate((2, 3))
     ]
 
     def loss():

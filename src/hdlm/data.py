@@ -116,9 +116,12 @@ def load_vocab(path) -> Vocabulary:
         repeated = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
         raise CorpusFormatError(f"{path}: token {repeated!r} appears more than once")
     try:
-        return Vocabulary(tokens, token_to_id, json_int(payload.get("min_frequency", 1), "min_frequency"))
+        min_frequency = json_int(payload.get("min_frequency", 1), "min_frequency")
     except ValueError as e:
         raise CorpusFormatError(f"{path}: {e}") from None
+    if min_frequency < 1:
+        raise CorpusFormatError(f"{path}: min_frequency must be >= 1, got {min_frequency}")
+    return Vocabulary(tokens, token_to_id, min_frequency)
 
 
 # ---------------------------------------------------------------------------

@@ -96,7 +96,7 @@ def generate_corpus(params: ModelParams, config: ModelConfig, records, limits: G
     if not records:
         return []
     cap, batch = limits.max_sentences, len(records)
-    _, topics, stop_logits, abn_logits = sentence_forward(params, config, records, cap)
+    _, topics, stop_logits, abn_logits = sentence_forward(params, config, records, [batch] * cap)
     p_stop, p_abn = _probs(stop_logits), _probs(abn_logits)
     # row m * batch + b is kept unless one of record b's earlier sentences stopped
     stops = (p_stop > limits.stop_threshold).reshape(cap, batch)

@@ -75,11 +75,13 @@ class LSTMCellParams:
         )
 
 
-def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """The cell run from the state (h, c) [S, H] over T*S input rows, T steps
-    stacked step-major: (every step's h' as [T*S, H], the last c').  All
-    inputs are projected in one product, and the recurrence is one op."""
-    return lstm(linear(x, params.w_input), params.w_recur, params.bias, h, c)
+def lstm_step(params: LSTMCellParams, x: Tensor, h: Tensor, c: Tensor,
+              rows: list[int] | None = None) -> tuple[Tensor, Tensor]:
+    """The cell run from the state (h, c) [S, H] over input rows stacked
+    step-major, T steps of S rows, or step k of ``rows[k]`` rows that never
+    grow (see ``lstm``): (every step's h' stacked, the last c').  All inputs
+    are projected in one product, and the recurrence is one op."""
+    return lstm(linear(x, params.w_input), params.w_recur, params.bias, h, c, rows)
 
 
 @dataclass
@@ -134,11 +136,13 @@ def soft_attention_batch(
 ) -> tuple[Tensor, np.ndarray]:
     """Attend over ``locations`` consecutive rows per batch element.
 
-    features: [B*L, C] constant rows; keys: their ``attention_keys`` [B*L, A];
-    h_prev: [B, H].  Returns (attended features [B, C], weights [B, L] as a
+    features: [G*L, C] constant rows of the first G batch elements; keys: the
+    batch's ``attention_keys`` [B*L, A]; h_prev: [B, H], of which the leading
+    G states attend.  Returns (attended features [G, C], weights [G, L] as a
     plain array); the weights sum to one, so embedding the attended row
     equals attending over the embedded locations.  One ``attention`` op."""
-    if locations < 1 or len(features) != len(h_prev.data) * locations:
+    if locations < 1 or len(features) % locations or len(features) > len(h_prev.data) * locations:
         raise ShapeError(f"soft_attention_batch needs {locations} >= 1 locations per state, got features "
                          f"{features.shape} and h_prev {h_prev.shape}")
-    return attention(features, keys, h_prev, params.w_state, params.score)
+    grouped = features.reshape(-1, locations, *features.shape[1:])
+    return attention(grouped, keys, h_prev, params.w_state, params.score)

@@ -18,6 +18,14 @@ Training minimizes
 where every term is a sigmoid or softmax cross-entropy summed within a
 record and averaged over the batch.  With ``dual_enabled`` off the abnormal
 term is dropped entirely and all sentences route through the normal branch.
+
+The recurrences run on packed rows, as PyTorch's ``pack_padded_sequence``
+does.  Training sorts a batch's records longest first, so the records with a
+sentence at step m are a prefix of the batch, and that step attends, steps
+the sentence LSTM and runs the heads on the prefix alone; each word branch
+sorts its sentences longest first, so its LSTM, input projection and output
+head skip the rows past a sentence's end.  Every row that reaches a loss
+exists, so no loss term takes a padding mask.
 """
 
 from __future__ import annotations
@@ -188,15 +196,18 @@ def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[
     return topic, stop, params.abnormal_head(h_new)
 
 
-def sentence_forward(params: ModelParams, config: ModelConfig, records, depth: int) -> tuple[Tensor, Tensor, Tensor, Tensor]:
-    """Run the sentence LSTM ``depth`` steps for a batch of records.
+def sentence_forward(params: ModelParams, config: ModelConfig, records,
+                     live: list[int]) -> tuple[Tensor, Tensor, Tensor, Tensor]:
+    """Run the sentence LSTM for a batch of records, step m on the first
+    ``live[m]`` records; the counts never grow, so a caller that wants a
+    record to stop early puts it after the records that go on.
 
     The recurrence reads only its own state and the attended image, never
     the words, so every step runs before any word is decoded.  Each step
-    attends over the raw [B*L, C] features and embeds the [B, C] result.
-    Returns (the embedded mean feature [B, D], topics [depth*B, D], stop
-    logits and abnormal logits [depth*B, 1]); head row m * B + b is record
-    b's sentence m.
+    attends over the raw features of its records and embeds the [live[m], C]
+    result.  Returns (the embedded mean feature [B, D], topics [N, D], stop
+    logits and abnormal logits [N, 1]) for N = sum(live); the head rows are
+    packed step-major, so row sum(live[:m]) + b is record b's sentence m.
     """
     features = stack_features(config, records)
     keys = attention_keys(params.attn, params.img_embed, features)
@@ -204,12 +215,14 @@ def sentence_forward(params: ModelParams, config: ModelConfig, records, depth: i
     h = zeros((len(records), config.hidden_dim))
     c = zeros((len(records), config.hidden_dim))
     states = [h]
-    for _ in range(depth):
-        attended, _ = soft_attention_batch(params.attn, features, keys, h, config.locations)
-        h, c = lstm_step(params.sent_lstm, params.img_embed(attended), h, c)
+    for n in live:
+        attended, _ = soft_attention_batch(params.attn, features[:n * config.locations], keys, h,
+                                           config.locations)
+        h, c = lstm_step(params.sent_lstm, params.img_embed(attended), h, c, [n])
         states.append(h)
-    # the heads run once on every step's states
-    return (v_hat, *sentence_heads(params, concat_rows(states[:-1]), concat_rows(states[1:])))
+    # the heads run once on every step's states; the stop head also reads
+    # the leading rows of the state before each step
+    return (v_hat, *sentence_heads(params, concat_rows(states[:-1], live), concat_rows(states[1:])))
 
 
 def word_step(
@@ -240,29 +253,29 @@ class LossBundle:
         return {k: float(getattr(self, k).data) for k in keys}
 
 
-def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, batch: int, specs) -> Tensor:
-    """Masked word cross-entropy summed over every sentence routed to ``branch``.
+def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, specs) -> Tensor:
+    """Word cross-entropy summed over every sentence routed to ``branch``.
 
-    ``specs`` holds (record index, sentence index, token ids); topic rows live
-    at ``sentence * batch + record`` inside the stacked ``topics`` tensor.
+    ``specs`` holds (row of ``topics``, token ids).  The sentences run
+    longest first, so those still going at each step are a prefix, and the
+    LSTM, its input projection and the output head skip the rows past a
+    sentence's end.
     """
     cell, proj = params.word_branch(branch)
-    golds = [[BOS_ID] + list(sent) for _, _, sent in specs]
-    count = len(specs)
-    longest = max(len(g) for g in golds)
-    # step 0 consumes the topic, step t >= 1 the embedding of gold[t-1]; one
-    # lstm_step runs every step, and the output head reads all but step 0
-    ids_in = [g[t - 1] if t < len(g) else 0 for t in range(1, longest) for g in golds]
+    specs = sorted(specs, key=lambda spec: -len(spec[1]))
+    golds = [[BOS_ID, *sent] for _, sent in specs]
+    count = len(golds)
+    # step 0 consumes the topic, step t >= 1 the embedding of gold[t-1] of
+    # each sentence still going; the output head reads all but step 0
+    going = [[g for g in golds if t < len(g)] for t in range(1, len(golds[0]))]
     x = concat_rows([
-        gather_rows(topics, [m * batch + b for b, m, _ in specs]),
-        embed(params.embedding, ids_in),
+        gather_rows(topics, [row for row, _ in specs]),
+        embed(params.embedding, [g[t - 1] for t, gs in enumerate(going, 1) for g in gs]),
     ])
     h = zeros((count, cell.hidden_size))
-    states, _ = lstm_step(cell, x, h, zeros(h.shape))
+    states, _ = lstm_step(cell, x, h, zeros(h.shape), [count, *map(len, going)])
     logits = proj(slice_rows(states, count, states.shape[0]))
-    targets = [g[t] if t < len(g) else 0 for t in range(1, longest) for g in golds]
-    mask = np.array([1.0 if t < len(g) else 0.0 for t in range(1, longest) for g in golds])
-    return softmax_ce(logits, targets, mask)
+    return softmax_ce(logits, [g[t] for t, gs in enumerate(going, 1) for g in gs])
 
 
 def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBundle:
@@ -275,27 +288,23 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     """
     if len(records) == 0:
         raise ValueError("compute_losses needs a nonempty batch")
+    # longest first, stably, so the records with a sentence at step m are a prefix
+    records = sorted(records, key=lambda r: -len(r.sentences))
+    lengths = [len(r.sentences) for r in records]
+    live = [sum(n > m for n in lengths) for m in range(lengths[0])]
     batch = len(records)
-    lengths = np.array([len(r.sentences) for r in records])
-    depth = int(lengths.max())
 
-    v_hat, topics, stop_logits, abn_logits = sentence_forward(params, config, records, depth)
-    step = np.arange(depth)[:, None]
-    exists = (step < lengths).astype(np.float64).reshape(-1, 1)
-    is_last = (step == lengths - 1).astype(np.float64).reshape(-1, 1)
-    stop_sum = sigmoid_ce(stop_logits, is_last, exists)
+    v_hat, topics, stop_logits, abn_logits = sentence_forward(params, config, records, live)
+    heads = [(b, m) for m, n in enumerate(live) for b in range(n)]  # (record, sentence) per head row
+    stop_sum = sigmoid_ce(stop_logits, [[float(m == lengths[b] - 1)] for b, m in heads])
     if config.dual_enabled:
-        flags = np.zeros((depth, batch))
-        for b, r in enumerate(records):
-            flags[:len(r.sentences), b] = r.abnormal_flags
-        abnormal_sum = sigmoid_ce(abn_logits, flags.reshape(-1, 1), exists)
+        abnormal_sum = sigmoid_ce(abn_logits, [[float(records[b].abnormal_flags[m])] for b, m in heads])
 
     routes = {name: [] for name in BRANCH_NAMES}
-    for b, r in enumerate(records):
-        for m, sent in enumerate(r.sentences):
-            abnormal = config.dual_enabled and r.abnormal_flags[m]
-            routes["abnormal" if abnormal else "normal"].append((b, m, sent))
-    word_terms = [_branch_word_loss(params, branch, topics, batch, specs)
+    for row, (b, m) in enumerate(heads):
+        abnormal = config.dual_enabled and records[b].abnormal_flags[m]
+        routes["abnormal" if abnormal else "normal"].append((row, records[b].sentences[m]))
+    word_terms = [_branch_word_loss(params, branch, topics, specs)
                   for branch, specs in routes.items() if specs]
     word_sum = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
 

@@ -5,12 +5,16 @@ forward math, then call :func:`backward` on a scalar result to get the
 gradient of each leaf, keyed by the leaf tensor itself.  Each op records
 one entry, even one with two outputs: :func:`lstm` a whole recurrence,
 :func:`attention` a step of additive soft attention, :func:`linear` a product
-and its bias, and each cross-entropy its weighted sum.  The walk uses the
-tape up, so each tape serves one ``backward``; tapes are rebuilt each pass.
-Forward values are identical whether or not a tape is active, so the same
-code path serves training, inference, and finite-difference probing.
+and its bias, and each cross-entropy its sum.  The walk uses the tape up, so
+each tape serves one ``backward``; tapes are rebuilt each pass.  Forward
+values are identical whether or not a tape is active, so the same code path
+serves training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
+An op that reads only some rows of an input (the leading rows of a state or
+of the attention keys, or a slice) hands back a gradient for just those
+rows; ``backward`` adds it into the one zero-started array the input owns in
+that walk, so no op builds a zero-filled copy of its input.
 """
 
 from __future__ import annotations
@@ -101,6 +105,23 @@ class _Outer:
         self.x = x
 
 
+class _Rows:
+    """The gradient of rows ``start:start + len(g)`` of an input whose other
+    rows get none from that op."""
+
+    __slots__ = ("g", "start")
+
+    def __init__(self, g, start):
+        self.g = g
+        self.start = start
+
+
+def _row_grad(g: np.ndarray, start: int, total: int):
+    """``g`` as the gradient of rows ``start:start + len(g)`` of an input
+    with ``total`` rows: the plain array when it covers them all."""
+    return g if start == 0 and len(g) == total else _Rows(g, start)
+
+
 _state = threading.local()
 
 
@@ -141,10 +162,11 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
 
     An entry with a tuple of outputs is skipped when none of them has a
     gradient; otherwise its ``grad_fn`` gets one gradient, or ``None``, per
-    output.  The walk uses the tape up: each entry leaves the tape as it
-    runs, which frees the forward values only it held, and each
-    intermediate gradient is dropped once its entry has read it.  A second
-    walk raises ``TapeError``.
+    output.  A gradient for a range of an input's rows is added into an
+    array the input owns, started at zeros.  The walk uses the tape up: each
+    entry leaves the tape as it runs, which frees the forward values only it
+    held, and each intermediate gradient is dropped once its entry has read
+    it.  A second walk raises ``TapeError``.
     """
     if tape.walked:
         raise TapeError("backward already walked this tape; record a new one")
@@ -192,6 +214,12 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
                 outers.setdefault(t, []).append(g_in)
                 continue
             acc = grads.get(t)
+            if isinstance(g_in, _Rows):
+                if t not in owned:
+                    grads[t] = acc = np.zeros(t.shape) if acc is None else acc.copy()
+                    owned.add(t)
+                acc[g_in.start:g_in.start + len(g_in.g)] += g_in.g
+                continue
             if acc is None:
                 grads[t] = g_in
             elif t in owned:
@@ -261,25 +289,34 @@ def tanh(x: Tensor) -> Tensor:
     return out
 
 
-def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
-    """An LSTM from the state (h, c) [S, H] over the T = len(x_proj) / S steps
-    of [S, 4H] input projections stacked in ``x_proj``, gates in the order
-    input, forget, cell, output: z = x_t + h W^T + b, c' = σ(z_f)·c +
-    σ(z_i)·tanh(z_g), h' = σ(z_o)·tanh(c').  Returns every step's h' as
-    [T*S, H], and the last c'.  One tape entry, whose backward runs through
-    time in one loop; the per-step values are kept only while a tape records.
+def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor,
+         rows: list[int] | None = None) -> tuple[Tensor, Tensor]:
+    """An LSTM from the state (h, c) [S, H] over the [N, 4H] input
+    projections stacked step-major in ``x_proj``, gates in the order input,
+    forget, cell, output: z = x_t + h W^T + b, c' = σ(z_f)·c +
+    σ(z_i)·tanh(z_g), h' = σ(z_o)·tanh(c').  Step k runs ``rows[k]`` rows,
+    on the leading rows of the state before it, so the counts may not grow
+    and the first is at most S; by default each of the N / S steps runs all
+    S rows.  Returns every step's h' stacked as [N, H], and the last step's
+    c'.  One tape entry, whose backward runs through time in one loop; the
+    per-step values are kept only while a tape records.
     """
     X, W, b, h0, c0 = x_proj.data, w_recur.data, bias.data, h.data, c.data
-    rows, hs = h0.shape if h0.ndim == 2 else (0, 0)
-    if (X.ndim != 2 or not rows or not len(X) or len(X) % rows or X.shape[1] != 4 * hs
-            or W.shape != (4 * hs, hs) or b.shape != (4 * hs,) or c0.shape != h0.shape):
-        raise ShapeError(f"lstm needs [T*S, 4H] inputs, a [4H, H] weight, a [4H] bias and [S, H] "
-                         f"states, got {X.shape}, {W.shape}, {b.shape}, {h0.shape} and {c0.shape}")
-    steps = len(X) // rows
+    width, hs = h0.shape if h0.ndim == 2 else (0, 0)
+    if rows is None:
+        rows = [width] * (len(X) // width) if X.ndim == 2 and width and not len(X) % width else []
+    if (X.ndim != 2 or not rows or X.shape[1] != 4 * hs or W.shape != (4 * hs, hs) or b.shape != (4 * hs,)
+            or c0.shape != h0.shape or sum(rows) != len(X)
+            or not all(n >= m for n, m in zip([width, *rows], [*rows, 1]))):
+        raise ShapeError(f"lstm needs [N, 4H] inputs in steps of S or fewer rows that never grow, a [4H, H] "
+                         f"weight, a [4H] bias and [S, H] states, got {X.shape}, {W.shape}, {b.shape}, "
+                         f"{h0.shape} and {c0.shape}, steps {rows}")
+    starts = np.cumsum([0, *rows[:-1]]).tolist()
     saved = [] if getattr(_state, "stack", None) else None
     h_prev, c_prev, outs = h0, c0, []
-    for k in range(steps):
-        Z = X[k * rows:(k + 1) * rows] + h_prev @ W.T + b
+    for at, n in zip(starts, rows):
+        c_prev = c_prev[:n]
+        Z = X[at:at + n] + h_prev[:n] @ W.T + b
         i, f, o = (_stable_sigmoid(Z[:, j * hs:(j + 1) * hs]) for j in (0, 1, 3))
         g = np.tanh(Z[:, 2 * hs:3 * hs])
         c_new = f * c_prev + i * g
@@ -289,11 +326,11 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) ->
         if saved is not None:
             saved.append((c_prev, i, f, g, o, t))
         c_prev = c_new
-    states = outs[0] if steps == 1 else np.concatenate(outs)
+    states = outs[0] if len(outs) == 1 else np.concatenate(outs)
     out, c_last = Tensor(states), Tensor(c_prev)
 
-    def flip(a):
-        return a.reshape(steps, rows, -1)[::-1].reshape(len(a), -1)
+    def flip(blocks):
+        return blocks[0] if len(blocks) == 1 else np.concatenate(blocks[::-1])
 
     def grad(g_states, g_last):
         # per-element products in the order of the unfused sigmoid/tanh/mul
@@ -301,22 +338,30 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) ->
         # summed a step at a time: the gradients stay bitwise equal to it
         g_states = np.zeros(states.shape) if g_states is None else g_states
         gx = np.zeros(X.shape)
-        gc, g_bias, gh_prev = g_last, None, None
-        for k in reversed(range(steps)):
+        # the gradients from the step after reach only its leading rows
+        gc = np.zeros((0, hs)) if g_last is None else g_last
+        g_bias, gh_prev = None, np.zeros((0, hs))
+        for k in reversed(range(len(rows))):
             c_prev, i, f, g, o, t = saved[k]
-            gh = g_states[k * rows:(k + 1) * rows]
-            gh = gh if gh_prev is None else gh + gh_prev
+            at, n = starts[k], rows[k]
+            gh = g_states[at:at + n].copy()
+            gh[:len(gh_prev)] += gh_prev
             gc_h = gh * o * (1.0 - t * t)
-            gc = gc_h if gc is None else gc + gc_h
-            gz = gx[k * rows:(k + 1) * rows]
+            gc_h[:len(gc)] += gc
+            gc = gc_h
+            gz = gx[at:at + n]
             gz[:, :hs] += gc * g * i * (1.0 - i)
             gz[:, hs:2 * hs] += gc * c_prev * f * (1.0 - f)
             gz[:, 2 * hs:3 * hs] += gc * i * (1.0 - g * g)
             gz[:, 3 * hs:] += gh * t * o * (1.0 - o)
             g_bias = gz.sum(axis=0) if g_bias is None else g_bias + gz.sum(axis=0)
             gh_prev, gc = gz @ W, gc * f
-        # w_recur's factors stacked as the per-step products were, last step first
-        return gx, _Outer(flip(gx), flip(np.concatenate([h0, states[:-rows]]))), g_bias, gh_prev, gc
+        # w_recur's factors stacked as the per-step products were, last step
+        # first: each step's rows against the leading rows of the state before it
+        before = [h0, *(states[at:at + n] for at, n in zip(starts, rows))]
+        g_recur = _Outer(flip([gx[at:at + n] for at, n in zip(starts, rows)]),
+                         flip([h[:n] for h, n in zip(before, rows)]))
+        return gx, g_recur, g_bias, _row_grad(gh_prev, 0, width), _row_grad(gc, 0, width)
 
     _record((out, c_last), (x_proj, w_recur, bias, h, c), grad)
     return out, c_last
@@ -324,43 +369,48 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor) ->
 
 def attention(features: np.ndarray, keys: Tensor, h: Tensor, w_state: Tensor,
               score: Tensor) -> tuple[Tensor, np.ndarray]:
-    """Additive soft attention of each of G states over its K locations:
+    """Additive soft attention of G states, each over its K locations:
     e = tanh(key + W_state h) . score, α = softmax(e), attended = Σ α · row.
 
-    ``features`` [G*K, C] is a constant; keys [G*K, A], h [G, H], w_state
-    [A, H] and score [A] get gradients.  Returns (attended [G, C], the weights
-    α as a plain [G, K] array with no gradient).  One tape entry; the
-    weight's gradient goes to ``backward`` as its two factors, as in
+    ``features`` [G, K, C] is a constant: G groups of K location rows.  The
+    groups' keys are the leading G*K rows of ``keys`` [N, A], and their
+    states the leading G rows of ``h`` [S, H], so a caller attends for a
+    prefix of its batch with no slice of either; both get gradients on those
+    rows, as do w_state [A, H] and score [A].  Returns (attended [G, C], the
+    weights α as a plain [G, K] array with no gradient).  One tape entry;
+    the weight's gradient goes to ``backward`` as its two factors, as in
     ``linear``.
     """
     X = np.asarray(features, dtype=np.float64)
     Kd, H, W, s = keys.data, h.data, w_state.data, score.data
-    groups = len(H) if H.ndim == 2 else 0
-    if (X.ndim != 2 or not groups or not len(X) or len(X) % groups or s.ndim != 1
-            or Kd.shape != (len(X), len(s)) or W.shape != (len(s), H.shape[1])):
-        raise ShapeError(f"attention needs [G*K, C] features, [G*K, A] keys, [G, H] states, an [A, H] "
-                         f"weight and an [A] score, got {X.shape}, keys {Kd.shape}, {H.shape}, "
-                         f"{W.shape} and {s.shape}")
+    groups, size = X.shape[:2] if X.ndim == 3 else (0, 0)
+    if (not groups or not size or H.ndim != 2 or len(H) < groups or s.ndim != 1 or Kd.ndim != 2
+            or len(Kd) < groups * size or Kd.shape[1] != len(s) or W.shape != (len(s), H.shape[1])):
+        raise ShapeError(f"attention needs [G, K, C] features, keys of at least G*K rows of width A, at "
+                         f"least G [H] states, an [A, H] weight and an [A] score, got {X.shape}, keys "
+                         f"{Kd.shape}, {H.shape}, {W.shape} and {s.shape}")
     attn = len(s)
-    t = Kd.reshape(groups, -1, attn) + (H @ W.T)[:, None, :]
+    H = H[:groups]
+    t = Kd[:groups * size].reshape(groups, size, attn) + (H @ W.T)[:, None, :]
     np.tanh(t, out=t)
     e = (t.reshape(-1, attn) @ s[:, None]).reshape(groups, -1)
     e = np.exp(e - e.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    x3 = X.reshape(groups, -1, X.shape[1])
-    out = Tensor(np.matmul(y[:, None, :], x3)[:, 0, :])
+    out = Tensor(np.matmul(y[:, None, :], X)[:, 0, :])
+    key_rows, state_rows = len(Kd), len(h.data)
 
     def grad(g):
         # the numpy calls of the weighted sum, softmax, scores and query
         # product it replaced, in their order: the gradients stay bitwise equal
-        gy = np.matmul(x3, g[:, :, None])[:, :, 0]
+        gy = np.matmul(X, g[:, :, None])[:, :, 0]
         ge = y * (gy - (gy * y).sum(axis=-1, keepdims=True))
         d = np.multiply(t, t)
         np.subtract(1.0, d, out=d)
         d *= s
         d *= ge[:, :, None]
         gq = d.sum(axis=1)
-        return d.reshape(Kd.shape), gq @ W, _Outer(gq, H), ge.reshape(-1) @ t.reshape(-1, attn)
+        return (_row_grad(d.reshape(-1, attn), 0, key_rows), _row_grad(gq @ W, 0, state_rows),
+                _Outer(gq, H), ge.reshape(-1) @ t.reshape(-1, attn))
 
     _record(out, (keys, h, w_state, score), grad)
     return out, y
@@ -393,30 +443,29 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
     if x.data.ndim != 2 or not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_rows [{start}:{stop}] invalid for shape {x.shape}")
     out = Tensor(x.data[start:stop])
-
-    def grad(g):
-        full = np.zeros(x.shape)
-        full[start:stop] = g
-        return (full,)
-
-    _record(out, (x,), grad)
+    total = x.shape[0]
+    _record(out, (x,), lambda g: (_row_grad(g, start, total),))
     return out
 
 
-def concat_rows(parts: Sequence[Tensor]) -> Tensor:
+def concat_rows(parts: Sequence[Tensor], rows: list[int] | None = None) -> Tensor:
+    """Stack the rows of ``parts``, or of each part its leading ``rows[k]``."""
     if not parts:
         raise ShapeError("concat_rows needs at least one part")
     widths = {p.shape[1:] for p in parts}
     if len(widths) != 1:
         raise ShapeError(f"concat_rows parts disagree beyond axis 0: {sorted(widths)}")
-    counts = [p.shape[0] for p in parts]
-    out = Tensor(np.concatenate([p.data for p in parts], axis=0))
+    sizes = [p.shape[0] for p in parts]
+    counts = sizes if rows is None else rows
+    if len(counts) != len(sizes) or not all(0 <= n <= size for n, size in zip(counts, sizes)):
+        raise ShapeError(f"concat_rows cannot take leading rows {counts} of parts with {sizes} rows")
+    out = Tensor(np.concatenate([p.data[:n] for p, n in zip(parts, counts)], axis=0))
 
     def grad(g):
         pieces = []
         at = 0
-        for n in counts:
-            pieces.append(g[at:at + n])
+        for n, size in zip(counts, sizes):
+            pieces.append(_row_grad(g[at:at + n], 0, size))
             at += n
         return tuple(pieces)
 
@@ -450,34 +499,30 @@ def gather_rows(x: Tensor, indices) -> Tensor:
     return out
 
 
-def sigmoid_ce(logits: Tensor, targets, weights=1.0) -> Tensor:
-    """Sigmoid cross-entropy computed in log space from logits, times
-    constant ``weights`` (a scalar or the logits' shape; no gradient flows
-    into them), summed over every element to a scalar.
+def sigmoid_ce(logits: Tensor, targets) -> Tensor:
+    """Sigmoid cross-entropy computed in log space from logits, summed over
+    every element to a scalar.
 
     ``targets`` is a constant array of the same shape with values in [0, 1].
     Each element equals -y*log(sigmoid(z)) - (1-y)*log(1 - sigmoid(z)) but
     never forms the probability first, so large logits stay finite.
     """
     y = np.asarray(targets, dtype=np.float64)
-    w = np.asarray(weights, dtype=np.float64)
-    if y.shape != logits.shape or (w.ndim and w.shape != logits.shape):
-        raise ShapeError(f"sigmoid_ce targets {y.shape} and weights {w.shape} do not match logits {logits.shape}")
+    if y.shape != logits.shape:
+        raise ShapeError(f"sigmoid_ce targets {y.shape} do not match logits {logits.shape}")
     z = logits.data
-    out = Tensor(((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))) * w).sum())
-    _record(out, (logits,), lambda g: (g * w * (_stable_sigmoid(z) - y),))
+    out = Tensor((np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))).sum())
+    _record(out, (logits,), lambda g: (g * (_stable_sigmoid(z) - y),))
     return out
 
 
-def softmax_ce(logits: Tensor, targets, weights) -> Tensor:
-    """Each row's softmax cross-entropy ``logsumexp(x) - x[target]``, times a
-    constant weight, summed: [S, V] logits, S targets and S weights give a scalar."""
+def softmax_ce(logits: Tensor, targets) -> Tensor:
+    """Each row's softmax cross-entropy ``logsumexp(x) - x[target]``, summed:
+    [S, V] logits and S targets give a scalar."""
     x = logits.data
     pos = np.asarray(targets, dtype=np.int64)
-    w = np.asarray(weights, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] == 0 or pos.shape != (x.shape[0],) or w.shape != pos.shape:
-        raise ShapeError(f"softmax_ce needs nonempty [S, V] logits, S targets and S weights, "
-                         f"got {x.shape}, {pos.shape} and {w.shape}")
+    if x.ndim != 2 or x.shape[1] == 0 or pos.shape != (x.shape[0],):
+        raise ShapeError(f"softmax_ce needs nonempty [S, V] logits and S targets, got {x.shape} and {pos.shape}")
     bad = (pos < 0) | (pos >= x.shape[1])
     if bad.any():
         raise IndexError(f"softmax_ce target {int(pos[bad][0])} out of range for width {x.shape[1]}")
@@ -485,15 +530,14 @@ def softmax_ce(logits: Tensor, targets, weights) -> Tensor:
     m = x.max(axis=1, keepdims=True)
     e = np.exp(x - m)
     z = e.sum(axis=1, keepdims=True)
-    out = Tensor((((m + np.log(z)).reshape(-1) - x[rows, pos]) * w).sum())
+    out = Tensor(((m + np.log(z)).reshape(-1) - x[rows, pos]).sum())
     soft = e / z
 
     def grad(g):
-        # soft·gw, minus gw at the targets: bitwise equal to the unfused
+        # soft·g, minus g at the targets: bitwise equal to the unfused
         # logsumexp - select chain, whose two gradients add to the same sum
-        gw = g * w
-        gx = soft * gw[:, None]
-        gx[rows, pos] -= gw
+        gx = soft * g
+        gx[rows, pos] -= g
         return (gx,)
 
     _record(out, (logits,), grad)

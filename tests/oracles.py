@@ -19,8 +19,9 @@ select_positions(x, targets)), mask))``.  Ops the package no longer calls
 ``softmax_lastdim`` and ``weighted_sum_rowgroups`` that ``attention``
 replaced, ``add_bias``, which ``linear`` took in, and the elementwise
 cross-entropies ``sigmoid_ce_elementwise`` and ``softmax_ce_elementwise``
-that the package's ``sigmoid_ce`` and ``softmax_ce`` sum) live on here as
-test-local ops.
+that the package's ``sigmoid_ce`` and ``softmax_ce`` sum, with the per-row
+weights the package's losses took before their rows were packed) live on
+here as test-local ops.
 
 The scoring kernels keep their first formulations as well: BLEU recounts
 every order for each BLEU-n, the LCS fills the quadratic table, the METEOR

@@ -520,6 +520,11 @@ def _vocab_min_frequency_is_a_string(data, tmp):
     return argv, f"{vocab}: min_frequency 'x' is not an integer"
 
 
+def _vocab_min_frequency_is_negative(data, tmp):
+    argv, vocab = _vocab_with(data, tmp, min_frequency=-3)
+    return argv, f"{vocab}: min_frequency must be >= 1, got -3"
+
+
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
@@ -531,7 +536,7 @@ def _vocab_min_frequency_is_a_string(data, tmp):
     _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
     _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
-    _vocab_token_repeated, _vocab_min_frequency_is_a_string,
+    _vocab_token_repeated, _vocab_min_frequency_is_a_string, _vocab_min_frequency_is_negative,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

@@ -223,8 +223,8 @@ def test_one_sentence_forward_and_one_decode_per_branch(monkeypatch):
     monkeypatch.setattr(hdlm.inference, "_decode_words",
                         spy("decode", hdlm.inference._decode_words))
     assert generate_corpus(params, cfg, records, limits) == want
-    # the sentence LSTM runs once to the cap; each branch decodes once
-    assert calls[0] == ("forward", limits.max_sentences)
+    # the sentence LSTM runs once, every record to the cap; each branch decodes once
+    assert calls[0] == ("forward", [len(records)] * limits.max_sentences)
     assert sorted(calls[1:]) == [("decode", "abnormal"), ("decode", "normal")]
 
 

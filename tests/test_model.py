@@ -145,7 +145,7 @@ def test_encode_image_matches_numpy():
     want = stacked @ params.img_embed.weight.data.T + params.img_embed.bias.data
     keys = attention_keys(params.attn, params.img_embed, stacked)
     assert np.allclose(keys.data, want @ params.attn.w_location.data.T, atol=1e-12)
-    v_hat, _, _, _ = sentence_forward(params, cfg, records, 1)
+    v_hat, _, _, _ = sentence_forward(params, cfg, records, [len(records)])
     means = want.reshape(2, cfg.locations, -1).mean(axis=1)
     assert np.allclose(v_hat.data, means, atol=1e-12)
 
@@ -177,7 +177,7 @@ def test_sentence_step_matches_hand_composition(monkeypatch):
         return out
 
     monkeypatch.setattr(hdlm.model, "lstm_step", spy)
-    v_hat, topics, stop, abn = sentence_forward(params, cfg, records, 2)
+    v_hat, topics, stop, abn = sentence_forward(params, cfg, records, [batch] * 2)
     assert np.array_equal(v_hat.data, v_hat_want.data)
     v_e = features @ params.img_embed.weight.data.T + params.img_embed.bias.data
     locs = v_e.reshape(batch, cfg.locations, -1)
@@ -546,6 +546,28 @@ def test_gradients_match_per_step_reference(dual):
             assert np.abs(got[name] - want[name]).max() <= bound, (seed, name)
 
 
+@pytest.mark.parametrize("dual", [True, False])
+def test_compute_losses_agree_on_a_reversed_batch(dual):
+    # the loss sorts the batch longest first, stably, so reversing it moves
+    # records of equal length and the order of every sum, and nothing else;
+    # the caller's list keeps its order
+    for seed in range(8):
+        cfg, params, records = random_case(seed, dual)
+        named = params.named_parameters()
+        results = []
+        for batch in (records, records[::-1]):
+            ids = [r.id for r in batch]
+            with Tape() as tape:
+                total = compute_losses(params, cfg, batch).total
+            assert [r.id for r in batch] == ids
+            results.append((total.item(), collect_gradients(backward(tape, total), named)))
+        (a, grads_a), (b, grads_b) = results
+        assert abs(a - b) <= 1e-12 * abs(a), seed
+        for name in named:
+            bound = 1e-12 * np.abs(grads_a[name]).max()
+            assert np.abs(grads_a[name] - grads_b[name]).max() <= bound, (seed, name)
+
+
 def test_full_model_gradients_match_finite_differences():
     cfg = ModelConfig(vocab_size=8, mti_labels=2, channels=3, embed_dim=4,
                       hidden_dim=4, locations=3)
@@ -595,7 +617,7 @@ def test_raw_feature_attention_matches_embed_first_reference(channels):
         cfg, params, records = random_case(seed, True, channels=channels, embed_dim=4, hidden_dim=5,
                                            locations=97)
         depth = max(len(r.sentences) for r in records)
-        got = sentence_forward(params, cfg, records, depth)
+        got = sentence_forward(params, cfg, records, [len(records)] * depth)
         want = sentence_forward_reference(params, cfg, records, depth)
         for k, (g, w) in enumerate(zip(got, want, strict=True)):
             assert g.shape == w.shape, (seed, k)

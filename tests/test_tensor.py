@@ -281,6 +281,49 @@ def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
     assert set(grads) == {x, y}
 
 
+def test_backward_adds_row_ranges_before_and_after_whole_gradients():
+    # the walk runs backwards, so x's gradient arrives as rows 2:5, then
+    # whole, then rows 1:3; y's arrives whole and shared with z by ``add``,
+    # then as rows 0:2, then whole again, and z's must not see the rows
+    rng = T.seeded_rng(59)
+    x, y, z = (Tensor(rng.normal(size=(5, 3))) for _ in range(3))
+    ca, cb, cc, cs, cr, cw = (rng.normal(size=(n, 3)) for n in (2, 5, 3, 5, 2, 5))
+    with Tape() as tape:
+        terms = [
+            mul_const(T.slice_rows(x, 1, 3), ca), mul_const(x, cb), mul_const(T.slice_rows(x, 2, 5), cc),
+            mul_const(T.scale(y, 2.0), cw), mul_const(T.slice_rows(y, 0, 2), cr), mul_const(T.add(y, z), cs),
+        ]
+        loss = T.sum_all(T.concat_rows(terms))
+    grads = backward(tape, loss)
+    want_x = np.zeros((5, 3))
+    want_x[2:5] += cc
+    want_x += cb
+    want_x[1:3] += ca
+    want_y = cs.copy()
+    want_y[0:2] += cr
+    want_y += cw * 2.0
+    np.testing.assert_array_equal(grads[x], want_x)
+    np.testing.assert_array_equal(grads[y], want_y)
+    np.testing.assert_array_equal(grads[z], cs)
+
+
+def test_concat_rows_takes_leading_rows():
+    rng = T.seeded_rng(61)
+    parts = [Tensor(rng.normal(size=(n, 3))) for n in (4, 2, 3)]
+    coef = rng.normal(size=(5, 3))
+    with Tape() as tape:
+        out = T.concat_rows(parts, [3, 2, 0])
+        loss = T.sum_all(mul_const(out, coef))
+    np.testing.assert_array_equal(out.data, np.concatenate([parts[0].data[:3], parts[1].data]))
+    grads = backward(tape, loss)
+    np.testing.assert_array_equal(grads[parts[0]], np.concatenate([coef[:3], np.zeros((1, 3))]))
+    np.testing.assert_array_equal(grads[parts[1]], coef[3:])
+    np.testing.assert_array_equal(grads[parts[2]], np.zeros((3, 3)))
+    for rows in ([5, 2, 3], [1, 1], [-1, 2, 3]):
+        with pytest.raises(T.ShapeError, match="concat_rows"):
+            T.concat_rows(parts, rows)
+
+
 def test_backward_twice_on_one_tape_raises():
     x = Tensor([1.0, 2.0])
     with Tape() as tape:
@@ -417,15 +460,15 @@ def test_additive_scores_against_loop_oracle():
 
 
 @pytest.mark.parametrize("shapes", [
-    ((6, 3), (6, 4), (4, 2), (4, 2), (4,)),  # rows not whole groups of the states
-    ((6, 3), (6, 4), (2, 2), (4, 3), (4,)),  # weight unlike the states
-    ((6, 3), (6, 4), (2, 2), (4, 2), (3,)),  # score unlike the keys
-    ((6, 3), (6, 4), (0, 2), (4, 2), (4,)),  # no state
-    ((6, 3), (5, 4), (2, 2), (4, 2), (4,)),  # a key per row missing
-    ((0, 3), (0, 4), (2, 2), (4, 2), (4,)),  # no row
-    ((6, 3), (6, 4), (2,), (4, 2), (4,)),  # rank-1 state
-    ((6,), (6, 4), (2, 2), (4, 2), (4,)),  # rank-1 features
-    ((6, 3), (6, 4), (2, 2), (4, 2), ()),  # scalar score
+    ((2, 3, 3), (6, 4), (1, 2), (4, 2), (4,)),  # fewer states than groups
+    ((2, 3, 3), (6, 4), (2, 2), (4, 3), (4,)),  # weight unlike the states
+    ((2, 3, 3), (6, 4), (2, 2), (4, 2), (3,)),  # score unlike the keys
+    ((2, 3, 3), (6, 4), (0, 2), (4, 2), (4,)),  # no state
+    ((2, 3, 3), (5, 4), (2, 2), (4, 2), (4,)),  # a key per location missing
+    ((2, 0, 3), (0, 4), (2, 2), (4, 2), (4,)),  # no location
+    ((2, 3, 3), (6, 4), (2,), (4, 2), (4,)),  # rank-1 state
+    ((6, 3), (6, 4), (2, 2), (4, 2), (4,)),  # rank-2 features, not in groups
+    ((2, 3, 3), (6, 4), (2, 2), (4, 2), ()),  # scalar score
 ])
 def test_attention_shape_error(shapes):
     features = np.zeros(shapes[0])
@@ -448,6 +491,67 @@ def test_fused_cell_ops_shape_error(shapes):
     x_proj, w_recur, bias, h, c = (Tensor(np.zeros(s)) for s in shapes)
     with pytest.raises(T.ShapeError, match="lstm"):
         T.lstm(x_proj, w_recur, bias, h, c)
+
+
+def _packed_lstm_case(seed):
+    # steps of 4, 3, 3 and 1 rows from a 5-row start state, small enough
+    # that no gate saturates
+    rng = T.seeded_rng(seed)
+    rows, hs = [4, 3, 3, 1], 3
+    leaves = [Tensor(rng.normal(size=shape) * 0.5)
+              for shape in ((sum(rows), 4 * hs), (4 * hs, hs), (4 * hs,), (5, hs), (5, hs))]
+    coef, coef_c = rng.normal(size=(sum(rows), hs)), rng.normal(size=(1, hs))
+
+    def loss(states, c_last):
+        return T.add(T.sum_all(mul_const(states, coef)), T.sum_all(mul_const(c_last, coef_c)))
+
+    return rows, leaves, loss
+
+
+def test_lstm_packed_rows_match_the_unpacked_op_per_step():
+    # each step run by itself with the unpacked op, on that step's input rows
+    # and the leading rows of the state before it
+    for seed in range(4):
+        rows, leaves, loss = _packed_lstm_case(seed)
+        x_proj, w_recur, bias, h0, c0 = leaves
+
+        def stepwise():
+            h, c, outs, at = h0, c0, [], 0
+            for n in rows:
+                h, c = T.lstm(T.slice_rows(x_proj, at, at + n), w_recur, bias,
+                              T.slice_rows(h, 0, n), T.slice_rows(c, 0, n))
+                outs.append(h)
+                at += n
+            return T.concat_rows(outs), c
+
+        def run(build):
+            with Tape() as tape:
+                states, c_last = build()
+                total = loss(states, c_last)
+            grads = backward(tape, total)
+            return [states.data, c_last.data, total.data, *(grads[t] for t in leaves)]
+
+        got = run(lambda: T.lstm(x_proj, w_recur, bias, h0, c0, rows))
+        for k, (g, w) in enumerate(zip(got, run(stepwise), strict=True)):
+            assert g.shape == w.shape, (seed, k)
+            assert np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max()), (seed, k)
+        # the start state's last row is read by no step
+        assert not got[-2][4:].any() and not got[-1][4:].any()
+
+
+def test_lstm_packed_rows_pass_the_gradient_audit():
+    rows, leaves, loss = _packed_lstm_case(7)
+    named = dict(zip(("x_proj", "w_recur", "bias", "h", "c"), leaves))
+    report = gradient_audit(lambda: loss(*T.lstm(*leaves, rows)), named, atol=0.0)
+    assert max(err for err, _ in report.values()) <= 1e-4
+
+
+@pytest.mark.parametrize("rows", [[4, 5], [6, 3], [4, 4, 4], [5, 4, 0], [4, 1]],
+                         ids=["growing", "above_state", "too_many", "empty_step", "too_few"])
+def test_lstm_rejects_bad_step_rows(rows):
+    x_proj, w_recur, bias, h, c = (Tensor(np.zeros(s)) for s in ((9, 8), (8, 2), (8,), (5, 2), (5, 2)))
+    with pytest.raises(T.ShapeError, match="lstm"):
+        T.lstm(x_proj, w_recur, bias, h, c, rows)
 
 
 def test_backward_composite_lstm_like_step_matches_fd():
@@ -520,7 +624,7 @@ def _op_cases(rng):
     query = Tensor(rng.normal(size=(2, 5)))
     rng.normal(size=(3, 8))  # unused; drawn so the draws after it stay put
     cell = Tensor(rng.normal(size=(3, 2)))
-    ce_weights = rng.choice([0.0, 0.5, 2.0], size=3)
+    rng.choice([0.0, 0.5, 2.0], size=3)  # unused; drawn so the draws after it stay put
     sigmoid_weights = rng.choice([0.0, 0.5, 2.0], size=(4, 5))
     vec = Tensor(rng.normal(size=5))
     tall = Tensor(rng.normal(size=(5, 7)))
@@ -567,12 +671,13 @@ def _op_cases(rng):
         # every step's states and the last cell reach the loss
         "lstm": ([seq, recur, lstm_bias, state, cell],
                  lambda: T.concat_rows(T.lstm(seq, recur, lstm_bias, state, cell))),
-        "softmax_ce": ([wide], lambda: T.softmax_ce(wide, pos, ce_weights)),
-        "sigmoid_ce_weighted": ([a], lambda: T.sigmoid_ce(a, targets, sigmoid_weights)),
+        "softmax_ce": ([wide], lambda: T.softmax_ce(wide, pos)),
+        # the weighted form the package's losses no longer take, as an oracle
+        "sigmoid_ce_weighted": ([a], lambda: sigmoid_ce_chain(a, targets, sigmoid_weights)),
         "matmul_vector": ([a, vec], lambda: T.matmul(a, vec)),
         "matmul_matrix": ([a, tall], lambda: T.matmul(a, tall)),
         "attention": ([keys, att_state, w_state, score],
-                      lambda: T.attention(rows, keys, att_state, w_state, score)[0]),
+                      lambda: T.attention(rows.reshape(2, 3, 4), keys, att_state, w_state, score)[0]),
     }
 
 
@@ -622,8 +727,37 @@ def test_attention_bitwise_equal_to_oracle_chain():
             grads = backward(tape, loss)
             return [loss.data, *values, *(grads[t] for t in (keys, h0, w_state, score, w_back))]
 
-        for got, want in zip(run(T.attention), run(attention_chain), strict=True):
+        def grouped(features, *args):
+            return T.attention(features.reshape(groups, size, width), *args)
+
+        for got, want in zip(run(grouped), run(attention_chain), strict=True):
             np.testing.assert_array_equal(got, want)
+
+
+def test_attention_with_fewer_states_than_key_groups():
+    # two of four groups attend from a three-row state: the values and
+    # gradients of the op on exactly those rows, and none for the others
+    rng = T.seeded_rng(53)
+    groups, size, width, attn, hidden = 2, 3, 4, 5, 3
+    features = rng.normal(size=(groups, size, width))
+    keys = Tensor(rng.normal(size=(4 * size, attn)))
+    h = Tensor(rng.normal(size=(3, hidden)))
+    w_state, score = Tensor(rng.normal(size=(attn, hidden))), Tensor(rng.normal(size=attn))
+    coef = rng.normal(size=(groups, width))
+    keys_used, h_used = Tensor(keys.data[:groups * size]), Tensor(h.data[:groups])
+
+    def run(k, s):
+        with Tape() as tape:
+            attended, weights = T.attention(features, k, s, w_state, score)
+            loss = T.sum_all(mul_const(attended, coef))
+        grads = backward(tape, loss)
+        return attended.data, weights, grads[k], grads[s], grads[w_state], grads[score]
+
+    got, want = run(keys, h), run(keys_used, h_used)
+    for k in (0, 1, 4, 5):
+        np.testing.assert_array_equal(got[k], want[k])
+    np.testing.assert_array_equal(got[2], np.concatenate([want[2], np.zeros((2 * size, attn))]))
+    np.testing.assert_array_equal(got[3], np.concatenate([want[3], np.zeros((1, hidden))]))
 
 
 # --- fused cross-entropy ops ---------------------------------------------------
@@ -637,33 +771,26 @@ def _value_and_leaf_grads(build, leaves):
 
 
 def test_fused_ce_ops_equal_oracle_chains_bitwise():
-    # each op's weighted sum and its gradient equal the sum_all of its
-    # elementwise form, since a scalar g*w equals a filled one, and the
-    # chain of ops it fuses: the fused gradient soft*gw - gw at a target
-    # equals the chain's (-gw) + soft*gw exactly, because IEEE addition
-    # commutes and a - b is a + (-b); the logits come from a product so the
-    # gradient reaches leaves
+    # each op's sum and its gradient equal the sum_all of its elementwise
+    # form at unit weights, since a scalar g*1 equals g, and the chain of ops
+    # it fuses: the fused gradient soft*g - g at a target equals the chain's
+    # (-g) + soft*g exactly, because IEEE addition commutes and a - b is
+    # a + (-b); the logits come from a product so the gradient reaches leaves
     rng = T.seeded_rng(41)
     for rep in range(40):
         rows, width = int(rng.integers(1, 9)), int(rng.integers(1, 9))
         x = Tensor(rng.normal(size=(rows, 3)) * 3.0)
         w = Tensor(rng.normal(size=(width, 3)))
         targets = rng.integers(0, width, size=rows)
-        weights = rng.choice([0.0, 1.0, 0.37], size=rows)
-        weights[rep % rows] = 0.0
         labels = rng.uniform(0.0, 1.0, size=(rows, width))
-        grid = rng.choice([0.0, 1.0, 2.5], size=(rows, width))
         factor = [0.0, 0.5, 3.0][rep % 3]
         cases = [
-            (lambda: T.softmax_ce(T.linear(x, w), targets, weights),
-             lambda: T.sum_all(softmax_ce_elementwise(T.linear(x, w), targets, weights)),
-             lambda: softmax_ce_chain(T.linear(x, w), targets, weights)),
-            (lambda: T.sigmoid_ce(T.linear(x, w), labels, grid),
-             lambda: T.sum_all(sigmoid_ce_elementwise(T.linear(x, w), labels, grid)),
-             lambda: sigmoid_ce_chain(T.linear(x, w), labels, grid)),
-            (lambda: T.sigmoid_ce(T.linear(x, w), labels, 0.37),
-             lambda: T.sum_all(sigmoid_ce_elementwise(T.linear(x, w), labels, 0.37)),
-             lambda: sigmoid_ce_chain(T.linear(x, w), labels, 0.37)),
+            (lambda: T.softmax_ce(T.linear(x, w), targets),
+             lambda: T.sum_all(softmax_ce_elementwise(T.linear(x, w), targets, np.ones(rows))),
+             lambda: softmax_ce_chain(T.linear(x, w), targets, np.ones(rows))),
+            (lambda: T.sigmoid_ce(T.linear(x, w), labels),
+             lambda: T.sum_all(sigmoid_ce_elementwise(T.linear(x, w), labels)),
+             lambda: sigmoid_ce_chain(T.linear(x, w), labels, np.ones((rows, width)))),
         ]
         for fused, *oracles in cases:
             assert fused().shape == ()
@@ -678,14 +805,16 @@ def test_fused_ce_ops_equal_oracle_chains_bitwise():
 def test_softmax_ce_rejects_bad_targets_and_shapes():
     x = Tensor(np.zeros((2, 3)))
     with pytest.raises(IndexError, match="target 3 out of range for width 3"):
-        T.softmax_ce(x, [0, 3], [1.0, 1.0])
+        T.softmax_ce(x, [0, 3])
     with pytest.raises(IndexError, match="target -1"):
-        T.softmax_ce(x, [-1, 0], [1.0, 1.0])
-    for targets, weights in (([0], [1.0]), ([0, 1], [1.0]), ([[0, 1]], [1.0, 1.0])):
+        T.softmax_ce(x, [-1, 0])
+    for targets in ([0], [0, 1, 2], [[0, 1]]):
         with pytest.raises(T.ShapeError, match="softmax_ce"):
-            T.softmax_ce(x, targets, weights)
+            T.softmax_ce(x, targets)
+    with pytest.raises(T.ShapeError, match="softmax_ce"):
+        T.softmax_ce(Tensor(np.zeros((2, 0))), [0, 0])
     with pytest.raises(T.ShapeError, match="sigmoid_ce"):
-        T.sigmoid_ce(x, np.zeros((2, 3)), np.ones((2, 1)))
+        T.sigmoid_ce(x, np.zeros((2, 1)))
 
 
 # public names only tests call, each with its reason to stay
