@@ -445,6 +445,8 @@ def load_features(path) -> np.ndarray:
     if len(blob) != expected:
         raise CorpusFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
     flat = np.frombuffer(blob, dtype="<f4", offset=16)
+    if not np.isfinite(flat).all():  # on the float32 values, before they are widened
+        raise CorpusFormatError(f"{path}: a feature value is not finite")
     return flat.astype(np.float64).reshape(loc, chan)
 
 

@@ -51,6 +51,7 @@ from .tensor import (
     Tensor,
     add,
     concat_rows,
+    flat_views,
     gather_rows,
     relu,
     scale,
@@ -133,10 +134,12 @@ class ModelParams:
 
     @staticmethod
     def create(config: ModelConfig, seed: int = 0) -> "ModelParams":
-        """Fixed creation order so one seed pins every weight."""
+        """Fixed creation order so one seed pins every weight; each weight
+        then becomes a view of one flat array, in ``named_parameters``
+        order, which the optimizer updates in one pass."""
         rng = seeded_rng(seed)
         d, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
-        return ModelParams(
+        params = ModelParams(
             img_embed=LinearLayer.create(d, config.channels, rng),
             attn=AttentionParams.create(h, d, h, rng),
             sent_lstm=LSTMCellParams.create(d, h, rng),
@@ -152,6 +155,12 @@ class ModelParams:
             word_normal_out=LinearLayer.create(v, h, rng),
             mti_head=LinearLayer.create(config.mti_labels, d, rng),
         )
+        named = params.named_parameters()
+        store = flat_views({name: t.shape for name, t in named.items()})
+        for name, t in named.items():
+            store[name][...] = t.data
+            t.data = store[name]
+        return params
 
     def named_parameters(self) -> dict[str, Tensor]:
         return {name: t for f in fields(self)

@@ -11,6 +11,10 @@ values are identical whether or not a tape is active, so the same code path
 serves training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
+Given an ``into`` map, ``backward`` writes chosen leaves' gradients into
+arrays the caller owns, such as the views of one flat store that
+:func:`flat_views` makes and :func:`flat_array` gives back whole, so an
+optimizer can run on the store in wide calls.
 An op that reads only some rows of an input (the leading rows of a state or
 of the attention keys, or a slice) hands back a gradient for just those
 rows; ``backward`` adds it into the one zero-started array the input owns in
@@ -19,6 +23,7 @@ that walk, so no op builds a zero-filled copy of its input.
 
 from __future__ import annotations
 
+import math
 import threading
 from typing import Callable, Sequence
 
@@ -31,7 +36,8 @@ __all__ = [
     "TapeError",
     "attention",
     "backward",
-    "collect_gradients",
+    "flat_array",
+    "flat_views",
     "gradient_audit",
     "linear",
     "matmul",
@@ -92,6 +98,31 @@ class Tensor:
 
 def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
+
+
+def flat_views(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
+    """Name -> a view of each shape into one zero-filled float64 array that
+    the views fill in order; :func:`flat_array` gives that array back."""
+    whole = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
+    views, at = {}, 0
+    for name, shape in shapes.items():
+        n = math.prod(shape)
+        views[name] = whole[at:at + n].reshape(shape)
+        at += n
+    return views
+
+
+def flat_array(arrays) -> np.ndarray:
+    """As 1-D, the C-ordered float64 array that ``arrays`` fill as views of
+    it (as :func:`flat_views` makes them), or a lone such array itself;
+    ``ValueError`` otherwise.  Stores made from one name table line up."""
+    arrays = list(arrays)
+    whole = None if not arrays else arrays[0] if arrays[0].base is None else arrays[0].base
+    if not (isinstance(whole, np.ndarray) and whole.dtype == np.float64 and whole.flags.c_contiguous
+            and sum(a.size for a in arrays) == whole.size
+            and all((a is whole or a.base is whole) and a.flags.c_contiguous for a in arrays)):
+        raise ValueError("arrays are not C-ordered views that fill one float64 array")
+    return whole.reshape(-1)
 
 
 class _Outer:
@@ -155,10 +186,16 @@ def _record(out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
         stack[-1].entries.append((out, inputs, grad_fn))
 
 
-def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
+def backward(tape: Tape, loss: Tensor,
+             into: dict[Tensor, np.ndarray] | None = None) -> dict[Tensor, np.ndarray]:
     """Walk the tape in reverse from a scalar ``loss``; return leaf tensor ->
     gradient array, leaves in the order their first plain gradient arrived,
     then those reached only as ``linear`` weights.
+
+    ``into`` maps leaves to arrays of their shape, such as views of a
+    :func:`flat_views` store: such a leaf's gradient, or zeros if the loss
+    never reached it, is written into its array (a ``linear`` weight's
+    product straight from ``matmul``) and left out of the returned dict.
 
     An entry with a tuple of outputs is skipped when none of them has a
     gradient; otherwise its ``grad_fn`` gets one gradient, or ``None``, per
@@ -183,7 +220,7 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
     owned: set[Tensor] = set()
     outers: dict[Tensor, list[_Outer]] = {}
 
-    def take(t: Tensor) -> np.ndarray | None:
+    def take(t: Tensor, out: np.ndarray | None = None) -> np.ndarray | None:
         # a node's gradient is complete when it is first read: stack its
         # weight-gradient factors into one product and add the rest
         g = grads.pop(t, None)
@@ -191,13 +228,17 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
         parts = outers.pop(t, None)
         if parts:
             if len(parts) == 1:
-                prod = parts[0].g.T @ parts[0].x
+                prod = np.matmul(parts[0].g.T, parts[0].x, out=out)
             else:
-                prod = np.concatenate([p.g for p in parts]).T @ np.concatenate([p.x for p in parts])
+                prod = np.matmul(np.concatenate([p.g for p in parts]).T,
+                                 np.concatenate([p.x for p in parts]), out=out)
             if g is not None:
                 prod += g
-            g = prod
-        return g
+            return prod
+        if out is None:
+            return g
+        out[...] = 0.0 if g is None else g
+        return out
 
     while tape.entries:
         out, inputs, grad_fn = tape.entries.pop()
@@ -227,14 +268,9 @@ def backward(tape: Tape, loss: Tensor) -> dict[Tensor, np.ndarray]:
             else:
                 grads[t] = np.add(acc, g_in, out=np.empty_like(acc))
                 owned.add(t)
+    for t, out in (into or {}).items():
+        take(t, out)
     return {t: take(t) for t in [*grads, *(t for t in outers if t not in grads)]}
-
-
-def collect_gradients(grads, named_params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    """Gradients by parameter name, zero-filled where the loss never touched
-    the parameter."""
-    return {name: grads[t] if t in grads else np.zeros_like(t.data)
-            for name, t in named_params.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -300,6 +336,13 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor,
     S rows.  Returns every step's h' stacked as [N, H], and the last step's
     c'.  One tape entry, whose backward runs through time in one loop; the
     per-step values are kept only while a tape records.
+
+    The gate math runs at full width, as in cuDNN's fused LSTM: one
+    ``tanh`` of the [n, 4H] pre-activation times [1/2 | 1/2 | 1 | 1/2], then
+    σ(z) = (1 + tanh(z / 2)) / 2 across it with the cell gate's ``tanh`` put
+    back, gives the one [n, 4H] gate array a taped step keeps beside c and
+    tanh(c').  The backward's products keep each gate's unfused order, so
+    results are bitwise those of the per-gate chain.
     """
     X, W, b, h0, c0 = x_proj.data, w_recur.data, bias.data, h.data, c.data
     width, hs = h0.shape if h0.ndim == 2 else (0, 0)
@@ -313,24 +356,33 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor,
                          f"{h0.shape} and {c0.shape}, steps {rows}")
     starts = np.cumsum([0, *rows[:-1]]).tolist()
     saved = [] if getattr(_state, "stack", None) else None
+    cell = slice(2 * hs, 3 * hs)
+    half = np.full(4 * hs, 0.5)
+    half[cell] = 1.0  # scaling by 1/2 or 1 is exact
     h_prev, c_prev, outs = h0, c0, []
     for at, n in zip(starts, rows):
         c_prev = c_prev[:n]
         Z = X[at:at + n] + h_prev[:n] @ W.T + b
-        i, f, o = (_stable_sigmoid(Z[:, j * hs:(j + 1) * hs]) for j in (0, 1, 3))
-        g = np.tanh(Z[:, 2 * hs:3 * hs])
+        Z *= half
+        np.tanh(Z, out=Z)
+        gates = 1.0 + Z
+        gates *= 0.5
+        gates[:, cell] = Z[:, cell]
+        i, f, g, o = (gates[:, j * hs:(j + 1) * hs] for j in range(4))
         c_new = f * c_prev + i * g
         t = np.tanh(c_new)
         h_prev = o * t
         outs.append(h_prev)
         if saved is not None:
-            saved.append((c_prev, i, f, g, o, t))
+            saved.append((c_prev, gates, t))
         c_prev = c_new
     states = outs[0] if len(outs) == 1 else np.concatenate(outs)
     out, c_last = Tensor(states), Tensor(c_prev)
 
     def flip(blocks):
         return blocks[0] if len(blocks) == 1 else np.concatenate(blocks[::-1])
+
+    sigmoids = half != 1.0  # the input, forget and output gates
 
     def grad(g_states, g_last):
         # per-element products in the order of the unfused sigmoid/tanh/mul
@@ -342,18 +394,24 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor,
         gc = np.zeros((0, hs)) if g_last is None else g_last
         g_bias, gh_prev = None, np.zeros((0, hs))
         for k in reversed(range(len(rows))):
-            c_prev, i, f, g, o, t = saved[k]
+            c_prev, gates, t = saved[k]
+            i, f, g, o = (gates[:, j * hs:(j + 1) * hs] for j in range(4))
             at, n = starts[k], rows[k]
             gh = g_states[at:at + n].copy()
             gh[:len(gh_prev)] += gh_prev
             gc_h = gh * o * (1.0 - t * t)
             gc_h[:len(gc)] += gc
             gc = gc_h
+            # each gate's ((a·b)·gate)·(1 - gate) at full width; the cell
+            # gate's is (gc·i)·(1 - g·g), so it skips the gate factor
+            d = np.concatenate((gc, gc, gc, gh), axis=1)
+            d *= np.concatenate((g, c_prev, i, t), axis=1)
+            np.multiply(d, gates, out=d, where=sigmoids)
+            u = 1.0 - gates
+            np.subtract(1.0, g * g, out=u[:, cell])
+            d *= u
             gz = gx[at:at + n]
-            gz[:, :hs] += gc * g * i * (1.0 - i)
-            gz[:, hs:2 * hs] += gc * c_prev * f * (1.0 - f)
-            gz[:, 2 * hs:3 * hs] += gc * i * (1.0 - g * g)
-            gz[:, 3 * hs:] += gh * t * o * (1.0 - o)
+            gz += d
             g_bias = gz.sum(axis=0) if g_bias is None else g_bias + gz.sum(axis=0)
             gh_prev, gc = gz @ W, gc * f
         # w_recur's factors stacked as the per-step products were, last step
@@ -576,9 +634,10 @@ def gradient_audit(
     every probed coordinate.  ``f`` must be deterministic and read the
     parameter tensors in place.
     """
+    analytic = flat_views({name: p.shape for name, p in named_params.items()})
     with Tape() as tape:
         out = f()
-    analytic = collect_gradients(backward(tape, out), named_params)
+    backward(tape, out, {p: analytic[name] for name, p in named_params.items()})
     rng = seeded_rng(seed)
     report: dict[str, tuple[float, int]] = {}
     for name, p in named_params.items():

@@ -3,6 +3,12 @@ seeded per-epoch shuffling, mid-epoch evaluation hooks, and a binary
 checkpoint format that stores parameters, optimizer moments, and a config
 fingerprint.
 
+Parameters, gradients and both Adam moments each live in one flat float64
+array, as views laid out in ``named_parameters`` order: ``backward`` writes
+each gradient into its view of a store ``train`` owns for the run, the clip
+scales that store in one call, and Adam updates all four arrays in one pass
+over cache-sized blocks.
+
 Checkpoint layout (all little-endian): magic "HDLM", u32 version, u64
 iteration, then repeated entries of (u32 name length, name bytes, u32 rank,
 u32 dims..., f64 values).  Optimizer moments are stored under
@@ -10,8 +16,9 @@ u32 dims..., f64 values).  Optimizer moments are stored under
 configuration is fingerprinted as a sha256 digest under ``meta/config``.
 
 A reader takes each entry at most once, only under a name of the model's
-own table and with the shape that table gives it; the optimizer state is
-whole or absent; and a load that fails leaves the parameters untouched.
+own table and with the shape that table gives it; every parameter and
+moment value is finite; the optimizer state is whole or absent; and a load
+that fails leaves the parameters untouched.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ import numpy as np
 
 from .data import ConfigError, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
-from .tensor import Tape, Tensor, backward, collect_gradients, seeded_rng
+from .tensor import Tape, Tensor, backward, flat_array, flat_views, seeded_rng
 
 CHECKPOINT_MAGIC = b"HDLM"
 CHECKPOINT_VERSION = 1
@@ -48,16 +55,19 @@ class TrainingDivergedError(RuntimeError):
 
 @dataclass
 class AdamState:
+    """Both moments of every parameter by name, and the step count.
+    ``create`` lays each moment out as views of one flat array
+    (:func:`hdlm.tensor.flat_views`), the layout ``adam_step`` needs;
+    ``load_checkpoint`` returns an array per parameter."""
+
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
 
     @staticmethod
     def create(named_params: dict[str, Tensor]) -> "AdamState":
-        return AdamState(
-            m={n: np.zeros_like(t.data) for n, t in named_params.items()},
-            v={n: np.zeros_like(t.data) for n, t in named_params.items()},
-        )
+        shapes = {n: t.shape for n, t in named_params.items()}
+        return AdamState(m=flat_views(shapes), v=flat_views(shapes))
 
 
 _ADAM_BLOCK = 1 << 15  # elements: p, g, m, v and 2 scratch blocks = 1.5 MiB, within L2
@@ -74,62 +84,61 @@ def adam_step(
 ) -> None:
     """One bias-corrected Adam update, in place.
 
-    A zero gradient on fresh state is an exact no-op, so parameters whose
-    loss terms were absent this batch stay bitwise unchanged.  A parameter
-    of at most ``_ADAM_BLOCK`` elements is one block; a larger one is split
-    into blocks of whole rows along its leading axis, as many as fit in
-    ``_ADAM_BLOCK`` elements and at least one.  A block is a view of the
-    parameter, its gradient and both moments in any memory layout, so each
-    pass over it runs in cache.  Temporaries go to two scratch buffers the
-    size of the largest block, in the operation order of
-    ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g`` and
-    ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.  The update is
-    elementwise, so a block rounds exactly as the whole array would.
+    The parameters, the gradients and each moment must fill one flat array
+    apiece in one layout (:func:`hdlm.tensor.flat_array`), as
+    ``ModelParams.create``, :func:`hdlm.tensor.flat_views` and
+    ``AdamState.create`` lay them out.  A zero gradient on fresh state is an
+    exact no-op, so parameters whose loss terms were absent this batch stay
+    bitwise unchanged.  The update runs on blocks of ``_ADAM_BLOCK``
+    elements of the four flat arrays, so each pass over a block runs in
+    cache.  Temporaries go to two block-sized scratch buffers, in the
+    operation order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
+    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.  The update is
+    elementwise, so a block rounds exactly as each parameter's whole array
+    would.
     """
+    p = flat_array(t.data for t in named_params.values())
+    g, m, v = flat_array(grads.values()), flat_array(state.m.values()), flat_array(state.v.values())
+    if not p.size == g.size == m.size == v.size:
+        raise ValueError(f"adam_step needs stores of one size, got {p.size}, {g.size}, {m.size} and {v.size}")
     state.t += 1
     c1 = 1.0 - beta1 ** state.t
     c2 = 1.0 - beta2 ** state.t
     d1, d2 = 1.0 - beta1, 1.0 - beta2
-    scratch_a = scratch_b = np.empty(0)
-    multiply, divide, sqrt = np.multiply, np.divide, np.sqrt  # small parameters are call-bound
-    for name, tensor in named_params.items():
-        p, g, m, v = tensor.data, grads[name], state.m[name], state.v[name]
-        blocks = [(p, g, m, v)]
-        if p.size > _ADAM_BLOCK:  # whole rows along the leading axis
-            step = max(1, _ADAM_BLOCK * len(p) // p.size)
-            blocks = [(p[i:i + step], g[i:i + step], m[i:i + step], v[i:i + step])
-                      for i in range(0, len(p), step)]
-        for pb, gb, mb, vb in blocks:
-            n = gb.size
-            if n > scratch_a.size:  # the scratch grows to the largest block
-                scratch_a, scratch_b = np.empty(n), np.empty(n)
-            a = scratch_a[:n].reshape(gb.shape)
-            b = scratch_b[:n].reshape(gb.shape)
-            mb *= beta1
-            mb += multiply(gb, d1, out=a)
-            vb *= beta2
-            multiply(gb, d2, out=a)
-            vb += multiply(a, gb, out=a)
-            divide(mb, c1, out=a)
-            a *= learning_rate
-            divide(vb, c2, out=b)
-            sqrt(b, out=b)
-            b += eps
-            pb -= divide(a, b, out=a)
+    scratch_a, scratch_b = np.empty(min(p.size, _ADAM_BLOCK)), np.empty(min(p.size, _ADAM_BLOCK))
+    for at in range(0, p.size, _ADAM_BLOCK):
+        pb, gb, mb, vb = (x[at:at + _ADAM_BLOCK] for x in (p, g, m, v))
+        a, b = scratch_a[:len(gb)], scratch_b[:len(gb)]
+        mb *= beta1
+        mb += np.multiply(gb, d1, out=a)
+        vb *= beta2
+        np.multiply(gb, d2, out=a)
+        vb += np.multiply(a, gb, out=a)
+        np.divide(mb, c1, out=a)
+        a *= learning_rate
+        np.divide(vb, c2, out=b)
+        np.sqrt(b, out=b)
+        b += eps
+        pb -= np.divide(a, b, out=a)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
     """Scale all gradients in place to a global L2 norm of at most
-    ``max_norm``; returns the pre-clip norm."""
-    scratch = np.empty(max((g.size for g in grads.values()), default=0))
+    ``max_norm``; returns the pre-clip norm.
+
+    The gradients must fill one flat array (:func:`hdlm.tensor.flat_array`),
+    which one call scales.  The norm sums each gradient's squares in turn
+    through scratch the size of the largest: squaring the whole store at
+    once raised a paper-scale step's peak memory by its size.
+    """
+    flat = flat_array(grads.values())
+    scratch = np.empty(max(g.size for g in grads.values()))
     total = math.sqrt(sum(
         float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
         for g in grads.values()
     ))
     if total > max_norm and total > 0.0:
-        factor = max_norm / total
-        for g in grads.values():
-            g *= factor
+        flat *= max_norm / total
     return total
 
 
@@ -200,6 +209,9 @@ def train(
         raise ValueError("train needs a nonempty record list")
     named = params.named_parameters()
     state = AdamState.create(named)
+    # the run's one gradient store, which backward writes and Adam reads
+    grads = flat_views({n: t.shape for n, t in named.items()})
+    into = {t: grads[n] for n, t in named.items()}
     rng = seeded_rng(config.seed)
     history: list[dict] = []
     iteration = 0
@@ -225,7 +237,7 @@ def train(
                     )
                 tape_entries = len(tape.entries)
                 t1 = time.perf_counter()
-                grads = collect_gradients(backward(tape, bundle.total), named)
+                backward(tape, bundle.total, into)
                 t2 = time.perf_counter()
                 grad_norm = clip_gradients(grads, config.clip_norm)
                 t3 = time.perf_counter()
@@ -310,6 +322,9 @@ def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int
     """Restore parameters (in place) and optimizer state from ``path``, in
     one pass against the entry table ``save_checkpoint`` writes from."""
     named = params.named_parameters()
+    # an array per moment, not flat stores: those are always fresh memory
+    # mappings, where these reuse freed heap blocks, and at paper scale the
+    # two flat stores raised the peak memory of a load by up to their size
     adam = AdamState(m={n: np.empty(t.data.shape) for n, t in named.items()},
                      v={n: np.empty(t.data.shape) for n, t in named.items()})
     # the file's values go to fresh arrays, never to the parameters' own
@@ -344,6 +359,8 @@ def load_checkpoint(path, params: ModelParams, config: ModelConfig) -> tuple[int
                 raise CheckpointError(f"{path}: {name!r} has shape {dims}, expected {arr.shape}")
             if fh.readinto(arr.data) != arr.nbytes:
                 raise CheckpointError(f"{path}: truncated while reading {name} values")
+            if name not in ("meta/config", "adam/t") and not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: {name!r} holds a value that is not finite")
             seen.add(name)
     missing = [name for name in want if name not in seen]  # in table order
     if "meta/config" in missing or not np.array_equal(want["meta/config"], config_fingerprint(config)):

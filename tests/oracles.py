@@ -477,6 +477,14 @@ def generate_report(params, config, features, limits, record_id=""):
     return report
 
 
+def collect_gradients(grads, named_params):
+    """``backward``'s gradients by parameter name, zero-filled where the loss
+    never touched the parameter, as the package collected them before
+    ``backward`` wrote into a flat store."""
+    return {name: grads[t] if t in grads else np.zeros_like(t.data)
+            for name, t in named_params.items()}
+
+
 def adam_step_reference(named_params, grads, state, learning_rate,
                         beta1=0.9, beta2=0.999, eps=1e-8):
     """``hdlm.training.adam_step`` as first written: each term a fresh array."""

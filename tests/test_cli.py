@@ -466,6 +466,29 @@ def _feature_header_truncated(data, tmp):
             f"{data / 'train.jsonl'}:1: {data / first['feature']}: truncated header")
 
 
+def _feature_value_is(value, data, split, lineno):
+    """Set one value of a record's feature map; returns where the loader
+    reports it."""
+    corpus = data / f"{split}.jsonl"
+    record = json.loads(corpus.read_text().splitlines()[lineno - 1])
+    features = load_features(data / record["feature"])
+    features[-1, -1] = value
+    save_features(data / record["feature"], features)
+    return f"{corpus}:{lineno}: {data / record['feature']}: a feature value is not finite"
+
+
+def _val_feature_is_nan(data, tmp):
+    # rejected before the model is built or the checkpoint read
+    expected = _feature_value_is(math.nan, data, "val", 2)
+    return (["generate", str(data / "val.jsonl"), "--checkpoint", str(tmp / "nowhere.bin"),
+             "--out", str(tmp / "gen")], expected)
+
+
+def _train_feature_is_infinite(data, tmp):
+    expected = _feature_value_is(math.inf, data, "train", 3)
+    return ["train", str(data), "--out", str(tmp / "run")], expected
+
+
 def _vocab_without_tokens(data, tmp):
     (data / "vocab.json").write_text('{"min_frequency": 1}')
     return ["train", str(data), "--out", str(tmp / "run")], f"{data / 'vocab.json'}: expected a JSON object"
@@ -537,6 +560,7 @@ def _vocab_min_frequency_is_negative(data, tmp):
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
     _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
     _vocab_token_repeated, _vocab_min_frequency_is_a_string, _vocab_min_frequency_is_negative,
+    _val_feature_is_nan, _train_feature_is_infinite,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"
@@ -612,6 +636,12 @@ def _moments_without_step(blob, runs, tmp):
     return moments[:-len(step)]
 
 
+def _first_weight_is_nan(blob, runs, tmp):
+    # the first value of img_embed.weight, after its name, rank and two dims
+    at = blob.index(b"img_embed.weight") + len(b"img_embed.weight") + 4 + 8
+    return blob[:at] + struct.pack("<d", math.nan) + blob[at + 8:]
+
+
 @pytest.mark.parametrize("corrupt, message", [
     (_appended(_entry(b"adam/t", (0,))), "'adam/t' has shape (0,), expected (1,)"),
     (_appended(_entry(b"\xff\xfe")), "entry name is not valid UTF-8"),
@@ -625,9 +655,10 @@ def _moments_without_step(blob, runs, tmp):
     (_moments_without_step, "optimizer state is missing 'adam/t'"),
     (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", 3.0)),
      "optimizer state is missing 'adam/m/img_embed.weight'"),
+    (_first_weight_is_nan, "'img_embed.weight' holds a value that is not finite"),
 ], ids=["adam_t_without_value", "name_not_utf8", "adam_t_infinite", "adam_t_nan", "adam_t_fractional",
         "first_rank_max", "name_length_max", "meta_config_repeated", "moments_without_adam_t",
-        "adam_t_without_moments"])
+        "adam_t_without_moments", "weight_is_nan"])
 def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, corrupt, message):
     data, runs = pipeline / "data", pipeline / "run"
     bad = tmp_path / "final.bin"

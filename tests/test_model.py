@@ -23,13 +23,13 @@ from hdlm.tensor import (
     Tape,
     Tensor,
     backward,
-    collect_gradients,
     gradient_audit,
     seeded_rng,
     zeros,
 )
 from oracles import (
-    encode_record, reference_total_loss, sentence_forward_reference, sentence_step_one, word_forward,
+    collect_gradients, encode_record, reference_total_loss, sentence_forward_reference, sentence_step_one,
+    word_forward,
 )
 
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -552,6 +553,27 @@ def test_lstm_rejects_bad_step_rows(rows):
     x_proj, w_recur, bias, h, c = (Tensor(np.zeros(s)) for s in ((9, 8), (8, 2), (8,), (5, 2), (5, 2)))
     with pytest.raises(T.ShapeError, match="lstm"):
         T.lstm(x_proj, w_recur, bias, h, c, rows)
+
+
+def test_lstm_tape_holds_one_gate_array_per_step():
+    # a taped recurrence keeps, per step, the [n, 4H] gate array, the cell
+    # state before the step and tanh(c'), plus its outputs; the first step's
+    # cell state is the input's own array.  numpy reports its buffers to
+    # tracemalloc.
+    steps, n, hs = 10, 16, 64
+    rng = T.seeded_rng(5)
+    leaves = [Tensor(rng.normal(size=shape)) for shape in
+              ((steps * n, 4 * hs), (4 * hs, hs), (4 * hs,), (n, hs), (n, hs))]
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            states, c_last = T.lstm(*leaves)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    expected = 8 * (steps * (n * 4 * hs + n * hs) + (steps - 1) * n * hs + states.size + c_last.size)
+    assert abs(held - expected) <= 0.05 * expected, (held, expected)
+    assert len(tape.entries) == 1
 
 
 def test_backward_composite_lstm_like_step_matches_fd():

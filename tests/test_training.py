@@ -10,9 +10,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import hdlm.training
 from hdlm.data import EOS_ID, ConfigError, ReportRecord
 from hdlm.model import ModelConfig, ModelParams, compute_losses
-from hdlm.tensor import Tensor, seeded_rng
+from hdlm.tensor import Tensor, flat_array, flat_views, seeded_rng
 from hdlm.training import (
     _ADAM_BLOCK,
     AdamState,
@@ -89,35 +90,41 @@ def test_adam_matches_reference_equations():
 
 
 def test_adam_and_clip_bitwise_equal_to_first_formulation():
-    # the blocked scratch-buffer update must round exactly as the one that
-    # built a fresh array for every term; "still" never gets a gradient
+    # the blocked update on flat-store views must round exactly as the one
+    # that built a fresh array for every term of each parameter; "still"
+    # never gets a gradient
     rng = seeded_rng(17)
     shapes = {"big": (5, 7), "row": (7,), "still": (3, 2), "cell": ()}
     starts = {n: rng.normal(size=s) for n, s in shapes.items()}
     steps = [{n: rng.normal(size=s) * 10.0 ** (step - 1) for n, s in shapes.items()}
              for step in range(3)]
-    # drawn after the shapes above, so those see the same numbers: exactly
-    # one block, a ragged last block, rows longer than a block, and a
-    # transposed parameter (with transposed moments) over one block
+    # drawn after the shapes above, so those see the same numbers: one
+    # block's worth of elements, a ragged last block, and rows longer than a
+    # block; in the flat store the block edges fall inside parameters
     edges = {"one_block": (128, _ADAM_BLOCK // 128), "ragged": (2 * _ADAM_BLOCK + 7, 1),
-             "long_rows": (2, _ADAM_BLOCK + 3), "turned": (200, 300)}
-    starts.update({n: rng.normal(size=s) for n, s in edges.items() if n != "turned"})
-    starts["turned"] = rng.normal(size=(300, 200)).T
+             "long_rows": (2, _ADAM_BLOCK + 3)}
+    starts.update({n: rng.normal(size=s) for n, s in edges.items()})
     for grads in steps:
         grads.update({n: rng.normal(size=s) for n, s in edges.items()})
     shapes.update(edges)
-    ours = {n: Tensor(a.copy(order="K")) for n, a in starts.items()}
-    ref = {n: Tensor(a.copy(order="K")) for n, a in starts.items()}
+    store = flat_views(shapes)
+    for n, view in store.items():
+        view[...] = starts[n]
+    ours = {n: Tensor(view) for n, view in store.items()}
+    ref = {n: Tensor(a.copy()) for n, a in starts.items()}
     ours_state, ref_state = AdamState.create(ours), AdamState.create(ref)
-    assert not ours["turned"].data.flags.c_contiguous and not ours_state.m["turned"].flags.c_contiguous
+    assert flat_array(t.data for t in ours.values()).size > 5 * _ADAM_BLOCK
     for step, grads in enumerate(steps):
         grads["still"] = np.zeros(shapes["still"])
-        ref_grads = {n: g.copy() for n, g in grads.items()}
-        assert clip_gradients(grads, 4.0) == clip_gradients_reference(ref_grads, 4.0)
-        adam_step(ours, grads, ours_state, learning_rate=0.03)
-        adam_step_reference(ref, ref_grads, ref_state, learning_rate=0.03)
+        grads = {n: np.array(g) for n, g in grads.items()}  # "cell" as a 0-d array the clip can scale
+        ours_grads = flat_views(shapes)
+        for n, view in ours_grads.items():
+            view[...] = grads[n]
+        assert clip_gradients(ours_grads, 4.0) == clip_gradients_reference(grads, 4.0)
+        adam_step(ours, ours_grads, ours_state, learning_rate=0.03)
+        adam_step_reference(ref, grads, ref_state, learning_rate=0.03)
         for n in shapes:
-            assert grads[n].tobytes() == ref_grads[n].tobytes(), (step, n)
+            assert ours_grads[n].tobytes() == grads[n].tobytes(), (step, n)
             assert ours[n].data.tobytes() == ref[n].data.tobytes(), (step, n)
             assert ours_state.m[n].tobytes() == ref_state.m[n].tobytes(), (step, n)
             assert ours_state.v[n].tobytes() == ref_state.v[n].tobytes(), (step, n)
@@ -164,7 +171,11 @@ def test_adam_zero_grad_fresh_state_is_exact_noop():
 
 
 def test_clip_scales_to_global_norm():
-    grads = {"a": np.array([3.0, 0.0]), "b": np.array([0.0, 4.0])}
+    # the gradients are views of one flat array, as training's store is;
+    # arrays that fill no one array are refused
+    grads = dict(zip("ab", np.array([[3.0, 0.0], [0.0, 4.0]])))
+    with pytest.raises(ValueError, match="one float64 array"):
+        clip_gradients({n: g.copy() for n, g in grads.items()}, max_norm=2.5)
     norm = clip_gradients(grads, max_norm=2.5)
     assert abs(norm - 5.0) < 1e-12
     total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
@@ -332,6 +343,46 @@ def test_checkpoint_round_trip_bitwise(tmp_path):
         assert np.array_equal(adam.v[name], state.v[name])
 
 
+def test_adam_state_caught_by_a_wrapper_round_trips(tmp_path, monkeypatch):
+    # the benchmark rebinds hdlm.training.adam_step and keeps its third
+    # positional argument, then saves and loads that state; the clip must
+    # still return the pre-clip norm
+    seen, norms = [], []
+    adam, clip = hdlm.training.adam_step, hdlm.training.clip_gradients
+
+    def caught_adam_step(named, grads, state, *args, **kwargs):
+        result = adam(named, grads, state, *args, **kwargs)
+        seen.append(state)
+        return result
+
+    def checked_clip(grads, max_norm):
+        before = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        norm = clip(grads, max_norm)
+        norms.append((before, norm))
+        return norm
+
+    monkeypatch.setattr(hdlm.training, "adam_step", caught_adam_step)
+    monkeypatch.setattr(hdlm.training, "clip_gradients", checked_clip)
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=4)
+    records = small_records(cfg, count=4)
+    result = train(params, cfg, records, TrainConfig(batch_size=2, epochs=1, clip_norm=0.5))
+    assert result.iterations == 2 and len(seen) == 2 and seen[0] is seen[1]
+    assert all(before == norm > 0.5 for before, norm in norms)
+    assert [e["grad_norm"] for e in result.history] == [norm for _, norm in norms]
+    path = tmp_path / "bench.ckpt"
+    save_checkpoint(path, params, cfg, result.iterations, seen[-1])
+    target = ModelParams.create(cfg, seed=5)
+    iteration, loaded = load_checkpoint(path, target, cfg)
+    assert iteration == 2 and loaded.t == seen[-1].t == 2
+    saved = params.named_parameters()
+    for name, t in target.named_parameters().items():
+        assert t.data.tobytes() == saved[name].data.tobytes(), name
+    for kind in ("m", "v"):
+        for name, arr in getattr(seen[-1], kind).items():
+            assert getattr(loaded, kind)[name].tobytes() == arr.tobytes(), (kind, name)
+
+
 def test_checkpoint_without_optimizer_state(tmp_path):
     cfg = small_config()
     params = ModelParams.create(cfg, seed=8)
@@ -413,9 +464,16 @@ def test_failed_load_leaves_parameters_unchanged(tmp_path):
     fresh = ModelParams.create(cfg, seed=99)
     before = {name: t.data.tobytes() for name, t in fresh.named_parameters().items()}
     assert len(before) == 27
+    # the last value of the bare file's last parameter, and of the full
+    # file's last moment, which the adam/t entry follows
+    nan_parameter = bare.read_bytes()[:-8] + struct.pack("<d", math.nan)
+    step = 4 + len(b"adam/t") + 4 + 4 + 8
+    inf_moment = full.read_bytes()[:-step - 8] + struct.pack("<d", math.inf) + full.read_bytes()[-step:]
     for blob, message in [(fractional_step, "'adam/t' is 2.5"),
                           (bare.read_bytes()[:-last], "missing parameter 'mti_head.bias'"),
-                          (full.read_bytes()[:-9], "truncated")]:
+                          (full.read_bytes()[:-9], "truncated"),
+                          (nan_parameter, "'mti_head.bias' holds a value that is not finite"),
+                          (inf_moment, "'adam/v/mti_head.bias' holds a value that is not finite")]:
         bad = tmp_path / "bad.ckpt"
         bad.write_bytes(blob)
         with pytest.raises(CheckpointError, match=re.escape(message)):
