@@ -314,13 +314,14 @@ def cmd_train(args) -> int:
         print(f"iteration {iteration}: BLEU-4 {metrics.bleu4:.4f}, "
               f"distinct {list(metrics.distinct)}")
 
+    # written first, so a run that stops early leaves its checkpoints decodable
+    _echo_model(settings, model_config)
+    write_resolved(out, settings)
     result = train(
         params, model_config, train_recs, train_config,
         eval_hook=evaluate_checkpoint, log_path=out / "losses.jsonl",
     )
     save_checkpoint(out / "final.bin", params, model_config, result.iterations)
-    _echo_model(settings, model_config)
-    write_resolved(out, settings)
     last = result.history[-1]
     print(f"trained {result.iterations} iterations; final total loss {last['total']:.4f}")
     print(f"history: {history_path} ({len(history)} checkpoints)")

@@ -67,14 +67,16 @@ def _decode_words(params: ModelParams, branch: str, topics: Tensor, max_words: i
     leaves the batch once it has.
     """
     count = topics.shape[0]
-    hidden = params.word_branch(branch)[0].hidden_size
-    _, h, c = word_step(params, branch, topics, zeros((count, hidden)), zeros((count, hidden)))
+    cell, proj = params.word_branch(branch)
+    # the topic step emits no token, so only the cell runs on it
+    shape = (count, cell.hidden_size)
+    h, c = word_step(params, branch, topics, zeros(shape), zeros(shape))
     sentences: list[list[int]] = [[] for _ in range(count)]
     live = np.arange(count)
     prev = np.full(count, BOS_ID)
     for _ in range(max_words):
-        logits, h, c = word_step(params, branch, embed(params.embedding, prev), h, c)
-        tokens = np.argmax(logits.data, axis=1)
+        h, c = word_step(params, branch, embed(params.embedding, prev), h, c)
+        tokens = np.argmax(proj(h).data, axis=1)
         for row, token in zip(live, tokens.tolist()):
             sentences[row].append(token)
         going = tokens != EOS_ID

@@ -16,8 +16,9 @@ Training minimizes
         + lambda_abn * L_abnormal + lambda_mti * L_tags
 
 where every term is a sigmoid or softmax cross-entropy summed within a
-record and averaged over the batch.  With ``dual_enabled`` off the abnormal
-term is dropped entirely and all sentences route through the normal branch.
+record and averaged over the batch, the whole sum one ``weighted_sum`` op.
+With ``dual_enabled`` off the abnormal term is dropped entirely and all
+sentences route through the normal branch.
 
 The recurrences run on packed rows, as PyTorch's ``pack_padded_sequence``
 does.  Training sorts a batch's records longest first, so the records with a
@@ -49,17 +50,16 @@ from .layers import (
 from .tensor import (
     ShapeError,
     Tensor,
-    add,
     concat_rows,
     flat_views,
     gather_rows,
     relu,
-    scale,
     seeded_rng,
     sigmoid_ce,
     slice_rows,
     softmax_ce,
     tanh,
+    weighted_sum,
     zeros,
 )
 
@@ -200,9 +200,9 @@ def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[
     """(topic [S, D], stop logits [S, 1], abnormal logits [S, 1]) for rows of
     sentence states ``h_new``, one step of a batch or every step stacked.
     The stop logit also reads ``h_prev``, the state before each row."""
-    topic = relu(params.topic(h_new))
-    stop = params.stop_out(tanh(add(params.stop_prev(h_prev), params.stop_cur(h_new))))
-    return topic, stop, params.abnormal_head(h_new)
+    topic = relu(params.topic(h_new))  # first: the tape's order sets the gradients' last bits
+    pre = weighted_sum([params.stop_prev(h_prev), params.stop_cur(h_new)], [1.0, 1.0])
+    return topic, params.stop_out(tanh(pre)), params.abnormal_head(h_new)
 
 
 def sentence_forward(params: ModelParams, config: ModelConfig, records,
@@ -234,13 +234,10 @@ def sentence_forward(params: ModelParams, config: ModelConfig, records,
     return (v_hat, *sentence_heads(params, concat_rows(states[:-1], live), concat_rows(states[1:])))
 
 
-def word_step(
-    params: ModelParams, branch: str, x: Tensor, h: Tensor, c: Tensor
-) -> tuple[Tensor, Tensor, Tensor]:
-    """One word-decoder step on ``branch``: input rows -> (logits, h', c')."""
-    cell, proj = params.word_branch(branch)
-    h_new, c_new = lstm_step(cell, x, h, c)
-    return proj(h_new), h_new, c_new
+def word_step(params: ModelParams, branch: str, x: Tensor, h: Tensor, c: Tensor) -> tuple[Tensor, Tensor]:
+    """One step of ``branch``'s word LSTM on input rows: (h', c').  The
+    caller runs the branch's output layer on the states it scores."""
+    return lstm_step(params.word_branch(branch)[0], x, h, c)
 
 
 # ---------------------------------------------------------------------------
@@ -249,17 +246,18 @@ def word_step(
 
 @dataclass
 class LossBundle:
-    """Each field is a scalar Tensor still attached to the active tape."""
+    """Each term's batch mean as a float, and their weighted total as the
+    scalar Tensor on the active tape that training differentiates."""
 
-    stop: Tensor
-    hierarchical: Tensor
-    abnormal: Tensor
-    mti: Tensor
+    stop: float
+    hierarchical: float
+    abnormal: float
+    mti: float
     total: Tensor
 
     def numbers(self) -> dict[str, float]:
-        keys = ("stop", "hierarchical", "abnormal", "mti", "total")
-        return {k: float(getattr(self, k).data) for k in keys}
+        return {"stop": self.stop, "hierarchical": self.hierarchical, "abnormal": self.abnormal,
+                "mti": self.mti, "total": self.total.item()}
 
 
 def _branch_word_loss(params: ModelParams, branch: str, topics: Tensor, specs) -> Tensor:
@@ -292,7 +290,7 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
 
     Every term sums over a record's sentences/words/labels and averages over
     the batch.  Stop targets are 1 only at each record's last sentence.  With
-    ``dual_enabled`` off, the abnormal term is a detached zero and the
+    ``dual_enabled`` off, the abnormal term is 0.0 and the
     abnormal branch contributes no computation at all.
     """
     if len(records) == 0:
@@ -313,24 +311,18 @@ def compute_losses(params: ModelParams, config: ModelConfig, records) -> LossBun
     for row, (b, m) in enumerate(heads):
         abnormal = config.dual_enabled and records[b].abnormal_flags[m]
         routes["abnormal" if abnormal else "normal"].append((row, records[b].sentences[m]))
-    word_terms = [_branch_word_loss(params, branch, topics, specs)
-                  for branch, specs in routes.items() if specs]
-    word_sum = word_terms[0] if len(word_terms) == 1 else add(*word_terms)
+    word_sums = [_branch_word_loss(params, branch, topics, specs)
+                 for branch, specs in routes.items() if specs]
 
     targets = np.stack([r.multi_hot(config.mti_labels) for r in records])
     mti_sum = sigmoid_ce(params.mti_head(v_hat), targets)
 
+    # the batch sums of each term, in the total's order; the two word sums
+    # are added before their mean is taken
     inv = 1.0 / batch
-    stop_loss = scale(stop_sum, inv)
-    word_loss = scale(word_sum, inv)
-    mti_loss = scale(mti_sum, inv)
-    total = add(
-        add(scale(stop_loss, config.lambda_stop), scale(word_loss, config.lambda_hierarchical)),
-        scale(mti_loss, config.lambda_mti),
-    )
-    if config.dual_enabled:
-        abnormal_loss = scale(abnormal_sum, inv)
-        total = add(total, scale(abnormal_loss, config.lambda_abnormal))
-    else:
-        abnormal_loss = zeros(())
-    return LossBundle(stop_loss, word_loss, abnormal_loss, mti_loss, total)
+    sums = {"stop": [stop_sum], "hierarchical": word_sums, "mti": [mti_sum],
+            "abnormal": [abnormal_sum] if config.dual_enabled else []}
+    terms = [(s, getattr(config, f"lambda_{name}") * inv) for name, group in sums.items() for s in group]
+    total = weighted_sum([s for s, _ in terms], [w for _, w in terms])
+    return LossBundle(**{name: float(sum(s.data for s in group)) * inv for name, group in sums.items()},
+                      total=total)

@@ -5,7 +5,8 @@ forward math, then call :func:`backward` on a scalar result to get the
 gradient of each leaf, keyed by the leaf tensor itself.  Each op records
 one entry, even one with two outputs: :func:`lstm` a whole recurrence,
 :func:`attention` a step of additive soft attention, :func:`linear` a product
-and its bias, and each cross-entropy its sum.  The walk uses the tape up, so
+and its bias, each cross-entropy its sum, and :func:`weighted_sum` a
+weighted total of any number of terms.  The walk uses the tape up, so
 each tape serves one ``backward``; tapes are rebuilt each pass.  Forward
 values are identical whether or not a tape is active, so the same code path
 serves training, inference, and finite-difference probing.
@@ -44,14 +45,13 @@ __all__ = [
     "lstm",
     "tanh",
     "relu",
-    "add",
-    "scale",
     "slice_rows",
     "concat_rows",
     "sum_all",
     "gather_rows",
     "sigmoid_ce",
     "softmax_ce",
+    "weighted_sum",
     "zeros",
     "seeded_rng",
 ]
@@ -213,10 +213,10 @@ def backward(tape: Tape, loss: Tensor,
         raise TapeError(f"loss must be scalar-valued, got shape {loss.shape}")
     tape.walked = True
     grads: dict[Tensor, np.ndarray] = {loss: np.ones_like(loss.data)}
-    # A grad_fn may hand one array to several inputs (``add`` passes ``g`` to
-    # both), so a node's first gradient is only borrowed.  The second
-    # contribution copies it into an array the node owns; later ones add in
-    # place.
+    # A grad_fn may hand one array, or views of it, to several inputs
+    # (``concat_rows`` hands each part a view of ``g``), so a node's first
+    # gradient is only borrowed.  The second contribution copies it into an
+    # array the node owns; later ones add in place.
     owned: set[Tensor] = set()
     outers: dict[Tensor, list[_Outer]] = {}
 
@@ -482,18 +482,17 @@ def relu(x: Tensor) -> Tensor:
     return out
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
-    if a.shape != b.shape:
-        raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
-    out = Tensor(a.data + b.data)
-    _record(out, (a, b), lambda g: (g, g))
-    return out
-
-
-def scale(x: Tensor, s: float) -> Tensor:
-    s = float(s)
-    out = Tensor(x.data * s)
-    _record(out, (x,), lambda g: (g * s,))
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> Tensor:
+    """Σ w_k t_k over tensors of one shape, added left to right, as one
+    entry; term k's gradient is ``g * w_k``."""
+    terms, weights = tuple(terms), [float(w) for w in weights]
+    if not terms or len(weights) != len(terms) or len({t.shape for t in terms}) != 1:
+        raise ShapeError(f"weighted_sum needs one or more terms of one shape and a weight each, got shapes "
+                         f"{[t.shape for t in terms]} and {len(weights)} weights")
+    out = Tensor(terms[0].data * weights[0])
+    for t, w in zip(terms[1:], weights[1:]):
+        out.data += t.data * w
+    _record(out, terms, lambda g: tuple(g * w for w in weights))
     return out
 
 

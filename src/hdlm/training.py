@@ -203,7 +203,8 @@ def train(
     gradient norm, whether it was clipped, the tape size and the wall time
     of the forward, backward and clip-plus-Adam phases in milliseconds, with
     the clip's own share, are appended to the history and, when
-    ``log_path`` is given, streamed as JSON lines.
+    ``log_path`` is given, streamed as JSON lines, flushed before each
+    evaluation.
     """
     if len(records) == 0:
         raise ValueError("train needs a nonempty record list")
@@ -253,6 +254,8 @@ def train(
                 if log_fh is not None:
                     log_fh.write(json.dumps(entry) + "\n")
                 if eval_hook is not None and k in fire:
+                    if log_fh is not None:
+                        log_fh.flush()  # the log on disk reaches every checkpoint
                     eval_hook(iteration, params)
     finally:
         if log_fh is not None:

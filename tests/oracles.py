@@ -17,7 +17,8 @@ select_positions(x, targets)), mask))``.  Ops the package no longer calls
 ``sum_rowgroups``, ``sub``, ``mul_const``, ``select_positions``,
 ``logsumexp_lastdim``, the attention chain ``additive_scores``,
 ``softmax_lastdim`` and ``weighted_sum_rowgroups`` that ``attention``
-replaced, ``add_bias``, which ``linear`` took in, and the elementwise
+replaced, ``add_bias``, which ``linear`` took in, ``add`` and ``scale``, which
+``weighted_sum`` replaced, and the elementwise
 cross-entropies ``sigmoid_ce_elementwise`` and ``softmax_ce_elementwise``
 that the package's ``sigmoid_ce`` and ``softmax_ce`` sum, with the per-row
 weights the package's losses took before their rows were packed) live on
@@ -44,13 +45,11 @@ from hdlm.tensor import (
     Tensor,
     _record,
     _stable_sigmoid,
-    add,
     concat_rows,
     gather_rows,
     linear,
     matmul,
     relu,
-    scale,
     sum_all,
     tanh,
     zeros,
@@ -176,6 +175,21 @@ def slice_cols(x, start, stop):
         return (full,)
 
     _record(out, (x,), grad)
+    return out
+
+
+def add(a, b):
+    if a.shape != b.shape:
+        raise ShapeError(f"add needs matching shapes, got {a.shape} and {b.shape}")
+    out = Tensor(a.data + b.data)
+    _record(out, (a, b), lambda g: (g, g))
+    return out
+
+
+def scale(x, s):
+    s = float(s)
+    out = Tensor(x.data * s)
+    _record(out, (x,), lambda g: (g * s,))
     return out
 
 
@@ -377,7 +391,7 @@ def word_forward(params, topic, gold, branch):
     """
     if len(gold) == 0:
         raise ValueError("word_forward needs a nonempty gold sequence")
-    cell, _ = params.word_branch(branch)
+    cell, proj = params.word_branch(branch)
     hidden = cell.hidden_size
     h = zeros((1, hidden))
     c = zeros((1, hidden))
@@ -386,8 +400,8 @@ def word_forward(params, topic, gold, branch):
     for t in range(len(gold)):
         if t > 0:
             x = embed(params.embedding, [gold[t - 1]])
-        logits, h, c = word_step(params, branch, x, h, c)
-        rows.append(logits)
+        h, c = word_step(params, branch, x, h, c)
+        rows.append(proj(h))
     return concat_rows(rows)
 
 
@@ -429,19 +443,46 @@ def reference_total_loss(params, config, records):
     return total
 
 
+def weighted_sum_chain(config, batch, means):
+    """A stand-in for ``hdlm.model.weighted_sum`` that builds
+    ``compute_losses``'s sums from the ops it replaced.  The stop head's two
+    terms go through one ``add``.  The total's batch sums (stop, each word
+    branch, tags, then abnormal when dual is on) are each scaled by 1/B, the
+    two word sums added first, then each scaled by its weight and added up.
+    Each term's batch mean, as a float, goes into the dict ``means``."""
+    inv = 1.0 / batch
+
+    def chain(terms, weights):
+        if len(terms) == 2:  # the stop head: a total has three terms or more
+            return add(*terms)
+        stop, *words, tags = terms[:len(terms) - config.dual_enabled]
+        word = words[0] if len(words) == 1 else add(*words)
+        losses = {"stop": scale(stop, inv), "hierarchical": scale(word, inv), "mti": scale(tags, inv)}
+        total = add(add(scale(losses["stop"], config.lambda_stop),
+                        scale(losses["hierarchical"], config.lambda_hierarchical)),
+                    scale(losses["mti"], config.lambda_mti))
+        if config.dual_enabled:
+            losses["abnormal"] = scale(terms[-1], inv)
+            total = add(total, scale(losses["abnormal"], config.lambda_abnormal))
+        means.update((name, float(t.data)) for name, t in losses.items())
+        return total
+
+    return chain
+
+
 def greedy_decode_sentence(params, topic, branch, max_words):
     """Argmax decoding of one sentence from a [1, D] topic row.
 
     Returns up to ``max_words`` token ids; the terminal EOS is included only
     when the decoder emitted it within the cap.
     """
-    hidden = params.word_branch(branch)[0].hidden_size
-    _, h, c = word_step(params, branch, topic, zeros((1, hidden)), zeros((1, hidden)))
+    cell, proj = params.word_branch(branch)
+    h, c = word_step(params, branch, topic, zeros((1, cell.hidden_size)), zeros((1, cell.hidden_size)))
     tokens = []
     prev = BOS_ID
     for _ in range(max_words):
-        logits, h, c = word_step(params, branch, embed(params.embedding, [prev]), h, c)
-        token = int(np.argmax(logits.data[0]))
+        h, c = word_step(params, branch, embed(params.embedding, [prev]), h, c)
+        token = int(np.argmax(proj(h).data[0]))
         tokens.append(token)
         if token == EOS_ID:
             break

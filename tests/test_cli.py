@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import math
 import struct
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 import hdlm.cli
+import hdlm.training
 from hdlm.cli import (
     CLI_DEFAULTS,
     model_config_from,
@@ -759,6 +761,32 @@ def test_training_divergence_exit_code(tmp_path, tiny_cfg, capsys):
     err = capsys.readouterr().err
     assert "error: non-finite loss at iteration 2" in err
     assert "Traceback" not in err
+
+
+def test_run_that_stops_after_an_evaluation_keeps_its_resolved_settings(pipeline, tmp_path, monkeypatch):
+    # the loss turns non-finite at the first iteration past the first
+    # evaluation; resolved.cfg is written before training, as a finished run
+    # writes it, so the checkpoint left behind decodes
+    data = pipeline / "data"
+    cfg = tmp_path / "two.cfg"
+    cfg.write_text(TINY.replace("train.epochs = 1", "train.epochs = 2"))
+    command = ["train", str(data), "--config", str(cfg), "--seed", "3", "--out"]
+    assert run([*command, str(tmp_path / "done")]) == 0
+    real, calls = hdlm.training.compute_losses, []
+
+    def diverging(*args):
+        calls.append(len(calls) + 1)
+        bundle = real(*args)
+        return dataclasses.replace(bundle, stop=math.inf) if len(calls) == 4 else bundle
+
+    monkeypatch.setattr(hdlm.training, "compute_losses", diverging)
+    stopped = tmp_path / "stopped"
+    assert run([*command, str(stopped)]) == 1
+    assert [p.name for p in (stopped / "checkpoints").iterdir()] == ["ckpt_000003.bin"]
+    assert (stopped / "resolved.cfg").read_bytes() == (tmp_path / "done" / "resolved.cfg").read_bytes()
+    assert run(["generate", str(data / "val.jsonl"), "--config", str(stopped / "resolved.cfg"),
+                "--checkpoint", str(stopped / "checkpoints" / "ckpt_000003.bin"),
+                "--out", str(tmp_path / "gen")]) == 0
 
 
 def test_out_of_vocabulary_token_exit_code(tmp_path, tiny_cfg, capsys):

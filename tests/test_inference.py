@@ -228,6 +228,23 @@ def test_one_sentence_forward_and_one_decode_per_branch(monkeypatch):
     assert sorted(calls[1:]) == [("decode", "abnormal"), ("decode", "normal")]
 
 
+def test_output_layers_score_only_the_token_steps(monkeypatch):
+    # the topic step emits no token, so the branches' output layers see one
+    # row per emitted token and none for a topic
+    cfg = toy_config()
+    limits = GenerationLimits(max_sentences=5, max_words=6)
+    params, records = spread_case(cfg, 1)
+    want = generate_corpus(params, cfg, records, limits)
+    rows = []
+    for name in ("word_abnormal_out", "word_normal_out"):
+        def counted(x, layer=getattr(params, name)):
+            rows.append(x.shape[0])
+            return layer(x)
+        monkeypatch.setattr(params, name, counted)
+    assert generate_corpus(params, cfg, records, limits) == want
+    assert sum(rows) == sum(len(s) for r in want for s in r.sentences)
+
+
 def test_generated_round_trip(tmp_path):
     reports = [
         GeneratedReport("a", [[4, EOS_ID], [5, 6]], ["normal", "abnormal"],

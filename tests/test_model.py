@@ -2,6 +2,7 @@
 recomputation and closed-form values for the all-zero parameter setting."""
 
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -29,7 +30,7 @@ from hdlm.tensor import (
 )
 from oracles import (
     collect_gradients, encode_record, reference_total_loss, sentence_forward_reference, sentence_step_one,
-    word_forward,
+    weighted_sum_chain, word_forward,
 )
 
 
@@ -488,11 +489,14 @@ def test_readme_batch_records_few_tape_entries():
         channels=synth.channels, embed_dim=24, hidden_dim=24,
         max_sentences=synth.max_sentences + 1, max_words=synth.max_words + 3,
     )
-    params = ModelParams.create(cfg, seed=0)
-    for start in range(0, len(corpus.records), 16):
-        with Tape() as tape:
-            compute_losses(params, cfg, corpus.records[start:start + 16])
-        assert len(tape.entries) <= 62
+    # the loss total is one weighted_sum entry
+    for dual, bound in ((True, 51), (False, 42)):
+        cfg = dataclasses.replace(cfg, dual_enabled=dual)
+        params = ModelParams.create(cfg, seed=0)
+        for start in range(0, len(corpus.records), 16):
+            with Tape() as tape:
+                compute_losses(params, cfg, corpus.records[start:start + 16])
+            assert len(tape.entries) <= bound, dual
 
 
 def random_case(seed, dual, **dims_override):
@@ -544,6 +548,34 @@ def test_gradients_match_per_step_reference(dual):
         for name in named:
             bound = 1e-12 * np.abs(want[name]).max()
             assert np.abs(got[name] - want[name]).max() <= bound, (seed, name)
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_weighted_total_is_bitwise_the_add_and_scale_chain(dual, monkeypatch):
+    # each batch sum's gradient is 1.0·(λ·inv), bitwise the chain's
+    # (1.0·λ)·inv, so every gradient is equal, and the four terms are the
+    # chain's values.  The total's last bits may move, since (s·inv)·λ and
+    # s·(λ·inv) can round apart: each side is within 6u of the exact sum of
+    # its nonnegative terms (two products, up to four additions, the word
+    # sums' own addition), u = eps / 2, so the two are within 6 eps
+    for seed in range(8):
+        cfg, params, records = random_case(seed, dual)
+        named = params.named_parameters()
+        chain_means = {"abnormal": 0.0}
+        runs = []
+        for patch in (None, weighted_sum_chain(cfg, len(records), chain_means)):
+            with monkeypatch.context() as m:
+                if patch is not None:
+                    m.setattr(hdlm.model, "weighted_sum", patch)
+                with Tape() as tape:
+                    bundle = compute_losses(params, cfg, records)
+            grads = collect_gradients(backward(tape, bundle.total), named)
+            digest = hashlib.sha256(b"".join(grads[name].tobytes() for name in named)).hexdigest()
+            runs.append((bundle.numbers(), digest))
+        (got, got_digest), (want, want_digest) = runs
+        assert got_digest == want_digest, seed
+        assert {k: got[k] for k in chain_means} == chain_means, seed
+        assert abs(got["total"] - want["total"]) <= 6 * np.finfo(float).eps * want["total"], seed
 
 
 @pytest.mark.parametrize("dual", [True, False])

@@ -13,8 +13,8 @@ from hdlm import tensor as T
 from hdlm.tensor import Tensor, Tape, backward, gradient_audit
 
 from oracles import (
-    add_bias, additive_scores, attention_chain, logsumexp_lastdim, mul, mul_const, repeat_rows, reshape,
-    select_positions, sigmoid, sigmoid_ce_chain, sigmoid_ce_elementwise, slice_cols, softmax_ce_chain,
+    add, add_bias, additive_scores, attention_chain, logsumexp_lastdim, mul, mul_const, repeat_rows, reshape,
+    scale, select_positions, sigmoid, sigmoid_ce_chain, sigmoid_ce_elementwise, slice_cols, softmax_ce_chain,
     softmax_ce_elementwise, softmax_lastdim, sub, sum_rowgroups, weighted_sum_rowgroups,
 )
 
@@ -123,7 +123,7 @@ def test_linear_bias_bitwise_equal_to_add_bias_oracle():
             h = T.tanh(op(T.tanh(op(x0, w, b)), w, b))
             y = op(const, w, b)
             keys = op(features, T.matmul(m, w_in), T.matmul(m, b_in))
-            loss = T.add(T.sum_all(mul(h, y)), T.sum_all(mul_const(keys, coef)))
+            loss = add(T.sum_all(mul(h, y)), T.sum_all(mul_const(keys, coef)))
         values = [h.data, y.data, keys.data, loss.data]
         grads = backward(tape, loss)
         return values + [grads[t] for t in (x0, w, b, m, w_in, b_in)]
@@ -244,7 +244,7 @@ def test_backward_square_gives_two_x():
 def test_backward_rejects_nonscalar_loss():
     x = Tensor([1.0, 2.0])
     with Tape() as tape:
-        y = T.scale(x, 2.0)
+        y = scale(x, 2.0)
     with pytest.raises(T.TapeError, match="scalar"):
         backward(tape, y)
 
@@ -260,7 +260,7 @@ def test_backward_rejects_offtape_loss():
 def test_backward_fanout_accumulates():
     x = Tensor([2.0])
     with Tape() as tape:
-        loss = T.sum_all(T.add(T.scale(x, 3.0), T.scale(x, 4.0)))
+        loss = T.sum_all(add(scale(x, 3.0), scale(x, 4.0)))
     grads = backward(tape, loss)
     np.testing.assert_allclose(grads[x], [7.0], atol=1e-12)
 
@@ -271,10 +271,10 @@ def test_backward_in_place_accumulation_leaves_aliased_gradients_intact():
     x = Tensor([1.0, 2.0])
     y = Tensor([3.0, 4.0])
     with Tape() as tape:
-        u = T.scale(y, 3.0)
+        u = scale(y, 3.0)
         t = mul_const(y, [7.0, 11.0])
-        s = T.add(x, y)
-        loss = T.sum_all(T.add(T.add(mul_const(s, [2.0, 5.0]), t), u))
+        s = add(x, y)
+        loss = T.sum_all(add(add(mul_const(s, [2.0, 5.0]), t), u))
     grads = backward(tape, loss)
     np.testing.assert_array_equal(grads[x], [2.0, 5.0])
     np.testing.assert_array_equal(grads[y], [12.0, 19.0])
@@ -292,7 +292,7 @@ def test_backward_adds_row_ranges_before_and_after_whole_gradients():
     with Tape() as tape:
         terms = [
             mul_const(T.slice_rows(x, 1, 3), ca), mul_const(x, cb), mul_const(T.slice_rows(x, 2, 5), cc),
-            mul_const(T.scale(y, 2.0), cw), mul_const(T.slice_rows(y, 0, 2), cr), mul_const(T.add(y, z), cs),
+            mul_const(scale(y, 2.0), cw), mul_const(T.slice_rows(y, 0, 2), cr), mul_const(add(y, z), cs),
         ]
         loss = T.sum_all(T.concat_rows(terms))
     grads = backward(tape, loss)
@@ -345,8 +345,8 @@ def test_backward_frees_outputs_before_their_gradients_and_returns_leaves_only()
     w = Tensor(np.ones((2, 2)))
     c = np.array([[1.0, 2.0]])
     with Tape() as tape:
-        s = T.add(x, y)
-        loss = T.sum_all(T.add(T.add(T.add(T.scale(s, 2.0), s), y), T.linear(c, w)))
+        s = add(x, y)
+        loss = T.sum_all(add(add(add(scale(s, 2.0), s), y), T.linear(c, w)))
     value = weakref.ref(s.data)
     out, inputs, grad_fn = tape.entries[0]
     assert out is s
@@ -504,7 +504,7 @@ def _packed_lstm_case(seed):
     coef, coef_c = rng.normal(size=(sum(rows), hs)), rng.normal(size=(1, hs))
 
     def loss(states, c_last):
-        return T.add(T.sum_all(mul_const(states, coef)), T.sum_all(mul_const(c_last, coef_c)))
+        return add(T.sum_all(mul_const(states, coef)), T.sum_all(mul_const(c_last, coef_c)))
 
     return rows, leaves, loss
 
@@ -585,10 +585,10 @@ def test_backward_composite_lstm_like_step_matches_fd():
     c = Tensor(rng.normal(size=(1, 4)))
 
     def f():
-        z = T.add(T.linear(x, w), T.linear(h, u))
+        z = add(T.linear(x, w), T.linear(h, u))
         i = sigmoid(z)
         g = T.tanh(z)
-        c2 = T.add(mul(i, g), c)
+        c2 = add(mul(i, g), c)
         return T.sum_all(mul(sigmoid(z), T.tanh(c2)))
 
     leaves = {"w": w, "u": u, "x": x, "h": h, "c": c}
@@ -611,7 +611,7 @@ def test_fd_sigmoid_composition():
     x = Tensor([0.3, -0.6, 1.1])
 
     def f():
-        return T.sum_all(sigmoid(T.scale(x, 1.7)))
+        return T.sum_all(sigmoid(scale(x, 1.7)))
 
     assert max(err for err, _ in gradient_audit(f, {"x": x}, atol=0.0).values()) <= 1e-4
 
@@ -671,10 +671,12 @@ def _op_cases(rng):
         "relu": ([a], lambda: T.relu(a)),
         # summed softmax alone is constant; weight rows so the probe is informative
         "softmax_lastdim": ([a], lambda: mul_const(softmax_lastdim(a), targets)),
-        "add": ([a, s], lambda: T.add(a, s)),
+        "add": ([a, s], lambda: add(a, s)),
         "sub": ([a, s], lambda: sub(a, s)),
         "mul": ([a, s], lambda: mul(a, s)),
-        "scale": ([a], lambda: T.scale(a, -1.7)),
+        "scale": ([a], lambda: scale(a, -1.7)),
+        # a fans out to two terms
+        "weighted_sum": ([a, s], lambda: T.weighted_sum([a, s, a], [0.5, -1.7, 2.0])),
         "mul_const": ([a], lambda: mul_const(a, np.sign(s.data) + 0.5)),
         "linear_bias": ([a, w_out, out_bias], lambda: T.linear(a, w_out, out_bias)),
         "reshape": ([a], lambda: reshape(a, (2, 10))),
@@ -743,9 +745,9 @@ def test_attention_bitwise_equal_to_oracle_chain():
                     attended, weights = op(features, keys, h, w_state, score)
                     values += [attended.data, getattr(weights, "data", weights)]
                     term = T.sum_all(mul_const(attended, coef))
-                    loss = term if loss is None else T.add(loss, term)
-                    h = T.add(h, T.tanh(T.linear(attended, w_back)))
-                loss = T.add(loss, T.sum_all(mul(h, h)))
+                    loss = term if loss is None else add(loss, term)
+                    h = add(h, T.tanh(T.linear(attended, w_back)))
+                loss = add(loss, T.sum_all(mul(h, h)))
             grads = backward(tape, loss)
             return [loss.data, *values, *(grads[t] for t in (keys, h0, w_state, score, w_back))]
 
@@ -782,6 +784,48 @@ def test_attention_with_fewer_states_than_key_groups():
     np.testing.assert_array_equal(got[3], np.concatenate([want[3], np.zeros((1, hidden))]))
 
 
+# --- weighted sum --------------------------------------------------------------
+
+
+def test_weighted_sum_rejects_no_terms_unlike_shapes_and_a_wrong_weight_count():
+    a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2)))
+    for terms, weights in (([], []), ([a, b], [1.0, 1.0]), ([a, a], [1.0]), ([a], [1.0, 2.0])):
+        with pytest.raises(T.ShapeError, match="weighted_sum"):
+            T.weighted_sum(terms, weights)
+
+
+def _add_scale_chain(terms, weights):
+    out = scale(terms[0], weights[0])
+    for t, w in zip(terms[1:], weights[1:]):
+        out = add(out, scale(t, w))
+    return out
+
+
+@pytest.mark.parametrize("count", [2, 3])
+def test_weighted_sum_bitwise_equal_to_add_and_scale_chain(count):
+    # the value is added left to right as the chain adds it, and term k's
+    # gradient g·w_k is the chain's; the terms are [4, 5] rows or their
+    # scalar sums, one leaf feeds every term, and the weights include 1.0
+    rng = T.seeded_rng(47 + count)
+    for rep in range(12):
+        x = Tensor(rng.normal(size=(4, 3)) * 10.0 ** rng.integers(-3, 4, size=(4, 1)))
+        ws = [Tensor(rng.normal(size=(5, 3))) for _ in range(count)]
+        weights = (rng.normal(size=count) * 10.0 ** rng.integers(-3, 4, size=count)).tolist()
+        weights = [1.0] * count if rep == 0 else weights
+        coef = rng.normal(size=(4, 5)) if rep % 2 else rng.normal()
+
+        def run(combine):
+            with Tape() as tape:
+                terms = [T.tanh(T.linear(x, w)) for w in ws]
+                total = combine([T.sum_all(t) for t in terms] if rep % 2 == 0 else terms, weights)
+                loss = T.sum_all(mul_const(total, coef))
+            grads = backward(tape, loss)
+            return [total.data, loss.data] + [grads[t] for t in (x, *ws)]
+
+        for got, want in zip(run(T.weighted_sum), run(_add_scale_chain), strict=True):
+            np.testing.assert_array_equal(got, want)
+
+
 # --- fused cross-entropy ops ---------------------------------------------------
 
 
@@ -816,9 +860,9 @@ def test_fused_ce_ops_equal_oracle_chains_bitwise():
         ]
         for fused, *oracles in cases:
             assert fused().shape == ()
-            got = _value_and_leaf_grads(lambda: T.scale(fused(), factor), [x, w])
+            got = _value_and_leaf_grads(lambda: scale(fused(), factor), [x, w])
             for oracle in oracles:
-                want = _value_and_leaf_grads(lambda: T.scale(oracle(), factor), [x, w])
+                want = _value_and_leaf_grads(lambda: scale(oracle(), factor), [x, w])
                 for g, h in zip(got, want, strict=True):
                     np.testing.assert_array_equal(g, h)
                 np.testing.assert_array_equal(fused().data, oracle().data)
@@ -892,7 +936,7 @@ def test_values_finite_after_forward_chain():
     rng = T.seeded_rng(21)
     x = Tensor(rng.normal(size=(4, 4)) * 50)
     y = softmax_lastdim(T.tanh(x))
-    z = logsumexp_lastdim(T.scale(y, 30.0))
+    z = logsumexp_lastdim(scale(y, 30.0))
     assert np.all(np.isfinite(y.data)) and np.all(np.isfinite(z.data))
 
 

@@ -286,6 +286,21 @@ def test_train_writes_jsonl_log(tmp_path):
     assert [e["iteration"] for e in entries] == [1, 2, 3, 4]
 
 
+def test_train_log_on_disk_holds_every_iteration_at_each_evaluation(tmp_path):
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=4)
+    records = small_records(cfg, count=6)
+    log = tmp_path / "train.jsonl"
+    seen = []
+
+    def hook(iteration, _):
+        seen.append((iteration, len(log.read_text().splitlines())))
+
+    train(params, cfg, records, TrainConfig(batch_size=2, epochs=2, seed=0, evals_per_epoch=2),
+          eval_hook=hook, log_path=log)
+    assert seen == [(it, it) for it in (2, 3, 5, 6)]
+
+
 def test_train_log_records_clipping():
     cfg = small_config()
     params = ModelParams.create(cfg, seed=4)
