@@ -30,7 +30,7 @@ def main():
         vocab_words=60, tag_count=4, min_sentences=1, max_sentences=3,
         min_words=3, max_words=6, locations=8, channels=12,
     ))
-    train_recs, val_recs, _ = split_corpus(synth.records, (0.8, 0.2, 0.0), seed=2)
+    train_recs, val_recs = split_corpus(synth.records, 0.8, seed=2)
     print(f"training on {len(train_recs)} records, validating on {len(val_recs)}")
 
     config = ModelConfig(

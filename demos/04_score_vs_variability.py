@@ -35,7 +35,7 @@ def main():
         vocab_words=70, tag_count=5, min_sentences=3, max_sentences=3,
         min_words=3, max_words=6, locations=8, channels=12,
     ))
-    train_recs, val_recs, _ = split_corpus(synth.records, (0.8, 0.2, 0.0), seed=7)
+    train_recs, val_recs = split_corpus(synth.records, 0.8, seed=7)
 
     config = ModelConfig(
         vocab_size=synth.vocab.size, mti_labels=5, channels=12,
@@ -55,7 +55,7 @@ def main():
     stock = mode_baseline(train_recs)
     stock_pairs = [
         EvalPair(hypothesis=paragraph_tokens(stock),
-                 references=[paragraph_tokens(r.sentences)])
+                 reference=paragraph_tokens(r.sentences))
         for r in val_recs
     ]
     stock_bleu1, _, _, stock_bleu4 = bleu(stock_pairs)

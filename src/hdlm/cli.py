@@ -225,12 +225,8 @@ def cmd_synth(args) -> int:
     settings = resolve_settings(args)
     config = synth_config_from(settings)
     fraction = _coerce("synth.train_fraction", settings["synth.train_fraction"])
-    if not 0.0 < fraction < 1.0:
-        raise ConfigError(f"synth.train_fraction must be in (0, 1), got {fraction}")
     result = synth_corpus(config)
-    train_recs, val_recs, _ = split_corpus(
-        result.records, (fraction, round(1.0 - fraction, 12), 0.0), seed=config.seed
-    )
+    train_recs, val_recs = split_corpus(result.records, fraction, seed=config.seed)
     if not train_recs or not val_recs:
         raise ConfigError(f"split {fraction} leaves an empty train or val set")
     out = _out_dir(args)

@@ -402,17 +402,14 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
     return SynthResult(records, vocab, description)
 
 
-def split_corpus(records, ratios=(0.9, 0.05, 0.05), seed: int = 0):
-    """Deterministic shuffled split into (train, val, test) by record."""
-    if abs(sum(ratios) - 1.0) > 1e-9 or len(ratios) != 3:
-        raise ConfigError(f"split ratios must be three values summing to 1, got {ratios}")
+def split_corpus(records, train_fraction: float, seed: int = 0):
+    """Deterministic shuffled split into (train, val) by record: train takes
+    ``round(len(records) * train_fraction)`` records, val every other."""
+    if not 0.0 < train_fraction < 1.0:
+        raise ConfigError(f"train_fraction must be in (0, 1), got {train_fraction}")
     order = seeded_rng(seed).permutation(len(records))
-    n_train = int(round(len(records) * ratios[0]))
-    n_val = int(round(len(records) * ratios[1]))
-    train = [records[i] for i in order[:n_train]]
-    val = [records[i] for i in order[n_train:n_train + n_val]]
-    test = [records[i] for i in order[n_train + n_val:]]
-    return train, val, test
+    n_train = int(round(len(records) * train_fraction))
+    return [records[i] for i in order[:n_train]], [records[i] for i in order[n_train:]]
 
 
 # ---------------------------------------------------------------------------

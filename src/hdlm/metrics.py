@@ -1,8 +1,9 @@
 """Corpus evaluation: BLEU, ROUGE-L, CIDEr-D, a lightweight METEOR, and
 per-position sentence distinctness.
 
-All metrics compare whole paragraphs as flat token sequences; tokens may be
-ids or strings.  Terminal EOS markers are stripped when pairs are built from
+All metrics score each generated paragraph against one reference
+paragraph, its record's own, as flat token sequences; tokens may be ids or
+strings.  Terminal EOS markers are stripped when pairs are built from
 records, so padding conventions never leak into scores.
 """
 
@@ -13,25 +14,23 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from functools import reduce
-from operator import or_
 from pathlib import Path
 
 import numpy as np
 
 from .data import EOS_ID
 
+MAX_N = 4  # n-gram orders of BLEU and CIDEr-D
+ROUGE_BETA = 1.2  # ROUGE-L's weight of recall against precision
+CIDER_SIGMA = 6.0  # width of CIDEr-D's Gaussian length penalty, in tokens
+
 
 @dataclass
 class EvalPair:
-    """One hypothesis paragraph with one or more reference paragraphs."""
+    """One hypothesis paragraph and its reference paragraph."""
 
     hypothesis: list
-    references: list
-
-    def __post_init__(self):
-        if not self.references:
-            raise ValueError("EvalPair needs at least one reference")
+    reference: list
 
 
 def paragraph_tokens(sentences) -> list:
@@ -53,12 +52,7 @@ def build_eval_pairs(reports, records) -> list[EvalPair]:
         rec = by_id.get(rep.id)
         if rec is None:
             raise ValueError(f"generated report {rep.id!r} has no reference record")
-        pairs.append(
-            EvalPair(
-                hypothesis=paragraph_tokens(rep.sentences),
-                references=[paragraph_tokens(rec.sentences)],
-            )
-        )
+        pairs.append(EvalPair(paragraph_tokens(rep.sentences), paragraph_tokens(rec.sentences)))
     return pairs
 
 
@@ -66,20 +60,15 @@ def build_eval_pairs(reports, records) -> list[EvalPair]:
 # BLEU
 
 
-def _ngram_counts(tokens, max_n: int) -> list[Counter]:
-    """Counters of the n-grams of ``tokens`` for n = 1..max_n, each in
+def _ngram_counts(tokens) -> list[Counter]:
+    """Counters of the n-grams of ``tokens`` for n = 1..MAX_N, each in
     first-occurrence order."""
-    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, max_n + 1)]
+    return [Counter(zip(*(tokens[k:] for k in range(n)))) for n in range(1, MAX_N + 1)]
 
 
-def _closest_ref_length(hyp_len: int, references) -> int:
-    """Reference length closest to the hypothesis; ties pick the shorter."""
-    return min((abs(len(r) - hyp_len), len(r)) for r in references)[1]
-
-
-def bleu(pairs, max_n: int = 4) -> list[float]:
-    """Corpus BLEU-1..``max_n`` from one count of each pair: pooled clipped
-    n-gram precisions, BLEU-n the geometric mean over orders 1..n, times the
+def bleu(pairs) -> list[float]:
+    """Corpus BLEU-1..4 from one count of each pair: pooled clipped n-gram
+    precisions, BLEU-n the geometric mean over orders 1..n, times the
     brevity penalty min(1, e^(1 - r/c)).
 
     No smoothing: an order with zero pooled numerator (or denominator) sends
@@ -87,17 +76,16 @@ def bleu(pairs, max_n: int = 4) -> list[float]:
     """
     if not pairs:
         raise ValueError("bleu needs at least one pair")
-    num, den = [0] * max_n, [0] * max_n
+    num, den = [0] * MAX_N, [0] * MAX_N
     for pair in pairs:
-        refs = [_ngram_counts(ref, max_n) for ref in pair.references]
-        best = [reduce(or_, grams) for grams in zip(*refs)]  # max count over references
-        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis, max_n)):
-            num[n] += sum((hyp_counts & best[n]).values())
+        ref_counts = _ngram_counts(pair.reference)
+        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis)):
+            num[n] += sum((hyp_counts & ref_counts[n]).values())
             den[n] += max(len(pair.hypothesis) - n, 0)
     c = sum(len(p.hypothesis) for p in pairs)
-    r = sum(_closest_ref_length(len(p.hypothesis), p.references) for p in pairs)
-    scores, log_sum = [0.0] * max_n, 0.0
-    for n in range(max_n):
+    r = sum(len(p.reference) for p in pairs)
+    scores, log_sum = [0.0] * MAX_N, 0.0
+    for n in range(MAX_N):
         if num[n] == 0 or den[n] == 0:
             break
         log_sum += math.log(num[n] / den[n])
@@ -124,22 +112,18 @@ def lcs_length(a, b) -> int:
     return len(b) - v.bit_count()
 
 
-def rouge_l(pairs, beta: float = 1.2) -> float:
-    """Mean over pairs of the best-reference LCS F-score,
-    F = (1 + beta^2) R P / (R + beta^2 P)."""
+def rouge_l(pairs) -> float:
+    """Mean over pairs of the LCS F-score,
+    F = (1 + beta^2) R P / (R + beta^2 P) with beta = ``ROUGE_BETA``."""
     if not pairs:
         raise ValueError("rouge_l needs at least one pair")
     total = 0.0
     for pair in pairs:
-        best = 0.0
-        for ref in pair.references:
-            lcs = lcs_length(pair.hypothesis, ref)
-            if lcs == 0:
-                continue
+        lcs = lcs_length(pair.hypothesis, pair.reference)
+        if lcs:
             p = lcs / len(pair.hypothesis)
-            r = lcs / len(ref)
-            best = max(best, (1 + beta * beta) * r * p / (r + beta * beta * p))
-        total += best
+            r = lcs / len(pair.reference)
+            total += (1 + ROUGE_BETA * ROUGE_BETA) * r * p / (r + ROUGE_BETA * ROUGE_BETA * p)
     return total / len(pairs)
 
 
@@ -187,28 +171,22 @@ def _chunk_count(hyp, ref) -> int:
 def meteor_lite(pairs) -> float:
     """Unigram METEOR without stemming or synonyms.
 
-    Per reference: matches m = sum of min token counts, P = m/|hyp|,
+    Per pair: matches m = sum of min token counts, P = m/|hyp|,
     R = m/|ref|, F = P R / (0.9 P + 0.1 R), penalty = 0.5 (chunks/m)^3,
-    score = F (1 - penalty); a pair takes its best reference, the corpus
-    averages pairs.  No matches -> 0.
+    score = F (1 - penalty); the corpus averages pairs.  No matches -> 0.
     """
     if not pairs:
         raise ValueError("meteor_lite needs at least one pair")
     total = 0.0
     for pair in pairs:
-        best = 0.0
-        hyp_counts = Counter(pair.hypothesis)
-        for ref in pair.references:
-            ref_counts = Counter(ref)
-            m = sum(min(c, ref_counts[t]) for t, c in hyp_counts.items())
-            if m == 0:
-                continue
+        ref_counts = Counter(pair.reference)
+        m = sum(min(c, ref_counts[t]) for t, c in Counter(pair.hypothesis).items())
+        if m:
             p = m / len(pair.hypothesis)
-            r = m / len(ref)
+            r = m / len(pair.reference)
             f_mean = p * r / (0.9 * p + 0.1 * r)
-            penalty = 0.5 * (_chunk_count(pair.hypothesis, ref) / m) ** 3
-            best = max(best, f_mean * (1.0 - penalty))
-        total += best
+            penalty = 0.5 * (_chunk_count(pair.hypothesis, pair.reference) / m) ** 3
+            total += f_mean * (1.0 - penalty)
     return total / len(pairs)
 
 
@@ -216,23 +194,20 @@ def meteor_lite(pairs) -> float:
 # CIDEr-D
 
 
-def cider_d(pairs, max_n: int = 4, sigma: float = 6.0) -> float:
-    """Consensus scoring: tf-idf n-gram vectors (orders 1..max_n), clipped
-    cosine against each reference with a Gaussian length penalty, averaged
-    over orders and references, scaled by 10, averaged over pairs.
+def cider_d(pairs) -> float:
+    """Consensus scoring: tf-idf n-gram vectors (orders 1..MAX_N), clipped
+    cosine against the reference with a Gaussian length penalty of width
+    ``CIDER_SIGMA``, averaged over orders, scaled by 10, averaged over pairs.
 
-    Document frequencies come from reference sets, one document per pair;
+    Document frequencies come from the references, one document per pair;
     with a single pair every idf is log(1) = 0 and the score degenerates to
     0, which raises a warning.
     """
     if not pairs:
         raise ValueError("cider_d needs at least one pair")
     num_docs = len(pairs)
-    ref_counts = [[_ngram_counts(ref, max_n) for ref in pair.references] for pair in pairs]
-    df = [Counter() for _ in range(max_n)]
-    for refs in ref_counts:
-        for n in range(max_n):
-            df[n].update(set().union(*(ref[n] for ref in refs)))
+    ref_counts = [_ngram_counts(pair.reference) for pair in pairs]
+    df = [Counter(gram for counts in ref_counts for gram in counts[n]) for n in range(MAX_N)]
     if num_docs == 1:
         warnings.warn(
             "CIDEr-D needs multiple reference documents for meaningful idf; "
@@ -245,28 +220,22 @@ def cider_d(pairs, max_n: int = 4, sigma: float = 6.0) -> float:
                 for gram, count in counts.items()}
 
     total = 0.0
-    for pair, refs in zip(pairs, ref_counts):
+    for pair, counts in zip(pairs, ref_counts):
+        delta = len(pair.hypothesis) - len(pair.reference)
+        length_penalty = math.exp(-(delta * delta) / (2.0 * CIDER_SIGMA * CIDER_SIGMA))
         order_sum = 0.0
-        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis, max_n)):
-            g_hyp = vec(hyp_counts, n)
+        for n, hyp_counts in enumerate(_ngram_counts(pair.hypothesis)):
+            g_hyp, g_ref = vec(hyp_counts, n), vec(counts[n], n)
             norm_hyp = math.sqrt(sum(v * v for v in g_hyp.values()))
-            ref_sum = 0.0
-            for ref, counts in zip(pair.references, refs):
-                g_ref = vec(counts[n], n)
-                norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
-                if norm_hyp == 0.0 or norm_ref == 0.0:
-                    continue
-                clipped = sum(
-                    min(v, g_ref.get(gram, 0.0)) * g_ref.get(gram, 0.0)
-                    for gram, v in g_hyp.items()
-                )
-                delta = len(pair.hypothesis) - len(ref)
-                ref_sum += (
-                    clipped / (norm_hyp * norm_ref)
-                    * math.exp(-(delta * delta) / (2.0 * sigma * sigma))
-                )
-            order_sum += ref_sum / len(pair.references)
-        total += 10.0 * order_sum / max_n
+            norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
+            if norm_hyp == 0.0 or norm_ref == 0.0:
+                continue
+            clipped = sum(
+                min(v, g_ref.get(gram, 0.0)) * g_ref.get(gram, 0.0)
+                for gram, v in g_hyp.items()
+            )
+            order_sum += clipped / (norm_hyp * norm_ref) * length_penalty
+        total += 10.0 * order_sum / MAX_N
     return total / len(pairs)
 
 
@@ -307,15 +276,15 @@ class MetricsReport:
         return asdict(self)
 
 
-def compute_metrics(pairs, paragraphs=None) -> MetricsReport:
+def compute_metrics(pairs, paragraphs) -> MetricsReport:
     """All corpus metrics for ``pairs``; ``paragraphs`` (generated sentence
-    lists) feeds the positional distinctness counts when provided."""
+    lists) feeds the positional distinctness counts."""
     return MetricsReport(
         *bleu(pairs),
         rouge_l=rouge_l(pairs),
         cider_d=cider_d(pairs),
         meteor=meteor_lite(pairs),
-        distinct=distinct_per_index(paragraphs) if paragraphs is not None else [],
+        distinct=distinct_per_index(paragraphs),
     )
 
 

@@ -71,6 +71,7 @@ class AdamState:
 
 
 _ADAM_BLOCK = 1 << 15  # elements: p, g, m, v and 2 scratch blocks = 1.5 MiB, within L2
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(
@@ -78,9 +79,6 @@ def adam_step(
     grads: dict[str, np.ndarray],
     state: AdamState,
     learning_rate: float,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
 ) -> None:
     """One bias-corrected Adam update, in place.
 
@@ -93,32 +91,32 @@ def adam_step(
     elements of the four flat arrays, so each pass over a block runs in
     cache.  Temporaries go to two block-sized scratch buffers, in the
     operation order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
-    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``.  The update is
-    elementwise, so a block rounds exactly as each parameter's whole array
-    would.
+    and ``p -= lr (m / c1) / (sqrt(v / c2) + eps)``, with b1, b2 and eps the
+    ``ADAM_*`` constants.  The update is elementwise, so a block rounds
+    exactly as each parameter's whole array would.
     """
     p = flat_array(t.data for t in named_params.values())
     g, m, v = flat_array(grads.values()), flat_array(state.m.values()), flat_array(state.v.values())
     if not p.size == g.size == m.size == v.size:
         raise ValueError(f"adam_step needs stores of one size, got {p.size}, {g.size}, {m.size} and {v.size}")
     state.t += 1
-    c1 = 1.0 - beta1 ** state.t
-    c2 = 1.0 - beta2 ** state.t
-    d1, d2 = 1.0 - beta1, 1.0 - beta2
+    c1 = 1.0 - ADAM_BETA1 ** state.t
+    c2 = 1.0 - ADAM_BETA2 ** state.t
+    d1, d2 = 1.0 - ADAM_BETA1, 1.0 - ADAM_BETA2
     scratch_a, scratch_b = np.empty(min(p.size, _ADAM_BLOCK)), np.empty(min(p.size, _ADAM_BLOCK))
     for at in range(0, p.size, _ADAM_BLOCK):
         pb, gb, mb, vb = (x[at:at + _ADAM_BLOCK] for x in (p, g, m, v))
         a, b = scratch_a[:len(gb)], scratch_b[:len(gb)]
-        mb *= beta1
+        mb *= ADAM_BETA1
         mb += np.multiply(gb, d1, out=a)
-        vb *= beta2
+        vb *= ADAM_BETA2
         np.multiply(gb, d2, out=a)
         vb += np.multiply(a, gb, out=a)
         np.divide(mb, c1, out=a)
         a *= learning_rate
         np.divide(vb, c2, out=b)
         np.sqrt(b, out=b)
-        b += eps
+        b += ADAM_EPS
         pb -= np.divide(a, b, out=a)
 
 

@@ -38,7 +38,6 @@ import numpy as np
 from hdlm.data import BOS_ID, EOS_ID
 from hdlm.inference import GeneratedReport
 from hdlm.layers import embed, lstm_step
-from hdlm.metrics import _closest_ref_length
 from hdlm.model import word_step
 from hdlm.tensor import (
     ShapeError,
@@ -563,12 +562,8 @@ def bleu_reference(pairs, max_n=4):
     for n in range(1, max_n + 1):
         num = den = 0
         for pair in pairs:
-            hyp_counts = _ngrams(pair.hypothesis, n)
-            best = Counter()
-            for ref in pair.references:
-                for gram, count in _ngrams(ref, n).items():
-                    best[gram] = max(best[gram], count)
-            num += sum(min(c, best[g]) for g, c in hyp_counts.items())
+            ref_counts = _ngrams(pair.reference, n)
+            num += sum(min(c, ref_counts[g]) for g, c in _ngrams(pair.hypothesis, n).items())
             den += max(len(pair.hypothesis) - n + 1, 0)
         if num == 0 or den == 0:
             return 0.0
@@ -576,7 +571,7 @@ def bleu_reference(pairs, max_n=4):
     c = sum(len(p.hypothesis) for p in pairs)
     if c == 0:
         return 0.0
-    r = sum(_closest_ref_length(len(p.hypothesis), p.references) for p in pairs)
+    r = sum(len(p.reference) for p in pairs)
     bp = min(1.0, math.exp(1.0 - r / c))
     return bp * math.exp(log_sum / max_n)
 
@@ -636,10 +631,7 @@ def cider_d_reference(pairs, max_n=4, sigma=6.0):
     df = [Counter() for _ in range(max_n)]
     for pair in pairs:
         for n in range(1, max_n + 1):
-            seen = set()
-            for ref in pair.references:
-                seen.update(_ngrams(ref, n))
-            for gram in seen:
+            for gram in _ngrams(pair.reference, n):
                 df[n - 1][gram] += 1
 
     def vec(tokens, n):
@@ -653,22 +645,19 @@ def cider_d_reference(pairs, max_n=4, sigma=6.0):
         order_sum = 0.0
         for n in range(1, max_n + 1):
             g_hyp = vec(pair.hypothesis, n)
+            g_ref = vec(pair.reference, n)
             norm_hyp = math.sqrt(sum(v * v for v in g_hyp.values()))
-            ref_sum = 0.0
-            for ref in pair.references:
-                g_ref = vec(ref, n)
-                norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
-                if norm_hyp == 0.0 or norm_ref == 0.0:
-                    continue
-                clipped = sum(
-                    min(v, g_ref.get(gram, 0.0)) * g_ref.get(gram, 0.0)
-                    for gram, v in g_hyp.items()
-                )
-                delta = len(pair.hypothesis) - len(ref)
-                ref_sum += (
-                    clipped / (norm_hyp * norm_ref)
-                    * math.exp(-(delta * delta) / (2.0 * sigma * sigma))
-                )
-            order_sum += ref_sum / len(pair.references)
+            norm_ref = math.sqrt(sum(v * v for v in g_ref.values()))
+            if norm_hyp == 0.0 or norm_ref == 0.0:
+                continue
+            clipped = sum(
+                min(v, g_ref.get(gram, 0.0)) * g_ref.get(gram, 0.0)
+                for gram, v in g_hyp.items()
+            )
+            delta = len(pair.hypothesis) - len(pair.reference)
+            order_sum += (
+                clipped / (norm_hyp * norm_ref)
+                * math.exp(-(delta * delta) / (2.0 * sigma * sigma))
+            )
         total += 10.0 * order_sum / max_n
     return total / len(pairs)

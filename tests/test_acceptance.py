@@ -166,8 +166,8 @@ def test_criterion_03_single_decoder_ignores_abnormal_weight():
 
 
 def test_criterion_04_metric_oracles():
-    def pair(hyp, *refs):
-        return EvalPair(hypothesis=list(hyp), references=[list(r) for r in refs])
+    def pair(hyp, ref):
+        return EvalPair(hypothesis=list(hyp), reference=list(ref))
 
     checks = []
     checks.append(("BLEU-1 clipping",
@@ -213,7 +213,7 @@ def test_criterion_05_mode_baseline_rivals_degenerate_model():
         min_words=3, max_words=7, locations=8, channels=12,
     ))
     assert all(len(r.sentences) == 3 for r in synth.records)
-    train_recs, val_recs, _ = split_corpus(synth.records, (0.8, 0.2, 0.0), seed=7)
+    train_recs, val_recs = split_corpus(synth.records, 0.8, seed=7)
 
     config = ModelConfig(
         vocab_size=synth.vocab.size, mti_labels=6, channels=12, embed_dim=24,
@@ -233,7 +233,7 @@ def test_criterion_05_mode_baseline_rivals_degenerate_model():
 
     mode = mode_baseline(train_recs)
     mode_pairs = [EvalPair(hypothesis=paragraph_tokens(mode),
-                           references=[paragraph_tokens(r.sentences)])
+                           reference=paragraph_tokens(r.sentences))
                   for r in val_recs]
     mode_bleu1, _, _, mode_bleu4 = bleu(mode_pairs)
     mode_distinct = distinct_per_index([mode for _ in val_recs])
@@ -325,7 +325,7 @@ def test_criterion_08_dual_decoder_keeps_more_distinct_openings():
         tag_count=4, min_sentences=2, max_sentences=3, min_words=3, max_words=6,
         locations=8, channels=12,
     ))
-    train_recs, val_recs, _ = split_corpus(synth.records, (0.8, 0.2, 0.0), seed=21)
+    train_recs, val_recs = split_corpus(synth.records, 0.8, seed=21)
     limits = GenerationLimits(max_sentences=4, max_words=8)
     chunks, epochs_per = 3, 3
 

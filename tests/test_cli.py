@@ -148,6 +148,25 @@ def test_synth_is_deterministic(tmp_path, tiny_cfg):
     assert (a / "features" / probe).read_bytes() == (b / "features" / probe).read_bytes()
 
 
+def test_synth_split_keeps_every_record(tmp_path, capsys):
+    cfg = tmp_path / "five.cfg"
+    cfg.write_text(TINY.replace("synth.records = 24", "synth.records = 5\nsynth.train_fraction = 0.5"))
+    out = tmp_path / "data"
+    assert run(["synth", "--config", str(cfg), "--out", str(out)]) == 0
+    assert "records: 5 (train 2, val 3)" in capsys.readouterr().out
+    ids = [json.loads(line)["id"] for name in ("train.jsonl", "val.jsonl")
+           for line in (out / name).read_text().splitlines()]
+    assert len(ids) == len(set(ids)) == 5
+
+
+def test_synth_train_fraction_out_of_range_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(TINY + "synth.train_fraction = 1.0\n")
+    assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    assert "train_fraction must be in (0, 1)" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> train once for the downstream subcommand tests."""

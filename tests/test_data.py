@@ -366,17 +366,21 @@ def test_synth_config_validation():
 
 def test_split_corpus_deterministic_and_disjoint():
     records = synth_corpus(SynthConfig(seed=9, records=40)).records
-    a = split_corpus(records, (0.5, 0.25, 0.25), seed=13)
-    b = split_corpus(records, (0.5, 0.25, 0.25), seed=13)
+    a = split_corpus(records, 0.5, seed=13)
+    b = split_corpus(records, 0.5, seed=13)
     assert [r.id for part in a for r in part] == [r.id for part in b for r in part]
     ids = [r.id for part in a for r in part]
     assert sorted(ids) == sorted(r.id for r in records)
-    assert len(a[0]) == 20 and len(a[1]) == 10
+    assert len(a[0]) == 20 and len(a[1]) == 20
+    # val takes every record that train does not, whatever the rounding
+    train, val = split_corpus(records[:5], 0.5, seed=13)
+    assert len(train) == 2 and len(val) == 3
 
 
 def test_split_corpus_bad_ratios():
-    with pytest.raises(ConfigError, match="ratios"):
-        split_corpus([], (0.5, 0.2, 0.2))
+    for fraction in (0.0, 1.0, -0.5, 1.5):
+        with pytest.raises(ConfigError, match="train_fraction"):
+            split_corpus([], fraction)
 
 
 # ---------------------------------------------------------------------------

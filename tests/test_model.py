@@ -4,6 +4,10 @@ recomputation and closed-form values for the all-zero parameter setting."""
 import dataclasses
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -576,6 +580,58 @@ def test_weighted_total_is_bitwise_the_add_and_scale_chain(dual, monkeypatch):
         assert got_digest == want_digest, seed
         assert {k: got[k] for k in chain_means} == chain_means, seed
         assert abs(got["total"] - want["total"]) <= 6 * np.finfo(float).eps * want["total"], seed
+
+
+# one README batch's gradients, the README corpus's first 16 records at the
+# README model shape with seed-0 weights, run in a fresh interpreter with
+# OpenBLAS on one thread; each line prints the dual setting and the sha256
+# of the flat gradient store
+README_BATCH_GRADIENTS = """
+import hashlib
+from hdlm.data import SynthConfig, synth_corpus
+from hdlm.model import ModelConfig, ModelParams, compute_losses
+from hdlm.tensor import Tape, backward, flat_array, flat_views
+
+synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
+                    zipf_exponent=1.1, vocab_words=60, seed=9)
+corpus = synth_corpus(synth)
+for dual in (True, False):
+    cfg = ModelConfig(
+        vocab_size=corpus.vocab.size, mti_labels=synth.tag_count, locations=synth.locations,
+        channels=synth.channels, embed_dim=24, hidden_dim=24,
+        max_sentences=synth.max_sentences + 1, max_words=synth.max_words + 3, dual_enabled=dual,
+    )
+    params = ModelParams.create(cfg, seed=0)
+    named = params.named_parameters()
+    grads = flat_views({n: t.shape for n, t in named.items()})
+    with Tape() as tape:
+        total = compute_losses(params, cfg, corpus.records[:16]).total
+    backward(tape, total, {t: grads[n] for n, t in named.items()})
+    print(dual, hashlib.sha256(flat_array(grads.values()).tobytes()).hexdigest())
+"""
+# recorded with numpy's OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels) on
+# x86-64; another BLAS build or CPU may round matmuls differently
+PINNED_README_GRADIENTS = {
+    "True": "b1bd7dba40c3094e3bedfcaa1dfa780fcee48a3360932c195e88d534984dfb5d",
+    "False": "29c80d2e40926e99ea9a065bcdc19ebe7e7865e2f932f77c15fe9ec4b18edaa8",
+}
+
+
+def test_readme_batch_gradients_are_pinned():
+    # the reference comparisons above allow 1e-12; this holds the last bits,
+    # which a reordering of the tape can move (running the stop head before
+    # the topic head moves the dual-on digest), and with them every
+    # checkpoint of a run
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": str(Path(hdlm.model.__file__).parents[1])}
+    out = subprocess.run([sys.executable, "-c", README_BATCH_GRADIENTS], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    got = dict(line.split() for line in out.splitlines())
+    assert got == PINNED_README_GRADIENTS, (
+        f"a README batch's gradients moved: {got}.  A change that moves them on purpose "
+        "records these digests in PINNED_README_GRADIENTS and states its bound on the move "
+        "in CHANGES.md"
+    )
 
 
 @pytest.mark.parametrize("dual", [True, False])
