@@ -52,7 +52,6 @@ from .selection import (
 )
 from .tensor import gradient_audit, seeded_rng
 from .training import (
-    CheckpointError,
     TrainConfig,
     TrainingDivergedError,
     load_checkpoint,
@@ -152,19 +151,9 @@ def _section(settings: dict[str, str], prefix: str) -> dict:
     out = {}
     for key, raw in settings.items():
         section, name = key.split(".", 1)
-        if section == prefix and f"{prefix}.{name}" in KNOWN_KEYS:
+        if section == prefix:
             out[name] = _coerce(key, raw)
     return out
-
-
-def synth_config_from(settings) -> SynthConfig:
-    kwargs = _section(settings, "synth")
-    kwargs.pop("train_fraction", None)
-    return SynthConfig(**kwargs)
-
-
-def train_config_from(settings) -> TrainConfig:
-    return TrainConfig(**_section(settings, "train"))
 
 
 def model_config_from(settings, derived: dict) -> ModelConfig:
@@ -223,8 +212,9 @@ def _derive_label_count(records) -> int:
 
 def cmd_synth(args) -> int:
     settings = resolve_settings(args)
-    config = synth_config_from(settings)
-    fraction = _coerce("synth.train_fraction", settings["synth.train_fraction"])
+    kwargs = _section(settings, "synth")
+    fraction = kwargs.pop("train_fraction")
+    config = SynthConfig(**kwargs)
     result = synth_corpus(config)
     train_recs, val_recs = split_corpus(result.records, fraction, seed=config.seed)
     if not train_recs or not val_recs:
@@ -284,7 +274,7 @@ def cmd_train(args) -> int:
         "locations": int(locations),
         "channels": int(channels),
     })
-    train_config = train_config_from(settings)
+    train_config = TrainConfig(**_section(settings, "train"))
     limits = limits_from(settings, model_config)
     out = _out_dir(args)
     ckpt_dir = out / "checkpoints"
@@ -368,14 +358,10 @@ def cmd_evaluate(args) -> int:
 
 
 def _selection(args):
-    settings = resolve_settings(args)
+    gate = _section(resolve_settings(args), "select")
     history = load_history(args.history)
-    return select_model(
-        history,
-        min_distinct_m0=_coerce("select.min_distinct", settings["select.min_distinct"]),
-        require_all_indices=_coerce("select.require_all_indices",
-                                    settings["select.require_all_indices"]),
-    )
+    return select_model(history, min_distinct_m0=gate["min_distinct"],
+                        require_all_indices=gate["require_all_indices"])
 
 
 def cmd_analyze(args) -> int:
@@ -501,9 +487,6 @@ def run(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (CorpusFormatError, CheckpointError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
     except (FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

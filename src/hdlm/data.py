@@ -10,8 +10,10 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -59,28 +61,18 @@ def tokenize(text: str) -> list[str]:
 class Vocabulary:
     id_to_token: list[str]
     token_to_id: dict[str, int]
-    min_frequency: int = 1
 
     @property
     def size(self) -> int:
         return len(self.id_to_token)
 
-    def encode_token(self, token: str) -> int:
-        return self.token_to_id.get(token, UNK_ID)
+    def encode_sentence(self, tokens) -> list[int]:
+        """Token ids, UNK for a token outside the vocabulary, then EOS."""
+        return [self.token_to_id.get(t, UNK_ID) for t in tokens] + [EOS_ID]
 
-    def encode_sentence(self, tokens, append_eos: bool = True) -> list[int]:
-        ids = [self.encode_token(t) for t in tokens]
-        if append_eos:
-            ids.append(EOS_ID)
-        return ids
-
-    def decode(self, ids, skip_special: bool = True) -> list[str]:
-        out = []
-        for i in ids:
-            if skip_special and i < len(RESERVED_TOKENS):
-                continue
-            out.append(self.id_to_token[i])
-        return out
+    def decode(self, ids) -> list[str]:
+        """Tokens of ``ids``, without the reserved ones."""
+        return [self.id_to_token[i] for i in ids if i >= len(RESERVED_TOKENS)]
 
 
 def build_vocab(sentences, min_frequency: int = 1) -> Vocabulary:
@@ -91,12 +83,11 @@ def build_vocab(sentences, min_frequency: int = 1) -> Vocabulary:
         key=lambda t: (-counts[t], t),
     )
     id_to_token = list(RESERVED_TOKENS) + kept
-    return Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)}, min_frequency)
+    return Vocabulary(id_to_token, {t: i for i, t in enumerate(id_to_token)})
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:
-    payload = {"tokens": vocab.id_to_token, "min_frequency": vocab.min_frequency}
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    Path(path).write_text(json.dumps({"tokens": vocab.id_to_token}), encoding="utf-8")
 
 
 def load_vocab(path) -> Vocabulary:
@@ -115,13 +106,7 @@ def load_vocab(path) -> Vocabulary:
     if len(token_to_id) != len(tokens):
         repeated = next(t for i, t in enumerate(tokens) if token_to_id[t] != i)
         raise CorpusFormatError(f"{path}: token {repeated!r} appears more than once")
-    try:
-        min_frequency = json_int(payload.get("min_frequency", 1), "min_frequency")
-    except ValueError as e:
-        raise CorpusFormatError(f"{path}: {e}") from None
-    if min_frequency < 1:
-        raise CorpusFormatError(f"{path}: min_frequency must be >= 1, got {min_frequency}")
-    return Vocabulary(tokens, token_to_id, min_frequency)
+    return Vocabulary(tokens, token_to_id)
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +436,27 @@ def load_features(path) -> np.ndarray:
 # JSON-lines files: one object per line, shared by every run file
 
 
+@contextmanager
+def open_replacing(path):
+    """Yield a binary file open on a temporary path beside ``path``, renamed
+    over ``path`` when the block ends; a failed write removes it, leaving any
+    previous file as it was."""
+    tmp = f"{os.fspath(path)}.tmp"
+    fh = open(tmp, "wb")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def write_jsonl(path, objects) -> None:
-    """Write each object as one JSON line; no objects give an empty file."""
-    Path(path).write_text("".join(json.dumps(obj) + "\n" for obj in objects), encoding="utf-8")
+    """Write each object as one JSON line, through :func:`open_replacing`;
+    no objects give an empty file."""
+    with open_replacing(path) as fh:
+        fh.write("".join(json.dumps(obj) + "\n" for obj in objects).encode("utf-8"))
 
 
 def read_jsonl(path, fields=()):

@@ -26,14 +26,13 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 import struct
 import time
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ConfigError, read_jsonl
+from .data import ConfigError, open_replacing, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
 from .tensor import Tape, Tensor, backward, flat_array, flat_views, seeded_rng
 
@@ -289,27 +288,20 @@ def _checkpoint_entries(params: ModelParams, config: ModelConfig, adam: AdamStat
 
 def save_checkpoint(path, params: ModelParams, config: ModelConfig,
                     iteration: int, adam: AdamState | None = None) -> None:
-    """Write through a temporary file in the same directory and rename it
-    over ``path``, so a failed write leaves any previous file as it was."""
-    tmp = f"{os.fspath(path)}.tmp"
-    fh = open(tmp, "wb")
-    try:
-        with fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, iteration))
-            for name, arr in _checkpoint_entries(params, config, adam):
-                name_b = name.encode("utf-8")
-                arr = np.asarray(arr, dtype="<f8")
-                fh.write(struct.pack("<I", len(name_b)))
-                fh.write(name_b)
-                fh.write(struct.pack("<I", arr.ndim))
-                fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                # the array's own buffer, unless it is not contiguous
-                fh.write(np.ascontiguousarray(arr).data)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    """Write through :func:`hdlm.data.open_replacing`, so a failed write
+    leaves any previous file as it was."""
+    with open_replacing(path) as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write(struct.pack("<IQ", CHECKPOINT_VERSION, iteration))
+        for name, arr in _checkpoint_entries(params, config, adam):
+            name_b = name.encode("utf-8")
+            arr = np.asarray(arr, dtype="<f8")
+            fh.write(struct.pack("<I", len(name_b)))
+            fh.write(name_b)
+            fh.write(struct.pack("<I", arr.ndim))
+            fh.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            # the array's own buffer, unless it is not contiguous
+            fh.write(np.ascontiguousarray(arr).data)
 
 
 def _read_exact(fh, n: int, path, what: str) -> bytes:

@@ -257,6 +257,21 @@ def test_select_gates_and_reports(tmp_path, capsys):
     assert "6 distinct" in capsys.readouterr().err
 
 
+def test_select_and_analyze_read_the_gate_from_the_config(tmp_path, capsys):
+    # d@0 clears select.min_distinct and d@1 does not
+    path = tmp_path / "history.jsonl"
+    save_history(path, [CheckpointRecord(iteration=6, bleu4=0.5, distinct=(5, 2), path="b.bin")])
+    cfg = tmp_path / "gate.cfg"
+    cfg.write_text("select.min_distinct = 4\nselect.require_all_indices = false\n")
+    assert run(["select", str(path), "--config", str(cfg)]) == 0
+    assert "iteration=6" in capsys.readouterr().out
+    cfg.write_text("select.min_distinct = 4\nselect.require_all_indices = true\n")
+    assert run(["select", str(path), "--config", str(cfg)]) == 1
+    assert "no checkpoint reached 4 distinct sentences at every position" in capsys.readouterr().err
+    assert run(["analyze", str(path), "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split() == ["6", "0.5000", "5", "2", "x"]
+
+
 def test_gradcheck_passes(capsys):
     assert run(["gradcheck", "--seed", "1"]) == 0
     assert "PASS" in capsys.readouterr().out
@@ -559,16 +574,6 @@ def _vocab_token_repeated(data, tmp):
     return argv, f"{vocab}: token 'a' appears more than once"
 
 
-def _vocab_min_frequency_is_a_string(data, tmp):
-    argv, vocab = _vocab_with(data, tmp, min_frequency="x")
-    return argv, f"{vocab}: min_frequency 'x' is not an integer"
-
-
-def _vocab_min_frequency_is_negative(data, tmp):
-    argv, vocab = _vocab_with(data, tmp, min_frequency=-3)
-    return argv, f"{vocab}: min_frequency must be >= 1, got -3"
-
-
 @pytest.mark.parametrize("corrupt", [
     _val_line_is_a_list, _generated_line_is_a_number, _history_line_is_a_string,
     _history_distinct_is_a_number, _history_line_is_invalid_utf8, _feature_header_truncated,
@@ -580,7 +585,7 @@ def _vocab_min_frequency_is_negative(data, tmp):
     _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
     _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
-    _vocab_token_repeated, _vocab_min_frequency_is_a_string, _vocab_min_frequency_is_negative,
+    _vocab_token_repeated,
     _val_feature_is_nan, _train_feature_is_infinite,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):

@@ -81,36 +81,37 @@ def test_vocab_frequency_then_lexicographic_order():
 
 def test_vocab_min_frequency_drops_rare_tokens():
     vocab = build_vocab([["x", "x", "y"]], min_frequency=2)
-    assert vocab.encode_token("x") == 4
-    assert vocab.encode_token("y") == UNK_ID
+    assert vocab.token_to_id["x"] == 4
+    assert "y" not in vocab.token_to_id
+    assert vocab.encode_sentence(["x", "y"]) == [4, UNK_ID, EOS_ID]
 
 
 def test_encode_sentence_appends_eos():
     vocab = build_vocab([["hi"]])
     assert vocab.encode_sentence(["hi"]) == [4, EOS_ID]
-    assert vocab.encode_sentence(["hi"], append_eos=False) == [4]
+    assert vocab.encode_sentence([]) == [EOS_ID]
 
 
 def test_decode_skips_reserved_by_default():
     vocab = build_vocab([["hi"]])
     assert vocab.decode([4, EOS_ID]) == ["hi"]
-    assert vocab.decode([4, EOS_ID], skip_special=False) == ["hi", "<eos>"]
+    assert vocab.decode([PAD_ID, BOS_ID, 4, UNK_ID, 4, EOS_ID]) == ["hi", "hi"]
 
 
 def test_vocab_round_trip(tmp_path):
     vocab = build_vocab([["b", "a"]], min_frequency=1)
     path = tmp_path / "vocab.json"
     save_vocab(path, vocab)
-    back = load_vocab(path)
-    assert back.id_to_token == vocab.id_to_token
-    assert back.token_to_id == vocab.token_to_id
-    assert back.min_frequency == 1
+    assert json.loads(path.read_text()) == {"tokens": vocab.id_to_token}
+    assert load_vocab(path) == vocab
 
 
-def test_load_vocab_without_min_frequency_means_one(tmp_path):
+def test_load_vocab_reads_files_with_min_frequency(tmp_path):
+    # every vocab.json written before the key was dropped carries it
+    tokens = ["<pad>", "<bos>", "<eos>", "<unk>", "a"]
     path = tmp_path / "vocab.json"
-    path.write_text(json.dumps({"tokens": ["<pad>", "<bos>", "<eos>", "<unk>", "a"]}))
-    assert load_vocab(path).min_frequency == 1
+    path.write_text(json.dumps({"tokens": tokens, "min_frequency": 1}))
+    assert load_vocab(path) == build_vocab([["a"]])
 
 
 def test_load_vocab_rejects_missing_reserved(tmp_path):

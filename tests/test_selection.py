@@ -1,6 +1,13 @@
+import errno
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import hdlm
 from hdlm.data import EOS_ID, ConfigError, CorpusFormatError, ReportRecord
 from hdlm.selection import (
     CheckpointRecord,
@@ -128,6 +135,36 @@ def test_history_round_trip(tmp_path):
     path = tmp_path / "history.jsonl"
     save_history(path, history)
     assert load_history(path) == history
+
+
+# saves a six-record history under a file-size limit given in bytes
+_SAVE_UNDER_LIMIT = """
+import resource, signal, sys
+from hdlm.selection import CheckpointRecord, save_history
+path, limit = sys.argv[1], int(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save_history(path, [CheckpointRecord(8 * k, 0.5, (4, 2)) for k in range(1, 7)])
+except OSError as e:
+    print(e.errno)
+"""
+
+
+def test_failed_history_rewrite_keeps_the_previous_file(tmp_path):
+    # hdlm train rewrites history.jsonl after every evaluation; a write that
+    # fails part way must not leave a torn file that select and analyze reject
+    history = [ckpt(8, 0.5, [4, 2]), ckpt(16, 0.5, [4, 2])]
+    path = tmp_path / "history.jsonl"
+    save_history(path, history)
+    src = str(Path(hdlm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SAVE_UNDER_LIMIT, str(path), str(path.stat().st_size + 10)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(errno.EFBIG)]
+    assert load_history(path) == history
+    assert sorted(tmp_path.iterdir()) == [path]
 
 
 def test_load_history_reports_line_numbers(tmp_path):

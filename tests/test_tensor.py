@@ -909,6 +909,58 @@ def test_every_public_op_has_a_caller_in_the_package():
     assert sorted(unused) == sorted(CALLED_ONLY_BY_TESTS)
 
 
+# parameters with a default that only tests pass, each with its reason to stay
+PASSED_ONLY_BY_TESTS = {
+    "data.auto_annotate_abnormal(threshold)": "the paper's annotation threshold; the path is kept for real text",
+    "tensor.gradient_audit(eps)": "acceptance criterion 1 passes its finite-difference step explicitly",
+    "tensor.gradient_audit(atol)": "tests pass atol=0.0 to read the plain worst relative error",
+}
+
+
+def test_every_default_parameter_is_passed_by_a_caller():
+    # a parameter with a default, on a public function or method of hdlm,
+    # needs a call in src/, demos/ or perfbench/ that passes it, by keyword or
+    # by position; a call matches by the callee's name alone, and one that
+    # spreads *args or **kwargs passes everything.  A default that no program
+    # call overrides is a switch only tests turn.
+    package = Path(T.__file__).parent
+    root = package.parents[1]
+    trees = {p: ast.parse(p.read_text(encoding="utf-8"))
+             for p in [*sorted(package.glob("*.py")), *sorted((root / "demos").glob("*.py")),
+                       *sorted((root / "perfbench").glob("*.py"))]}
+    calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
+
+    def passed(name, position, param):
+        return any(
+            any(k.arg in (param, None) for k in call.keywords)
+            or (position is not None and len(call.args) > position)
+            or any(isinstance(a, ast.Starred) for a in call.args)
+            for call in calls
+            if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == name)
+
+    unpassed = []
+    for path in trees:
+        if path.parent != package:
+            continue
+        body = trees[path].body
+        # (function, count of leading parameters a call does not pass)
+        defs = [(node, 0) for node in body if isinstance(node, ast.FunctionDef)]
+        defs += [(item, 0 if any(getattr(d, "id", None) == "staticmethod" for d in item.decorator_list) else 1)
+                 for node in body if isinstance(node, ast.ClassDef) and not node.name.startswith("_")
+                 for item in node.body if isinstance(item, ast.FunctionDef)]
+        for fn, bound in defs:
+            if fn.name.startswith("_"):
+                continue
+            args = fn.args
+            positional = args.posonlyargs + args.args
+            first = len(positional) - len(args.defaults)
+            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
+            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            unpassed += [f"{path.stem}.{fn.name}({param})" for position, param in defaulted
+                         if not passed(fn.name, position, param)]
+    assert sorted(unpassed) == sorted(PASSED_ONLY_BY_TESTS)
+
+
 # --- tape neutrality ----------------------------------------------------------
 
 
