@@ -7,6 +7,7 @@ single memorized paragraph so competitive on corpus-level scores.
 """
 
 from hdlm import SynthConfig, count_below, sentence_frequency_table, synth_corpus
+from hdlm.data import RARE_BELOW
 
 
 def main():
@@ -31,9 +32,9 @@ def main():
     for sent, count in table[-3:]:
         print(f"  {count:4d}x  {' '.join(vocab.decode(list(sent)))}")
 
-    rare, fraction = count_below(table, 3)
+    rare, fraction = count_below(table)
     print(f"\n{rare} of {len(table)} distinct sentences occur fewer than "
-          f"3 times ({fraction:.1%}) - a long tail.")
+          f"{RARE_BELOW} times ({fraction:.1%}) - a long tail.")
 
 
 if __name__ == "__main__":

@@ -29,11 +29,13 @@ from .data import (
     ConfigError,
     CorpusFormatError,
     EOS_ID,
+    RARE_BELOW,
     ReportRecord,
     SynthConfig,
     count_below,
     load_corpus,
     load_vocab,
+    open_replacing,
     save_corpus,
     save_vocab,
     sentence_frequency_table,
@@ -61,8 +63,8 @@ from .training import (
 
 RESOLVED_NAME = "resolved.cfg"
 
-_BOOL_TRUE = {"1", "true", "on", "yes"}
-_BOOL_FALSE = {"0", "false", "off", "no"}
+_BOOLS = {"1": True, "true": True, "on": True, "yes": True,
+          "0": False, "false": False, "off": False, "no": False}
 
 
 def _known_keys() -> dict[str, type]:
@@ -85,32 +87,17 @@ KNOWN_KEYS = _known_keys()
 
 # small-profile defaults; library defaults describe the full-scale model
 CLI_DEFAULTS = {
-    "model.embed_dim": "32",
-    "model.hidden_dim": "32",
-    "train.epochs": "30",
-    "synth.train_fraction": "0.8",
-    "select.min_distinct": "4",
-    "select.require_all_indices": "false",
+    "model.embed_dim": 32,
+    "model.hidden_dim": 32,
+    "train.epochs": 30,
+    "synth.train_fraction": 0.8,
+    "select.min_distinct": 4,
+    "select.require_all_indices": False,
 }
 
 
-def _coerce(key: str, raw: str):
-    kind = KNOWN_KEYS[key]
-    if kind is bool:
-        low = raw.strip().lower()
-        if low in _BOOL_TRUE:
-            return True
-        if low in _BOOL_FALSE:
-            return False
-        raise ConfigError(f"{key} expects a boolean, got {raw!r}")
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{key} expects {kind.__name__}, got {raw!r}") from exc
-
-
-def parse_config_file(path) -> dict[str, str]:
-    """Flat ``section.key = value`` settings; ``#`` starts a comment."""
+def parse_config_file(path) -> dict:
+    """Flat ``section.key = value`` settings, typed by key; ``#`` starts a comment."""
     settings = {}
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -127,33 +114,30 @@ def parse_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in body.split("=", 1))
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{path}:{lineno}: unknown setting {key!r}")
-        settings[key] = value
+        kind = KNOWN_KEYS[key]
+        try:
+            settings[key] = _BOOLS[value.lower()] if kind is bool else kind(value)
+        except (KeyError, ValueError):
+            raise ConfigError(f"{path}:{lineno}: {key} expects {kind.__name__}, got {value!r}") from None
     return settings
 
 
-def resolve_settings(args) -> dict[str, str]:
+def resolve_settings(args) -> dict:
     settings = dict(CLI_DEFAULTS)
     if getattr(args, "config", None):
         settings.update(parse_config_file(args.config))
     if getattr(args, "seed", None) is not None:
-        settings["synth.seed"] = str(args.seed)
-        settings["train.seed"] = str(args.seed)
+        settings["synth.seed"] = settings["train.seed"] = args.seed
     if getattr(args, "dual", None) is not None:
-        settings["model.dual_enabled"] = "true" if args.dual == "on" else "false"
+        settings["model.dual_enabled"] = args.dual == "on"
     if getattr(args, "min_distinct", None) is not None:
-        settings["select.min_distinct"] = str(args.min_distinct)
-    for key, raw in settings.items():
-        _coerce(key, raw)
+        settings["select.min_distinct"] = args.min_distinct
     return settings
 
 
-def _section(settings: dict[str, str], prefix: str) -> dict:
-    out = {}
-    for key, raw in settings.items():
-        section, name = key.split(".", 1)
-        if section == prefix:
-            out[name] = _coerce(key, raw)
-    return out
+def _section(settings: dict, prefix: str) -> dict:
+    return {key.split(".", 1)[1]: value for key, value in settings.items()
+            if key.startswith(f"{prefix}.")}
 
 
 def model_config_from(settings, derived: dict) -> ModelConfig:
@@ -179,21 +163,17 @@ def limits_from(settings, config: ModelConfig) -> GenerationLimits:
     return GenerationLimits(config.max_sentences, config.max_words, **_section(settings, "generate"))
 
 
-def _echo_model(settings: dict[str, str], config: ModelConfig) -> None:
+def _echo_model(settings: dict, config: ModelConfig) -> None:
     """Record the final model shape so later commands can rebuild it."""
-    for f in dataclasses.fields(ModelConfig):
-        value = getattr(config, f.name)
-        if isinstance(value, bool):
-            settings[f"model.{f.name}"] = "true" if value else "false"
-        else:
-            settings[f"model.{f.name}"] = repr(value) if isinstance(value, float) else str(value)
+    settings.update((f"model.{name}", value) for name, value in dataclasses.asdict(config).items())
 
 
-def write_resolved(out_dir, settings: dict[str, str]) -> Path:
-    path = Path(out_dir) / RESOLVED_NAME
-    lines = [f"{key} = {settings[key]}" for key in sorted(settings)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    return path
+def write_resolved(out_dir, settings: dict) -> None:
+    """One ``key = value`` line per setting, by key: a bool as true or false, else its repr."""
+    text = "".join(f"{key} = {str(value).lower() if isinstance(value, bool) else repr(value)}\n"
+                   for key, value in sorted(settings.items()))
+    with open_replacing(Path(out_dir) / RESOLVED_NAME) as fh:
+        fh.write(text.encode("utf-8"))
 
 
 def _out_dir(args) -> Path:
@@ -230,27 +210,30 @@ def cmd_synth(args) -> int:
     rare, fraction_rare = count_below(table)
     print(f"records: {len(result.records)} (train {len(train_recs)}, val {len(val_recs)})")
     print(f"vocabulary: {result.vocab.size} tokens")
-    print(f"distinct sentences: {len(table)}; {rare} occur fewer than 3 times "
+    print(f"distinct sentences: {len(table)}; {rare} occur fewer than {RARE_BELOW} times "
           f"({fraction_rare:.2%})")
     return 0
 
 
-def _check_grid(path, records, grid, source: str) -> None:
-    """Reject a record of ``path`` whose feature map is not ``grid``, the
-    grid of the ``source`` record."""
+def _load_records(path, grid=None, source="first record"):
+    """The corpus at ``path``: one record or more, each with its feature map
+    on ``grid`` (by default the first record's), the ``source`` record's grid."""
+    records = load_corpus(path)
+    if not records:
+        raise CorpusFormatError(f"{path}: no records")
+    grid = grid or records[0].feature_map().shape
     for r in records:
         if r.feature_map().shape != grid:
             raise CorpusFormatError(f"{path}: record {r.id!r}: feature map {r.feature_map().shape} "
                                     f"does not match the {source}'s {grid}")
+    return records
 
 
 def _load_split(data_dir: Path):
     paths = (data_dir / "train.jsonl", data_dir / "val.jsonl")
-    train_recs, val_recs = (load_corpus(path) for path in paths)
-    if not train_recs or not val_recs:
-        raise CorpusFormatError(f"{data_dir}: train or val split is empty")
+    train_recs = _load_records(paths[0], source="first train record")
+    val_recs = _load_records(paths[1], train_recs[0].feature_map().shape, "first train record")
     vocab = load_vocab(data_dir / "vocab.json")
-    grid = train_recs[0].feature_map().shape
     for path, records in zip(paths, (train_recs, val_recs)):
         for r in records:
             bad = [t for s in r.sentences for t in s if not 0 <= t < vocab.size]
@@ -259,7 +242,6 @@ def _load_split(data_dir: Path):
                     f"{path}: record {r.id!r}: token id {bad[0]} outside "
                     f"vocabulary of size {vocab.size}"
                 )
-        _check_grid(path, records, grid, "first train record")
     return train_recs, val_recs, vocab
 
 
@@ -316,11 +298,8 @@ def cmd_train(args) -> int:
 
 def cmd_generate(args) -> int:
     settings = resolve_settings(args)
-    records = load_corpus(args.corpus)
-    if not records:
-        raise CorpusFormatError(f"{args.corpus}: no records")
-    locations, channels = grid = records[0].feature_map().shape
-    _check_grid(args.corpus, records, grid, "first record")
+    records = _load_records(args.corpus)
+    locations, channels = records[0].feature_map().shape
     model_config = model_config_from(settings, {
         "locations": int(locations),
         "channels": int(channels),
@@ -341,9 +320,7 @@ def cmd_evaluate(args) -> int:
     reports = load_generated(args.generated)
     if not reports:
         raise CorpusFormatError(f"{args.generated}: no reports")
-    records = load_corpus(args.references)
-    if not records:
-        raise CorpusFormatError(f"{args.references}: no records")
+    records = _load_records(args.references)
     try:
         pairs = build_eval_pairs(reports, records)
     except ValueError as exc:

@@ -28,6 +28,7 @@ FEATURE_MAGIC = b"FMAP"
 FEATURE_VERSION = 1
 
 DEFAULT_ANNOTATION_THRESHOLD = 0.35
+RARE_BELOW = 3  # a distinct sentence seen fewer times than this is rare
 
 _SPLIT_PUNCT = (".", ",", ";")
 
@@ -87,16 +88,16 @@ def build_vocab(sentences, min_frequency: int = 1) -> Vocabulary:
 
 
 def save_vocab(path, vocab: Vocabulary) -> None:
-    Path(path).write_text(json.dumps({"tokens": vocab.id_to_token}), encoding="utf-8")
+    with open_replacing(path) as fh:
+        fh.write(json.dumps({"tokens": vocab.id_to_token}).encode("utf-8"))
 
 
 def load_vocab(path) -> Vocabulary:
     try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError:
         raise CorpusFormatError(f"{path}: invalid UTF-8") from None
-    except (ValueError, RecursionError) as e:  # a digit or nesting limit as well as bad syntax
-        raise CorpusFormatError(f"{path}: invalid JSON ({getattr(e, 'msg', e)})") from None
+    payload = _decode_json(text, path)
     tokens = payload.get("tokens") if isinstance(payload, dict) else None
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise CorpusFormatError(f"{path}: expected a JSON object with a \"tokens\" string list")
@@ -171,11 +172,11 @@ def sentence_frequency_table(sentences) -> list[tuple[tuple, int]]:
     return sorted(counts.items(), key=lambda kv: (-kv[1], kv[0]))
 
 
-def count_below(table, max_frequency: int = 3) -> tuple[int, float]:
-    """(count, fraction) of distinct sentences with f < max_frequency."""
+def count_below(table) -> tuple[int, float]:
+    """(count, fraction) of distinct sentences with f < RARE_BELOW."""
     if not table:
         return 0, 0.0
-    n = sum(1 for _, f in table if f < max_frequency)
+    n = sum(1 for _, f in table if f < RARE_BELOW)
     return n, n / len(table)
 
 
@@ -368,7 +369,7 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
         drawn.append((topics, flags))
         all_sentences.extend(pool_sentences[t] for t in topics)
 
-    vocab = build_vocab(all_sentences, min_frequency=1)
+    vocab = build_vocab(all_sentences)
 
     for i, (topics, flags) in enumerate(drawn):
         noise = rng.normal(size=(config.locations, config.channels)) * config.noise_scale
@@ -406,11 +407,10 @@ def save_features(path, features: np.ndarray) -> None:
     if arr.ndim != 2:
         raise ValueError(f"feature map must be rank 2, got shape {arr.shape}")
     loc, chan = arr.shape
-    payload = arr.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
+    with open_replacing(path) as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", FEATURE_VERSION, loc, chan))
-        fh.write(payload)
+        fh.write(arr.astype("<f4").tobytes())
 
 
 def load_features(path) -> np.ndarray:
@@ -433,7 +433,7 @@ def load_features(path) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# JSON-lines files: one object per line, shared by every run file
+# output files, each written through open_replacing; JSON-lines run files
 
 
 @contextmanager
@@ -459,24 +459,37 @@ def write_jsonl(path, objects) -> None:
         fh.write("".join(json.dumps(obj) + "\n" for obj in objects).encode("utf-8"))
 
 
-def read_jsonl(path, fields=()):
-    """Yield ``(lineno, obj)`` for every nonblank line of ``path``.
+def _decode_json(text: str, where):
+    """``json.loads(text)``, raising :class:`CorpusFormatError` naming ``where``."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as e:  # a digit or nesting limit as well as bad syntax
+        raise CorpusFormatError(f"{where}: invalid JSON ({getattr(e, 'msg', e)})") from None
 
-    Invalid UTF-8 or JSON, a line that is not a JSON object, or an object
-    missing one of ``fields`` raises :class:`CorpusFormatError` naming
-    ``path:line``.
+
+def read_jsonl(path, fields, parse) -> list:
+    """``parse(obj)`` for the JSON object on every nonblank line of ``path``.
+
+    Invalid UTF-8 or JSON, a line that is not a JSON object, an object
+    missing one of ``fields``, an ``"id"`` that :func:`check_record_id`
+    rejects (when ``fields`` names it), or a ``ValueError`` or ``TypeError``
+    from ``parse`` raises :class:`CorpusFormatError` naming ``path:line``.
     """
+    out, first_line = [], {}
     for lineno, line in _nonblank_lines(path):
-        try:
-            obj = json.loads(line)
-        except (ValueError, RecursionError) as e:  # a digit or nesting limit as well as bad syntax
-            raise CorpusFormatError(f"{path}:{lineno}: invalid JSON ({getattr(e, 'msg', e)})") from None
+        obj = _decode_json(line, f"{path}:{lineno}")
         if not isinstance(obj, dict):
             raise CorpusFormatError(f"{path}:{lineno}: expected a JSON object")
         missing = set(fields) - obj.keys()
         if missing:
             raise CorpusFormatError(f"{path}:{lineno}: missing fields {sorted(missing)}")
-        yield lineno, obj
+        try:
+            if "id" in fields:
+                check_record_id(obj["id"], lineno, first_line)
+            out.append(parse(obj))
+        except (ValueError, TypeError) as e:
+            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
+    return out
 
 
 def json_int(value, what: str) -> int:
@@ -518,13 +531,11 @@ def save_corpus(path, records) -> None:
     """Write records plus one feature file per record under features/."""
     path = Path(path)
     feat_dir = path.parent / "features"
-    seen = set()
-    for r in records:
+    first_line = {}
+    for k, r in enumerate(records):  # before any file is written; record k goes to line k + 1
         if not isinstance(r.feature_ref, np.ndarray):
             raise ValueError(f"record {r.id!r}: save_corpus needs in-memory feature maps")
-        if r.id in seen:  # both would write features/<id>.fmap
-            raise ValueError(f"record {r.id!r}: repeated record id")
-        seen.add(r.id)
+        check_record_id(r.id, k + 1, first_line)
     lines = []
     for r in records:
         feat_dir.mkdir(parents=True, exist_ok=True)
@@ -543,21 +554,17 @@ def save_corpus(path, records) -> None:
 def load_corpus(path) -> list[ReportRecord]:
     """Read a JSON-lines corpus, inlining each record's feature map."""
     path = Path(path)
-    records = []
-    first_line = {}
-    for lineno, obj in read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature")):
-        try:
-            check_record_id(obj["id"], lineno, first_line)
-            bad = [b for b in obj["abnormal"] if not isinstance(b, bool)]
-            if bad:
-                raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")
-            records.append(ReportRecord(
-                id=obj["id"],
-                sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
-                abnormal_flags=list(obj["abnormal"]),
-                mti_labels=tuple(json_int(x, "label") for x in obj["mti"]),
-                feature_ref=load_features(path.parent / obj["feature"]),
-            ))
-        except (ValueError, TypeError) as e:
-            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
-    return records
+
+    def parse(obj):
+        bad = [b for b in obj["abnormal"] if not isinstance(b, bool)]
+        if bad:
+            raise ValueError(f"abnormal flag {bad[0]!r} is not true or false")
+        return ReportRecord(
+            id=obj["id"],
+            sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
+            abnormal_flags=list(obj["abnormal"]),
+            mti_labels=tuple(json_int(x, "label") for x in obj["mti"]),
+            feature_ref=load_features(path.parent / obj["feature"]),
+        )
+
+    return read_jsonl(path, ("id", "sentences", "abnormal", "mti", "feature"), parse)

@@ -20,10 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import (
-    BOS_ID, EOS_ID, ConfigError, CorpusFormatError, check_record_id, json_float, json_int, read_jsonl,
-    write_jsonl,
-)
+from .data import BOS_ID, EOS_ID, ConfigError, json_float, json_int, read_jsonl, write_jsonl
 from .layers import embed
 from .model import BRANCH_NAMES, ModelConfig, ModelParams, sentence_forward, word_step
 from .tensor import Tensor, zeros
@@ -56,7 +53,8 @@ class GeneratedReport:
 
 def _probs(logits: Tensor) -> np.ndarray:
     """Logistic of [S, 1] logits as a plain [S] array (no tape record)."""
-    return 1.0 / (1.0 + np.exp(-logits.data[:, 0]))
+    with np.errstate(over="ignore"):  # a logit below about -709 gives exp = inf, so exactly 0
+        return 1.0 / (1.0 + np.exp(-logits.data[:, 0]))
 
 
 def _decode_words(params: ModelParams, branch: str, topics: Tensor, max_words: int) -> list[list[int]]:
@@ -131,23 +129,19 @@ def save_generated(path, reports) -> None:
 
 def load_generated(path) -> list[GeneratedReport]:
     fields = ("id", "sentences", "branches", "stop_probs", "abnormal_probs")
-    reports = []
-    first_line = {}
-    for lineno, obj in read_jsonl(path, fields):
-        try:
-            check_record_id(obj["id"], lineno, first_line)
-            bad = [b for b in obj["branches"] if b not in BRANCH_NAMES]
-            if bad:
-                raise ValueError(f"unknown branch {bad[0]!r}")
-            if len({len(obj[name]) for name in fields[1:]}) != 1:
-                raise ValueError("per-sentence lists disagree in length")
-            reports.append(GeneratedReport(
-                id=obj["id"],
-                sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
-                branches=list(obj["branches"]),
-                stop_probs=[json_float(v, "stop probability") for v in obj["stop_probs"]],
-                abnormal_probs=[json_float(v, "abnormal probability") for v in obj["abnormal_probs"]],
-            ))
-        except (ValueError, TypeError) as e:
-            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
-    return reports
+
+    def parse(obj):
+        bad = [b for b in obj["branches"] if b not in BRANCH_NAMES]
+        if bad:
+            raise ValueError(f"unknown branch {bad[0]!r}")
+        if len({len(obj[name]) for name in fields[1:]}) != 1:
+            raise ValueError("per-sentence lists disagree in length")
+        return GeneratedReport(
+            id=obj["id"],
+            sentences=[[json_int(t, "token id") for t in s] for s in obj["sentences"]],
+            branches=list(obj["branches"]),
+            stop_probs=[json_float(v, "stop probability") for v in obj["stop_probs"]],
+            abnormal_probs=[json_float(v, "abnormal probability") for v in obj["abnormal_probs"]],
+        )
+
+    return read_jsonl(path, fields, parse)

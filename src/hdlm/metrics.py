@@ -14,11 +14,10 @@ import math
 import warnings
 from collections import Counter
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .data import EOS_ID
+from .data import EOS_ID, open_replacing
 
 MAX_N = 4  # n-gram orders of BLEU and CIDEr-D
 ROUGE_BETA = 1.2  # ROUGE-L's weight of recall against precision
@@ -289,7 +288,8 @@ def compute_metrics(pairs, paragraphs) -> MetricsReport:
 
 
 def save_metrics(path, report: MetricsReport) -> None:
-    Path(path).write_text(json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8")
+    with open_replacing(path) as fh:
+        fh.write((json.dumps(report.as_dict(), indent=2) + "\n").encode("utf-8"))
 
 
 def render_table(report: MetricsReport) -> str:

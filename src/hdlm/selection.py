@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import asdict, dataclass, field
 
-from .data import ConfigError, CorpusFormatError, json_float, json_int, read_jsonl, write_jsonl
+from .data import ConfigError, json_float, json_int, read_jsonl, write_jsonl
 
 
 @dataclass(frozen=True)
@@ -108,20 +108,17 @@ def save_history(path, history) -> None:
 
 
 def load_history(path) -> list[CheckpointRecord]:
-    history = []
-    for lineno, obj in read_jsonl(path, ("iteration", "bleu4", "distinct")):
-        try:
-            if not isinstance(obj.get("path"), (str, type(None))):
-                raise ValueError(f"path {obj['path']!r} is not a string or null")
-            history.append(CheckpointRecord(
-                iteration=json_int(obj["iteration"], "iteration"),
-                bleu4=json_float(obj["bleu4"], "bleu4"),
-                distinct=tuple(json_int(v, "distinct count") for v in obj["distinct"]),
-                path=obj.get("path"),
-            ))
-        except (ValueError, TypeError) as e:
-            raise CorpusFormatError(f"{path}:{lineno}: {e}") from None
-    return history
+    def parse(obj):
+        if not isinstance(obj.get("path"), (str, type(None))):
+            raise ValueError(f"path {obj['path']!r} is not a string or null")
+        return CheckpointRecord(
+            iteration=json_int(obj["iteration"], "iteration"),
+            bleu4=json_float(obj["bleu4"], "bleu4"),
+            distinct=tuple(json_int(v, "distinct count") for v in obj["distinct"]),
+            path=obj.get("path"),
+        )
+
+    return read_jsonl(path, ("iteration", "bleu4", "distinct"), parse)
 
 
 def render_analysis(result: SelectionResult) -> str:

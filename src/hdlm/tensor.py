@@ -114,7 +114,8 @@ def flat_views(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
 
 def flat_array(arrays) -> np.ndarray:
     """As 1-D, the C-ordered float64 array that ``arrays`` fill as views of
-    it (as :func:`flat_views` makes them), or a lone such array itself;
+    it in order, each starting where the one before it ends (as
+    :func:`flat_views` makes them), or a lone such array itself;
     ``ValueError`` otherwise.  Stores made from one name table line up."""
     arrays = list(arrays)
     whole = None if not arrays else arrays[0] if arrays[0].base is None else arrays[0].base
@@ -122,6 +123,11 @@ def flat_array(arrays) -> np.ndarray:
             and sum(a.size for a in arrays) == whole.size
             and all((a is whole or a.base is whole) and a.flags.c_contiguous for a in arrays)):
         raise ValueError("arrays are not C-ordered views that fill one float64 array")
+    at = whole.ctypes.data
+    for a in arrays:
+        if a.ctypes.data != at:
+            raise ValueError("arrays do not fill their flat array in order")
+        at += a.nbytes
     return whole.reshape(-1)
 
 

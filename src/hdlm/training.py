@@ -94,6 +94,8 @@ def adam_step(
     ``ADAM_*`` constants.  The update is elementwise, so a block rounds
     exactly as each parameter's whole array would.
     """
+    if not list(named_params) == list(grads) == list(state.m) == list(state.v):
+        raise ValueError("adam_step needs gradients and moments with the parameters' names in order")
     p = flat_array(t.data for t in named_params.values())
     g, m, v = flat_array(grads.values()), flat_array(state.m.values()), flat_array(state.v.values())
     if not p.size == g.size == m.size == v.size:
@@ -261,7 +263,7 @@ def train(
 
 
 def load_training_log(path) -> list[dict]:
-    return [entry for _, entry in read_jsonl(path)]
+    return read_jsonl(path, (), dict)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,7 @@ from hdlm import (
     synth_corpus,
     train,
 )
+from hdlm.data import RARE_BELOW
 from hdlm.metrics import distinct_per_index, paragraph_tokens
 from hdlm.tensor import gradient_audit
 
@@ -373,11 +374,11 @@ def test_criterion_09_synthetic_corpus_has_a_long_tail():
     table = sentence_frequency_table(
         [tuple(s) for r in synth.records for s in r.sentences]
     )
-    rare, fraction = count_below(table, 3)
+    rare, fraction = count_below(table)
     assert fraction > 0.5, f"rare fraction {fraction:.3f}"
     assert table[0][1] > table[-1][1]
     print(f"PASS criterion 9: {rare}/{len(table)} distinct sentences occur "
-          f"fewer than 3 times ({fraction:.1%})")
+          f"fewer than {RARE_BELOW} times ({fraction:.1%})")
 
 
 def test_criterion_10_determinism_and_round_trips(tmp_path):

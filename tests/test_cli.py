@@ -55,7 +55,7 @@ def tiny_cfg(tmp_path):
 def test_parse_config_file_skips_comments(tmp_path):
     path = tmp_path / "a.cfg"
     path.write_text("# top\nsynth.records = 7  # trailing\n\ntrain.epochs = 2\n")
-    assert parse_config_file(path) == {"synth.records": "7", "train.epochs": "2"}
+    assert parse_config_file(path) == {"synth.records": 7, "train.epochs": 2}
 
 
 def test_parse_config_file_unknown_key(tmp_path):
@@ -80,11 +80,11 @@ def test_flags_override_config_file(tmp_path, tiny_cfg):
         min_distinct = 6
 
     settings = resolve_settings(Args())
-    assert settings["synth.seed"] == "99"
-    assert settings["train.seed"] == "99"
-    assert settings["model.dual_enabled"] == "false"
-    assert settings["select.min_distinct"] == "6"
-    assert settings["synth.records"] == "24"
+    assert settings["synth.seed"] == 99
+    assert settings["train.seed"] == 99
+    assert settings["model.dual_enabled"] is False
+    assert settings["select.min_distinct"] == 6
+    assert settings["synth.records"] == 24
 
 
 def test_defaults_survive_when_unset():
@@ -102,7 +102,7 @@ def test_bad_value_type_is_config_error(tmp_path):
     class Args:
         config = str(path)
 
-    with pytest.raises(ConfigError, match="synth.records"):
+    with pytest.raises(ConfigError, match=r"a\.cfg:1: synth\.records expects int, got 'many'"):
         resolve_settings(Args())
 
 
@@ -113,7 +113,7 @@ def test_model_config_requires_vocab_size():
 
 def test_model_config_data_conflict():
     settings = dict(CLI_DEFAULTS)
-    settings["model.locations"] = "9"
+    settings["model.locations"] = 9
     with pytest.raises(ConfigError, match="conflicts"):
         model_config_from(settings, {"vocab_size": 10, "locations": 5})
 
@@ -130,8 +130,8 @@ def test_synth_writes_corpus_and_resolved_settings(tmp_path, tiny_cfg, capsys):
         assert (out / name).exists()
     assert (out / "features").is_dir()
     echoed = parse_config_file(out / "resolved.cfg")
-    assert echoed["synth.seed"] == "3"
-    assert echoed["synth.records"] == "24"
+    assert echoed["synth.seed"] == 3
+    assert echoed["synth.records"] == 24
     text = capsys.readouterr().out
     assert "records: 24" in text and "vocabulary:" in text
 
@@ -189,9 +189,9 @@ def test_train_outputs(pipeline):
     assert len(checkpoints) == 1
     echoed = parse_config_file(runs / "resolved.cfg")
     # data-derived model shape is echoed for downstream commands
-    assert echoed["model.locations"] == "5"
-    assert echoed["model.channels"] == "6"
-    assert int(echoed["model.vocab_size"]) > 4
+    assert echoed["model.locations"] == 5
+    assert echoed["model.channels"] == 6
+    assert echoed["model.vocab_size"] > 4
     log = [json.loads(line)
            for line in (runs / "losses.jsonl").read_text().splitlines()]
     assert [entry["iteration"] for entry in log] == [1, 2, 3]

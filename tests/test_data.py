@@ -1,11 +1,18 @@
 """Corpus layer: tokenization, vocabulary, records, statistics, synthesis,
 annotation, and the binary/JSONL file formats."""
 
+import ast
+import errno
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdlm
 from hdlm.data import (
     BOS_ID,
     EOS_ID,
@@ -114,6 +121,36 @@ def test_load_vocab_reads_files_with_min_frequency(tmp_path):
     assert load_vocab(path) == build_vocab([["a"]])
 
 
+# saves a vocabulary of 60 tokens under a file-size limit given in bytes
+_SAVE_UNDER_LIMIT = """
+import resource, signal, sys
+from hdlm.data import build_vocab, save_vocab
+path, limit = sys.argv[1], int(sys.argv[2])
+signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+resource.setrlimit(resource.RLIMIT_FSIZE, (limit, resource.getrlimit(resource.RLIMIT_FSIZE)[1]))
+try:
+    save_vocab(path, build_vocab([[f"w{k:03d}" for k in range(60)]]))
+except OSError as e:
+    print(e.errno)
+"""
+
+
+def test_failed_vocab_rewrite_keeps_the_previous_file(tmp_path):
+    # a write that fails part way must not leave a torn vocab.json that
+    # train rejects as invalid JSON
+    vocab = build_vocab([["a", "b"]])
+    path = tmp_path / "vocab.json"
+    save_vocab(path, vocab)
+    src = str(Path(hdlm.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", _SAVE_UNDER_LIMIT, str(path), str(path.stat().st_size + 10)],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == [str(errno.EFBIG)]
+    assert load_vocab(path) == vocab
+    assert sorted(tmp_path.iterdir()) == [path]
+
+
 def test_load_vocab_rejects_missing_reserved(tmp_path):
     path = tmp_path / "vocab.json"
     path.write_text(json.dumps({"tokens": ["a", "b"]}))
@@ -204,8 +241,8 @@ def test_frequency_table_counts_and_order():
 
 def test_count_below_fraction():
     table = [(("a",), 5), (("b",), 2), (("c",), 1)]
-    assert count_below(table, 3) == (2, 2 / 3)
-    assert count_below([], 3) == (0, 0.0)
+    assert count_below(table) == (2, 2 / 3)
+    assert count_below([]) == (0, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +382,7 @@ def test_synth_skews_toward_head_sentences():
         out.vocab.decode(sent) for rec in out.records for sent in rec.sentences
     )
     assert table[0][1] >= 5 * table[-1][1]
-    _, frac = count_below(table, 3)
+    _, frac = count_below(table)
     assert frac > 0.3
 
 
@@ -443,7 +480,7 @@ def test_jsonl_round_trip_skips_blank_lines(tmp_path):
     write_jsonl(path, [{"b": 1, "a": [2]}, {"c": None}])
     assert path.read_text() == '{"b": 1, "a": [2]}\n{"c": null}\n'
     path.write_text(path.read_text() + "\n  \n" + '{"d": 3}\n')
-    assert list(read_jsonl(path)) == [(1, {"b": 1, "a": [2]}), (2, {"c": None}), (5, {"d": 3})]
+    assert read_jsonl(path, (), dict) == [{"b": 1, "a": [2]}, {"c": None}, {"d": 3}]
 
 
 def test_write_jsonl_empty_is_empty_file(tmp_path):
@@ -462,16 +499,14 @@ def test_read_jsonl_errors_name_path_and_line(tmp_path, line, message):
     path = tmp_path / "x.jsonl"
     path.write_text('{"a": 1, "b": 2}\n' + line + "\n")
     with pytest.raises(CorpusFormatError, match=rf"x\.jsonl:2: {message}"):
-        list(read_jsonl(path, ("a", "b")))
+        read_jsonl(path, ("a", "b"), dict)
 
 
 def test_read_jsonl_invalid_utf8_names_path_and_line(tmp_path):
     path = tmp_path / "x.jsonl"
     path.write_bytes('{"a": "é"}\r\n'.encode("utf-8") + b"\xff\xfe\n")
-    rows = read_jsonl(path)
-    assert next(rows) == (1, {"a": "é"})
     with pytest.raises(CorpusFormatError, match=r"x\.jsonl:2: invalid UTF-8"):
-        next(rows)
+        read_jsonl(path, (), dict)
 
 
 # ---------------------------------------------------------------------------
@@ -536,8 +571,15 @@ def test_load_corpus_invalid_record_names_line(tmp_path):
 def test_save_corpus_rejects_repeated_id_before_writing(tmp_path):
     first = _record(id="a")
     records = [first, _record(id="b"), _record(id="a", feature_ref=first.feature_ref + 1.0)]
-    with pytest.raises(ValueError, match="record 'a': repeated record id"):
+    with pytest.raises(ValueError, match="record id 'a' repeats line 1"):
         save_corpus(tmp_path / "c.jsonl", records)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_corpus_rejects_an_id_load_corpus_rejects_before_writing(tmp_path):
+    records = [_record(id="a"), _record(id=5)]
+    with pytest.raises(ValueError, match="record id 5 is not a string"):
+        save_corpus(tmp_path / "out" / "c.jsonl", records)
     assert list(tmp_path.iterdir()) == []
 
 
@@ -545,3 +587,34 @@ def test_save_corpus_requires_inline_features(tmp_path):
     rec = _record(feature_ref="somewhere.fmap")
     with pytest.raises(ValueError, match="in-memory"):
         save_corpus(tmp_path / "c.jsonl", [rec])
+
+
+# ---------------------------------------------------------------------------
+# one writer
+
+
+def _opens_for_writing(call):
+    """Whether ``call`` is ``write_text``, ``write_bytes``, or an ``open`` with
+    a ``w``, ``a`` or ``x`` mode (a mode that is not a string literal counts)."""
+    name = getattr(call.func, "id", None) or getattr(call.func, "attr", None)
+    if name in ("write_text", "write_bytes"):
+        return True
+    if name != "open":
+        return False
+    # open(file, mode) and Path.open(mode)
+    modes = [k.value for k in call.keywords if k.arg == "mode"]
+    modes += call.args[1:2] if isinstance(call.func, ast.Name) else call.args[:1]
+    return any(not isinstance(m, ast.Constant) or set("wax") & set(str(m.value)) for m in modes)
+
+
+def test_every_file_write_goes_through_open_replacing():
+    # a rewrite that fails part way keeps the previous file only when it goes
+    # through open_replacing; the one other writer is train's streamed log
+    package = Path(hdlm.__file__).parent
+    writers = sorted(
+        f"{path.stem}.{getattr(statement, 'name', '<module>')}"
+        for path in package.glob("*.py")
+        for statement in ast.parse(path.read_text(encoding="utf-8")).body
+        if any(isinstance(node, ast.Call) and _opens_for_writing(node) for node in ast.walk(statement))
+    )
+    assert writers == ["data.open_replacing", "training.train"]

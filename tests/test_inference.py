@@ -1,5 +1,7 @@
 """Greedy decoding behavior and the generated-corpus file format."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -100,6 +102,20 @@ def test_abnormal_bias_switches_branch_only_when_dual():
         report = decode_one(params, cfg, feats, limits)
         assert report.branches == [want]
         assert report.abnormal_probs[0] > 0.99
+
+
+def test_extreme_logits_give_exact_probabilities_without_warnings():
+    # exp(1000) overflows to inf, so the logistic of -1000 is exactly 0
+    cfg = toy_config()
+    params = zeroed(ModelParams.create(cfg, seed=0))
+    limits = GenerationLimits(max_sentences=2, max_words=3)
+    for bias, prob, branch in ((-1000.0, 0.0, "normal"), (1000.0, 1.0, "abnormal")):
+        params.abnormal_head.bias.data[0] = bias
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = decode_one(params, cfg, features_for(cfg), limits)
+        assert report.abnormal_probs == [prob, prob]
+        assert report.branches == [branch, branch]
 
 
 def test_greedy_decode_agrees_with_teacher_forced_path():

@@ -914,15 +914,26 @@ PASSED_ONLY_BY_TESTS = {
     "data.auto_annotate_abnormal(threshold)": "the paper's annotation threshold; the path is kept for real text",
     "tensor.gradient_audit(eps)": "acceptance criterion 1 passes its finite-difference step explicitly",
     "tensor.gradient_audit(atol)": "tests pass atol=0.0 to read the plain worst relative error",
+    "data.build_vocab(min_frequency)": "the real-text path (tokenize, auto_annotate_abnormal) keeps it",
 }
+
+
+def _literal(node):
+    """(type, value) of a literal expression, or None for any other node."""
+    try:
+        value = ast.literal_eval(node)
+    except ValueError:
+        return None
+    return type(value), value
 
 
 def test_every_default_parameter_is_passed_by_a_caller():
     # a parameter with a default, on a public function or method of hdlm,
     # needs a call in src/, demos/ or perfbench/ that passes it, by keyword or
-    # by position; a call matches by the callee's name alone, and one that
-    # spreads *args or **kwargs passes everything.  A default that no program
-    # call overrides is a switch only tests turn.
+    # by position, a value other than the default's own literal; a call
+    # matches by the callee's name alone, and one that spreads *args or
+    # **kwargs passes everything.  A default that no program call overrides
+    # is a switch only tests turn.
     package = Path(T.__file__).parent
     root = package.parents[1]
     trees = {p: ast.parse(p.read_text(encoding="utf-8"))
@@ -930,10 +941,13 @@ def test_every_default_parameter_is_passed_by_a_caller():
                        *sorted((root / "perfbench").glob("*.py"))]}
     calls = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Call)]
 
-    def passed(name, position, param):
+    def passed(name, position, param, default):
+        def overrides(value):
+            return _literal(value) is None or _literal(value) != _literal(default)
+
         return any(
-            any(k.arg in (param, None) for k in call.keywords)
-            or (position is not None and len(call.args) > position)
+            any(k.arg is None or (k.arg == param and overrides(k.value)) for k in call.keywords)
+            or (position is not None and len(call.args) > position and overrides(call.args[position]))
             or any(isinstance(a, ast.Starred) for a in call.args)
             for call in calls
             if (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) == name)
@@ -954,10 +968,11 @@ def test_every_default_parameter_is_passed_by_a_caller():
             args = fn.args
             positional = args.posonlyargs + args.args
             first = len(positional) - len(args.defaults)
-            defaulted = [(i - bound, a.arg) for i, a in enumerate(positional) if i >= first]
-            defaulted += [(None, a.arg) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            unpassed += [f"{path.stem}.{fn.name}({param})" for position, param in defaulted
-                         if not passed(fn.name, position, param)]
+            defaulted = [(i - bound, a.arg, d)
+                         for i, (a, d) in enumerate(zip(positional[first:], args.defaults), start=first)]
+            defaulted += [(None, a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+            unpassed += [f"{path.stem}.{fn.name}({param})" for position, param, default in defaulted
+                         if not passed(fn.name, position, param, default)]
     assert sorted(unpassed) == sorted(PASSED_ONLY_BY_TESTS)
 
 

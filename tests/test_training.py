@@ -166,6 +166,28 @@ def test_adam_zero_grad_fresh_state_is_exact_noop():
     assert np.array_equal(p.data, before)
 
 
+def test_adam_refuses_stores_in_another_order():
+    # moments laid out b before a would pair a's gradient with b's moments
+    shapes, swapped = {"a": (2,), "b": (3,)}, {"b": (3,), "a": (2,)}
+    named = {n: Tensor(view) for n, view in flat_views(shapes).items()}
+    grads = flat_views(shapes)
+    grads["a"][...], grads["b"][...] = 1.0, -1.0
+    state = AdamState(m=flat_views(swapped), v=flat_views(swapped))
+    with pytest.raises(ValueError, match="names in order"):
+        adam_step(named, grads, state, learning_rate=0.1)
+    # the same views, listed in the parameters' order but not in their layout's
+    m, v = flat_views(swapped), flat_views(swapped)
+    state = AdamState(m={"a": m["a"], "b": m["b"]}, v={"a": v["a"], "b": v["b"]})
+    with pytest.raises(ValueError, match="do not fill their flat array in order"):
+        adam_step(named, grads, state, learning_rate=0.1)
+    assert state.t == 0
+    assert not any(a.any() for a in [*m.values(), *v.values(), *(t.data for t in named.values())])
+    # in one layout, one step moves each moment by a tenth of its own gradient
+    state = AdamState.create(named)
+    adam_step(named, grads, state, learning_rate=0.1)
+    assert np.allclose(state.m["a"], 0.1) and np.allclose(state.m["b"], -0.1)
+
+
 # ---------------------------------------------------------------------------
 # clipping
 
