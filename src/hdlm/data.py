@@ -118,8 +118,10 @@ def load_vocab(path) -> Vocabulary:
 class ReportRecord:
     """One image's paragraph plus its supervision signals.
 
-    ``feature_ref`` is the in-memory [L, C] float array (``load_corpus``
-    reads each record's map file into it); ``mti_labels`` holds the active
+    ``feature_ref`` is the in-memory [L, C] map: float32 as ``load_corpus``
+    reads it from the record's map file (0.8 MB on the paper's 196 x 1024
+    grid), float64 as ``synth_corpus`` draws it; ``stack_features`` widens
+    either to float64 once per batch.  ``mti_labels`` holds the active
     label indices (sparse multi-hot).
     """
 
@@ -414,22 +416,30 @@ def save_features(path, features: np.ndarray) -> None:
 
 
 def load_features(path) -> np.ndarray:
+    """A feature file's map as a fresh, writable float32 [L, C] array (0.8 MB
+    on the paper's 196 x 1024 grid); ``stack_features`` widens it once per
+    batch.  A malformed header or size, an empty grid or a value that is not
+    finite raises :class:`CorpusFormatError` naming ``path``."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != FEATURE_MAGIC:
-        raise CorpusFormatError(f"{path}: bad feature magic {blob[:4]!r}")
-    if len(blob) < 16:
-        raise CorpusFormatError(f"{path}: truncated header ({len(blob)} of 16 bytes)")
-    version, loc, chan = struct.unpack_from("<III", blob, 4)
-    if version != FEATURE_VERSION:
-        raise CorpusFormatError(f"{path}: unsupported feature version {version}")
-    expected = 16 + 4 * loc * chan
-    if len(blob) != expected:
-        raise CorpusFormatError(f"{path}: expected {expected} bytes, got {len(blob)}")
-    flat = np.frombuffer(blob, dtype="<f4", offset=16)
-    if not np.isfinite(flat).all():  # on the float32 values, before they are widened
+        head = fh.read(16)
+        if head[:4] != FEATURE_MAGIC:
+            raise CorpusFormatError(f"{path}: bad feature magic {head[:4]!r}")
+        if len(head) < 16:
+            raise CorpusFormatError(f"{path}: truncated header ({len(head)} of 16 bytes)")
+        version, loc, chan = struct.unpack_from("<III", head, 4)
+        if version != FEATURE_VERSION:
+            raise CorpusFormatError(f"{path}: unsupported feature version {version}")
+        if loc == 0 or chan == 0:
+            raise CorpusFormatError(f"{path}: empty feature grid ({loc}, {chan})")
+        expected, size = 16 + 4 * loc * chan, os.fstat(fh.fileno()).st_size
+        if size != expected:  # checked before the map is allocated
+            raise CorpusFormatError(f"{path}: expected {expected} bytes, got {size}")
+        features = np.empty((loc, chan), dtype="<f4")
+        if fh.readinto(features.data) != features.nbytes:
+            raise CorpusFormatError(f"{path}: truncated while reading feature values")
+    if not np.isfinite(features).all():
         raise CorpusFormatError(f"{path}: a feature value is not finite")
-    return flat.astype(np.float64).reshape(loc, chan)
+    return features
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +538,9 @@ def check_record_id(rid, lineno: int, first_line: dict) -> None:
 
 
 def save_corpus(path, records) -> None:
-    """Write records plus one feature file per record under features/."""
+    """Write records plus one feature file per record under features/.
+    Before any file is written, a record whose id or float32-rounded map
+    loading would reject raises ``ValueError`` naming the record."""
     path = Path(path)
     feat_dir = path.parent / "features"
     first_line = {}
@@ -536,6 +548,12 @@ def save_corpus(path, records) -> None:
         if not isinstance(r.feature_ref, np.ndarray):
             raise ValueError(f"record {r.id!r}: save_corpus needs in-memory feature maps")
         check_record_id(r.id, k + 1, first_line)
+        shape = r.feature_ref.shape
+        if len(shape) != 2 or 0 in shape:
+            raise ValueError(f"record {r.id!r}: feature map {shape} is not a nonempty [L, C] grid")
+        with np.errstate(over="ignore"):  # beyond float32's range rounds to inf, refused here
+            if not np.isfinite(r.feature_ref.astype("<f4")).all():
+                raise ValueError(f"record {r.id!r}: a feature value is not finite as float32")
     lines = []
     for r in records:
         feat_dir.mkdir(parents=True, exist_ok=True)

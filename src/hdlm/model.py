@@ -179,7 +179,9 @@ class ModelParams:
 
 
 def stack_features(config: ModelConfig, records) -> np.ndarray:
-    """Stack every record's [L, C] feature map into one [B*L, C] array.
+    """Stack every record's [L, C] feature map into one [B*L, C] float64
+    array; a float32 map (as ``load_features`` reads it) is widened, exactly,
+    in the same copy.
 
     Each map must match the model's grid; a record with a different ``L``
     would otherwise be silently grouped with its neighbours' locations.
@@ -193,7 +195,7 @@ def stack_features(config: ModelConfig, records) -> np.ndarray:
                 f"record {r.id!r}: feature map {feat.shape} does not match model {want}"
             )
         feats.append(feat)
-    return np.concatenate(feats, axis=0)
+    return np.concatenate(feats, axis=0, dtype=np.float64)
 
 
 def sentence_heads(params: ModelParams, h_prev: Tensor, h_new: Tensor) -> tuple[Tensor, Tensor, Tensor]:

@@ -502,6 +502,15 @@ def _feature_header_truncated(data, tmp):
             f"{data / 'train.jsonl'}:1: {data / first['feature']}: truncated header")
 
 
+def _train_feature_has_no_locations(data, tmp):
+    # the grid is the file's own fault, not a mismatch with a sound record
+    first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
+    channels = load_features(data / first["feature"]).shape[1]
+    save_features(data / first["feature"], np.zeros((0, channels)))
+    return (["train", str(data), "--out", str(tmp / "run")],
+            f"{data / 'train.jsonl'}:1: {data / first['feature']}: empty feature grid (0, {channels})")
+
+
 def _feature_value_is(value, data, split, lineno):
     """Set one value of a record's feature map; returns where the loader
     reports it."""
@@ -586,7 +595,7 @@ def _vocab_token_repeated(data, tmp):
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
     _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
     _vocab_token_repeated,
-    _val_feature_is_nan, _train_feature_is_infinite,
+    _val_feature_is_nan, _train_feature_is_infinite, _train_feature_has_no_locations,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
     data = tmp_path / "data"

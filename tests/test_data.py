@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -471,6 +472,33 @@ def test_feature_requires_rank_two():
         save_features("/tmp/never-written.fmap", np.ones(3))
 
 
+@pytest.mark.parametrize("grid", [(0, 4), (3, 0)])
+def test_feature_empty_grid_names_the_file(tmp_path, grid):
+    path = tmp_path / "x.fmap"
+    save_features(path, np.zeros(grid))
+    with pytest.raises(CorpusFormatError, match=rf"x\.fmap: empty feature grid \({grid[0]}, {grid[1]}\)"):
+        load_features(path)
+
+
+def test_load_features_reads_the_files_float32_values(tmp_path):
+    path = tmp_path / "x.fmap"
+    save_features(path, np.random.default_rng(1).normal(size=(5, 7)))
+    features = load_features(path)
+    assert features.dtype == np.float32 and features.shape == (5, 7)
+    assert features.flags.writeable and features.flags.c_contiguous and features.flags.owndata
+    assert features.tobytes() == path.read_bytes()[16:]
+    features[0, 0] = 1.0  # a fresh array: writing into it leaves the file alone
+    assert load_features(path).tobytes() == path.read_bytes()[16:]
+
+
+def test_a_paper_grid_record_holds_its_map_as_float32(tmp_path):
+    # the paper's 14 x 14 grid of 1024 channels: 802,816 bytes, half of float64's
+    record = _record(feature_ref=np.random.default_rng(2).normal(size=(196, 1024)))
+    save_corpus(tmp_path / "c.jsonl", [record])
+    (back,) = load_corpus(tmp_path / "c.jsonl")
+    assert back.feature_map().nbytes == 196 * 1024 * 4 == 802_816
+
+
 # ---------------------------------------------------------------------------
 # JSON-lines codec
 
@@ -587,6 +615,39 @@ def test_save_corpus_requires_inline_features(tmp_path):
     rec = _record(feature_ref="somewhere.fmap")
     with pytest.raises(ValueError, match="in-memory"):
         save_corpus(tmp_path / "c.jsonl", [rec])
+
+
+def _with_value(value):
+    features = np.zeros((2, 3))
+    features[1, 2] = value
+    return features
+
+
+@pytest.mark.parametrize("features, message", [
+    (_with_value(np.nan), "a feature value is not finite as float32"),
+    (_with_value(-np.inf), "a feature value is not finite as float32"),
+    (_with_value(1e39), "a feature value is not finite as float32"),  # beyond float32's range
+    (_with_value(-1e39), "a feature value is not finite as float32"),
+    (np.zeros((0, 3)), r"feature map \(0, 3\) is not a nonempty \[L, C\] grid"),
+    (np.zeros((2, 0)), r"feature map \(2, 0\) is not a nonempty \[L, C\] grid"),
+    (np.zeros(3), r"feature map \(3,\) is not a nonempty \[L, C\] grid"),
+], ids=["nan", "minus_inf", "above_float32_max", "below_float32_min", "no_locations",
+        "no_channels", "rank_one"])
+def test_save_corpus_refuses_a_map_load_features_rejects_before_writing(tmp_path, features, message):
+    records = [_record(id="a"), _record(id="b", feature_ref=features)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        with pytest.raises(ValueError, match=f"record 'b': {message}"):
+            save_corpus(tmp_path / "out" / "c.jsonl", records)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_corpus_keeps_a_value_that_rounds_to_float32s_largest(tmp_path):
+    # just above float32's largest value, but rounding down to it
+    largest = float(np.finfo(np.float32).max)
+    save_corpus(tmp_path / "c.jsonl", [_record(feature_ref=_with_value(largest * (1 + 2.0**-30)))])
+    (back,) = load_corpus(tmp_path / "c.jsonl")
+    assert back.feature_map()[1, 2] == largest
 
 
 # ---------------------------------------------------------------------------

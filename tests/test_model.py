@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 import hdlm.model
-from hdlm.data import BOS_ID, EOS_ID, ConfigError, ReportRecord, SynthConfig, synth_corpus
+from hdlm.data import (
+    BOS_ID, EOS_ID, ConfigError, ReportRecord, SynthConfig, load_corpus, save_corpus, synth_corpus,
+)
 from hdlm.layers import attention_keys, lstm_step, soft_attention_batch
 from hdlm.model import (
     LossBundle,
@@ -25,9 +27,12 @@ from hdlm.model import (
     stack_features,
 )
 from hdlm.tensor import (
+    ShapeError,
     Tape,
     Tensor,
     backward,
+    flat_array,
+    flat_views,
     gradient_audit,
     seeded_rng,
     zeros,
@@ -134,6 +139,22 @@ def test_stop_and_topic_layers_have_no_bias():
     assert params.stop_cur.bias is None
     assert params.stop_out.bias is None
     assert params.abnormal_head.bias is not None
+
+
+def test_stack_features_widens_float32_maps_in_its_one_copy():
+    # load_corpus gives float32 maps, synth_corpus float64 ones; a batch is
+    # float64 either way, and widening is exact
+    cfg = toy_config()
+    records = toy_batch(cfg)
+    narrow = [dataclasses.replace(r, feature_ref=r.feature_ref.astype(np.float32)) for r in records]
+    for name, batch in {"float32": narrow, "float64": records, "mixed": [narrow[0], records[1]]}.items():
+        stacked = stack_features(cfg, batch)
+        assert stacked.dtype == np.float64 and stacked.shape == (2 * cfg.locations, cfg.channels), name
+        want = np.concatenate([r.feature_ref.astype(np.float64) for r in batch])
+        assert stacked.tobytes() == want.tobytes(), name
+    short = dataclasses.replace(narrow[1], feature_ref=narrow[1].feature_ref[:-1])
+    with pytest.raises(ShapeError, match=r"record 'b': feature map \(2, 4\) does not match model \(3, 4\)"):
+        stack_features(cfg, [narrow[0], short])
 
 
 # ---------------------------------------------------------------------------
@@ -632,6 +653,35 @@ def test_readme_batch_gradients_are_pinned():
         "records these digests in PINNED_README_GRADIENTS and states its bound on the move "
         "in CHANGES.md"
     )
+
+
+@pytest.mark.parametrize("dual", [True, False])
+def test_loaded_readme_batch_matches_its_maps_widened_by_hand(tmp_path, dual):
+    # the pin above runs on synth_corpus's float64 maps; a CLI run reads the
+    # README batch back from its float32 feature files, and its loss and
+    # gradients equal those of the same maps widened to float64 first
+    synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
+                        zipf_exponent=1.1, vocab_words=60, seed=9)
+    corpus = synth_corpus(synth)
+    save_corpus(tmp_path / "train.jsonl", corpus.records[:16])
+    loaded = load_corpus(tmp_path / "train.jsonl")
+    assert all(r.feature_map().dtype == np.float32 for r in loaded)
+    widened = [dataclasses.replace(r, feature_ref=r.feature_ref.astype(np.float64)) for r in loaded]
+    cfg = ModelConfig(
+        vocab_size=corpus.vocab.size, mti_labels=synth.tag_count, locations=synth.locations,
+        channels=synth.channels, embed_dim=24, hidden_dim=24,
+        max_sentences=synth.max_sentences + 1, max_words=synth.max_words + 3, dual_enabled=dual,
+    )
+    params = ModelParams.create(cfg, seed=0)
+    named = params.named_parameters()
+    runs = []
+    for batch in (loaded, widened):
+        grads = flat_views({n: t.shape for n, t in named.items()})
+        with Tape() as tape:
+            total = compute_losses(params, cfg, batch).total
+        backward(tape, total, {t: grads[n] for n, t in named.items()})
+        runs.append((total.item(), flat_array(grads.values()).tobytes()))
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("dual", [True, False])
