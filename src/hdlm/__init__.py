@@ -92,76 +92,3 @@ from .selection import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AdamState",
-    "BOS_ID",
-    "CheckpointError",
-    "CheckpointRecord",
-    "ConfigError",
-    "CorpusFormatError",
-    "EOS_ID",
-    "EvalPair",
-    "GeneratedReport",
-    "GenerationLimits",
-    "LossBundle",
-    "MetricsReport",
-    "ModelConfig",
-    "ModelParams",
-    "PAD_ID",
-    "ReportRecord",
-    "SelectionResult",
-    "ShapeError",
-    "SynthConfig",
-    "SynthResult",
-    "Tape",
-    "TapeError",
-    "Tensor",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDivergedError",
-    "UNK_ID",
-    "Vocabulary",
-    "adam_step",
-    "auto_annotate_abnormal",
-    "backward",
-    "bleu",
-    "build_eval_pairs",
-    "build_vocab",
-    "cider_d",
-    "clip_gradients",
-    "compute_losses",
-    "compute_metrics",
-    "count_below",
-    "distinct_per_index",
-    "generate_corpus",
-    "gradient_audit",
-    "lcs_length",
-    "load_checkpoint",
-    "load_corpus",
-    "load_embeddings",
-    "load_features",
-    "load_generated",
-    "load_history",
-    "load_training_log",
-    "load_vocab",
-    "meteor_lite",
-    "mode_baseline",
-    "render_analysis",
-    "render_table",
-    "rouge_l",
-    "save_checkpoint",
-    "save_corpus",
-    "save_features",
-    "save_generated",
-    "save_history",
-    "save_metrics",
-    "save_vocab",
-    "seeded_rng",
-    "select_model",
-    "sentence_frequency_table",
-    "split_corpus",
-    "synth_corpus",
-    "tokenize",
-    "train",
-]

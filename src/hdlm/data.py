@@ -404,15 +404,26 @@ def split_corpus(records, train_fraction: float, seed: int = 0):
 # feature files: magic "FMAP", u32 version, u32 L, u32 C, L*C little-endian f32
 
 
-def save_features(path, features: np.ndarray) -> None:
+def _float32_map(features) -> np.ndarray:
+    """``features`` as a feature file's float32 map; ``ValueError`` for one
+    ``load_features`` would refuse (an empty grid, a non-finite value)."""
     arr = np.asarray(features)
-    if arr.ndim != 2:
-        raise ValueError(f"feature map must be rank 2, got shape {arr.shape}")
-    loc, chan = arr.shape
+    if arr.ndim != 2 or 0 in arr.shape:
+        raise ValueError(f"feature map {arr.shape} is not a nonempty [L, C] grid (rank 2, L and C >= 1)")
+    with np.errstate(over="ignore"):  # beyond float32's range rounds to inf, refused here
+        arr = arr.astype("<f4")
+    if not np.isfinite(arr).all():
+        raise ValueError("a feature value is not finite as float32")
+    return arr
+
+
+def save_features(path, features: np.ndarray) -> None:
+    """Write one map; ``ValueError``, before the file opens, for a bad one."""
+    arr = _float32_map(features)
     with open_replacing(path) as fh:
         fh.write(FEATURE_MAGIC)
-        fh.write(struct.pack("<III", FEATURE_VERSION, loc, chan))
-        fh.write(arr.astype("<f4").tobytes())
+        fh.write(struct.pack("<III", FEATURE_VERSION, *arr.shape))
+        fh.write(arr.tobytes())
 
 
 def load_features(path) -> np.ndarray:
@@ -548,12 +559,10 @@ def save_corpus(path, records) -> None:
         if not isinstance(r.feature_ref, np.ndarray):
             raise ValueError(f"record {r.id!r}: save_corpus needs in-memory feature maps")
         check_record_id(r.id, k + 1, first_line)
-        shape = r.feature_ref.shape
-        if len(shape) != 2 or 0 in shape:
-            raise ValueError(f"record {r.id!r}: feature map {shape} is not a nonempty [L, C] grid")
-        with np.errstate(over="ignore"):  # beyond float32's range rounds to inf, refused here
-            if not np.isfinite(r.feature_ref.astype("<f4")).all():
-                raise ValueError(f"record {r.id!r}: a feature value is not finite as float32")
+        try:
+            _float32_map(r.feature_ref)
+        except ValueError as exc:
+            raise ValueError(f"record {r.id!r}: {exc}") from None
     lines = []
     for r in records:
         feat_dir.mkdir(parents=True, exist_ok=True)

@@ -135,8 +135,8 @@ class ModelParams:
     @staticmethod
     def create(config: ModelConfig, seed: int = 0) -> "ModelParams":
         """Fixed creation order so one seed pins every weight; each weight
-        then becomes a view of one flat array, in ``named_parameters``
-        order, which the optimizer updates in one pass."""
+        then becomes a view of ``params.store``, a ``flat_views`` store in
+        ``named_parameters`` order, which the optimizer updates in one pass."""
         rng = seeded_rng(seed)
         d, h, v = config.embed_dim, config.hidden_dim, config.vocab_size
         params = ModelParams(
@@ -156,10 +156,10 @@ class ModelParams:
             mti_head=LinearLayer.create(config.mti_labels, d, rng),
         )
         named = params.named_parameters()
-        store = flat_views({name: t.shape for name, t in named.items()})
+        params.store = flat_views({name: t.shape for name, t in named.items()})
         for name, t in named.items():
-            store[name][...] = t.data
-            t.data = store[name]
+            params.store[name][...] = t.data
+            t.data = params.store[name]
         return params
 
     def named_parameters(self) -> dict[str, Tensor]:

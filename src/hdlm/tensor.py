@@ -13,9 +13,9 @@ serves training, inference, and finite-difference probing.
 
 All data is float64.  Gradients accumulate additively when a node fans out.
 Given an ``into`` map, ``backward`` writes chosen leaves' gradients into
-arrays the caller owns, such as the views of one flat store that
-:func:`flat_views` makes and :func:`flat_array` gives back whole, so an
-optimizer can run on the store in wide calls.
+arrays the caller owns, such as the views of a :class:`FlatStore`, which
+keeps the one flat array they fill, so an optimizer can run on the store
+in wide calls.
 An op that reads only some rows of an input (the leading rows of a state or
 of the attention keys, or a slice) hands back a gradient for just those
 rows; ``backward`` adds it into the one zero-started array the input owns in
@@ -35,9 +35,9 @@ __all__ = [
     "Tape",
     "ShapeError",
     "TapeError",
+    "FlatStore",
     "attention",
     "backward",
-    "flat_array",
     "flat_views",
     "gradient_audit",
     "linear",
@@ -100,35 +100,22 @@ def zeros(shape) -> Tensor:
     return Tensor(np.zeros(shape, dtype=np.float64))
 
 
-def flat_views(shapes: dict[str, tuple[int, ...]]) -> dict[str, np.ndarray]:
-    """Name -> a view of each shape into one zero-filled float64 array that
-    the views fill in order; :func:`flat_array` gives that array back."""
-    whole = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
-    views, at = {}, 0
+class FlatStore(dict):
+    """Name -> a view into ``flat``, the 1-D float64 array that the views
+    fill in order; only :func:`flat_views` builds one."""
+
+    __slots__ = ("flat",)
+
+
+def flat_views(shapes: dict[str, tuple[int, ...]]) -> FlatStore:
+    """A :class:`FlatStore` of a zero-filled view of each shape."""
+    store, at = FlatStore(), 0
+    store.flat = np.zeros(sum(math.prod(shape) for shape in shapes.values()))
     for name, shape in shapes.items():
         n = math.prod(shape)
-        views[name] = whole[at:at + n].reshape(shape)
+        store[name] = store.flat[at:at + n].reshape(shape)
         at += n
-    return views
-
-
-def flat_array(arrays) -> np.ndarray:
-    """As 1-D, the C-ordered float64 array that ``arrays`` fill as views of
-    it in order, each starting where the one before it ends (as
-    :func:`flat_views` makes them), or a lone such array itself;
-    ``ValueError`` otherwise.  Stores made from one name table line up."""
-    arrays = list(arrays)
-    whole = None if not arrays else arrays[0] if arrays[0].base is None else arrays[0].base
-    if not (isinstance(whole, np.ndarray) and whole.dtype == np.float64 and whole.flags.c_contiguous
-            and sum(a.size for a in arrays) == whole.size
-            and all((a is whole or a.base is whole) and a.flags.c_contiguous for a in arrays)):
-        raise ValueError("arrays are not C-ordered views that fill one float64 array")
-    at = whole.ctypes.data
-    for a in arrays:
-        if a.ctypes.data != at:
-            raise ValueError("arrays do not fill their flat array in order")
-        at += a.nbytes
-    return whole.reshape(-1)
+    return store
 
 
 class _Outer:

@@ -3,11 +3,11 @@ seeded per-epoch shuffling, mid-epoch evaluation hooks, and a binary
 checkpoint format that stores parameters, optimizer moments, and a config
 fingerprint.
 
-Parameters, gradients and both Adam moments each live in one flat float64
-array, as views laid out in ``named_parameters`` order: ``backward`` writes
-each gradient into its view of a store ``train`` owns for the run, the clip
-scales that store in one call, and Adam updates all four arrays in one pass
-over cache-sized blocks.
+Parameters, gradients and both Adam moments each live in a flat store
+(:class:`hdlm.tensor.FlatStore`), views in ``named_parameters`` order of one
+float64 array it keeps: ``backward`` writes each gradient into its view of a
+store ``train`` owns for the run, the clip scales that array in one call,
+and Adam updates all four arrays in one pass over cache-sized blocks.
 
 Checkpoint layout (all little-endian): magic "HDLM", u32 version, u64
 iteration, then repeated entries of (u32 name length, name bytes, u32 rank,
@@ -34,7 +34,7 @@ import numpy as np
 
 from .data import ConfigError, open_replacing, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
-from .tensor import Tape, Tensor, backward, flat_array, flat_views, seeded_rng
+from .tensor import FlatStore, Tape, Tensor, backward, flat_views, seeded_rng
 
 CHECKPOINT_MAGIC = b"HDLM"
 CHECKPOINT_VERSION = 1
@@ -55,9 +55,9 @@ class TrainingDivergedError(RuntimeError):
 @dataclass
 class AdamState:
     """Both moments of every parameter by name, and the step count.
-    ``create`` lays each moment out as views of one flat array
-    (:func:`hdlm.tensor.flat_views`), the layout ``adam_step`` needs;
-    ``load_checkpoint`` returns an array per parameter."""
+    ``create`` makes each moment a :func:`hdlm.tensor.flat_views` store, as
+    ``adam_step`` needs; ``load_checkpoint`` returns an array per parameter,
+    which a store must take in by copy before a step."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
@@ -74,19 +74,20 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(
-    named_params: dict[str, Tensor],
-    grads: dict[str, np.ndarray],
+    params: FlatStore,
+    grads: FlatStore,
     state: AdamState,
     learning_rate: float,
 ) -> None:
     """One bias-corrected Adam update, in place.
 
-    The parameters, the gradients and each moment must fill one flat array
-    apiece in one layout (:func:`hdlm.tensor.flat_array`), as
-    ``ModelParams.create``, :func:`hdlm.tensor.flat_views` and
-    ``AdamState.create`` lay them out.  A zero gradient on fresh state is an
-    exact no-op, so parameters whose loss terms were absent this batch stay
-    bitwise unchanged.  The update runs on blocks of ``_ADAM_BLOCK``
+    The parameters, the gradients and each moment are
+    :func:`hdlm.tensor.flat_views` stores with one name order, as
+    ``ModelParams.create`` (its ``store``) and ``AdamState.create`` make
+    them; another mapping, names out of order or unequal sizes raise
+    ``ValueError`` before anything changes.  A zero gradient on fresh state
+    is an exact no-op, so parameters whose loss terms were absent this batch
+    stay bitwise unchanged.  The update runs on blocks of ``_ADAM_BLOCK``
     elements of the four flat arrays, so each pass over a block runs in
     cache.  Temporaries go to two block-sized scratch buffers, in the
     operation order of ``m = b1 m + (1 - b1) g``, ``v = b2 v + (1 - b2) g g``
@@ -94,10 +95,11 @@ def adam_step(
     ``ADAM_*`` constants.  The update is elementwise, so a block rounds
     exactly as each parameter's whole array would.
     """
-    if not list(named_params) == list(grads) == list(state.m) == list(state.v):
+    if not all(isinstance(x, FlatStore) for x in (params, grads, state.m, state.v)):
+        raise ValueError("adam_step needs hdlm.tensor.flat_views stores, not plain mappings")
+    if not list(params) == list(grads) == list(state.m) == list(state.v):
         raise ValueError("adam_step needs gradients and moments with the parameters' names in order")
-    p = flat_array(t.data for t in named_params.values())
-    g, m, v = flat_array(grads.values()), flat_array(state.m.values()), flat_array(state.v.values())
+    p, g, m, v = params.flat, grads.flat, state.m.flat, state.v.flat
     if not p.size == g.size == m.size == v.size:
         raise ValueError(f"adam_step needs stores of one size, got {p.size}, {g.size}, {m.size} and {v.size}")
     state.t += 1
@@ -121,23 +123,25 @@ def adam_step(
         pb -= np.divide(a, b, out=a)
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float) -> float:
+def clip_gradients(grads: FlatStore, max_norm: float) -> float:
     """Scale all gradients in place to a global L2 norm of at most
     ``max_norm``; returns the pre-clip norm.
 
-    The gradients must fill one flat array (:func:`hdlm.tensor.flat_array`),
-    which one call scales.  The norm sums each gradient's squares in turn
-    through scratch the size of the largest: squaring the whole store at
-    once raised a paper-scale step's peak memory by its size.
+    The gradients are a :func:`hdlm.tensor.flat_views` store, whose flat
+    array one call scales; another mapping raises ``ValueError``.  The norm
+    sums each gradient's squares in turn through scratch the size of the
+    largest: squaring the whole store at once raised a paper-scale step's
+    peak memory by its size.
     """
-    flat = flat_array(grads.values())
+    if not isinstance(grads, FlatStore):
+        raise ValueError("clip_gradients needs an hdlm.tensor.flat_views store, not a plain mapping")
     scratch = np.empty(max(g.size for g in grads.values()))
     total = math.sqrt(sum(
         float(np.multiply(g, g, out=scratch[:g.size].reshape(g.shape)).sum())
         for g in grads.values()
     ))
     if total > max_norm and total > 0.0:
-        flat *= max_norm / total
+        grads.flat *= max_norm / total
     return total
 
 
@@ -241,7 +245,7 @@ def train(
                 t2 = time.perf_counter()
                 grad_norm = clip_gradients(grads, config.clip_norm)
                 t3 = time.perf_counter()
-                adam_step(named, grads, state, config.learning_rate)
+                adam_step(params.store, grads, state, config.learning_rate)
                 t4 = time.perf_counter()
                 iteration += 1
                 entry = {"iteration": iteration, **numbers,

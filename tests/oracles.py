@@ -28,14 +28,18 @@ The scoring kernels keep their first formulations as well: BLEU recounts
 every order for each BLEU-n, the LCS fills the quadratic table, the METEOR
 chunk count rescans every (i, j) pair per fragment, and CIDEr-D counts each
 reference twice.
+
+``write_feature_file`` writes by hand the corrupt feature files that
+``save_features`` refuses to write, for the loader's tests.
 """
 
 import math
+import struct
 from collections import Counter
 
 import numpy as np
 
-from hdlm.data import BOS_ID, EOS_ID
+from hdlm.data import BOS_ID, EOS_ID, FEATURE_MAGIC, FEATURE_VERSION
 from hdlm.inference import GeneratedReport
 from hdlm.layers import embed, lstm_step
 from hdlm.model import word_step
@@ -661,3 +665,12 @@ def cider_d_reference(pairs, max_n=4, sigma=6.0):
             )
         total += 10.0 * order_sum / max_n
     return total / len(pairs)
+
+
+def write_feature_file(path, features):
+    """A feature file written byte by byte in ``save_features``' layout, for
+    the maps that ``save_features`` refuses: an empty grid, or a value that
+    is not finite."""
+    features = np.asarray(features, dtype="<f4")
+    with open(path, "wb") as fh:
+        fh.write(FEATURE_MAGIC + struct.pack("<III", FEATURE_VERSION, *features.shape) + features.tobytes())

@@ -21,6 +21,8 @@ from hdlm.model import ModelParams
 from hdlm.selection import CheckpointRecord, load_history, save_history
 from hdlm.training import AdamState, load_checkpoint, save_checkpoint
 
+from oracles import write_feature_file
+
 TINY = """\
 # quick profile for tests
 synth.records = 24
@@ -506,7 +508,7 @@ def _train_feature_has_no_locations(data, tmp):
     # the grid is the file's own fault, not a mismatch with a sound record
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
     channels = load_features(data / first["feature"]).shape[1]
-    save_features(data / first["feature"], np.zeros((0, channels)))
+    write_feature_file(data / first["feature"], np.zeros((0, channels)))
     return (["train", str(data), "--out", str(tmp / "run")],
             f"{data / 'train.jsonl'}:1: {data / first['feature']}: empty feature grid (0, {channels})")
 
@@ -518,7 +520,7 @@ def _feature_value_is(value, data, split, lineno):
     record = json.loads(corpus.read_text().splitlines()[lineno - 1])
     features = load_features(data / record["feature"])
     features[-1, -1] = value
-    save_features(data / record["feature"], features)
+    write_feature_file(data / record["feature"], features)
     return f"{corpus}:{lineno}: {data / record['feature']}: a feature value is not finite"
 
 

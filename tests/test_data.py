@@ -42,6 +42,8 @@ from hdlm.data import (
     write_jsonl,
 )
 
+from oracles import write_feature_file
+
 
 # ---------------------------------------------------------------------------
 # tokenization
@@ -467,15 +469,44 @@ def test_feature_bad_version(tmp_path):
         load_features(path)
 
 
+def _with_value(value):
+    features = np.zeros((2, 3))
+    features[1, 2] = value
+    return features
+
+
 def test_feature_requires_rank_two():
     with pytest.raises(ValueError, match="rank 2"):
         save_features("/tmp/never-written.fmap", np.ones(3))
 
 
+# maps that load_features would refuse once written, with the refusal
+MAPS_LOAD_FEATURES_REJECTS = pytest.mark.parametrize("features, message", [
+    (_with_value(np.nan), "a feature value is not finite as float32"),
+    (_with_value(np.inf), "a feature value is not finite as float32"),
+    (_with_value(-np.inf), "a feature value is not finite as float32"),
+    (_with_value(1e39), "a feature value is not finite as float32"),  # beyond float32's range
+    (_with_value(-1e39), "a feature value is not finite as float32"),
+    (np.zeros((0, 3)), r"feature map \(0, 3\) is not a nonempty \[L, C\] grid"),
+    (np.zeros((2, 0)), r"feature map \(2, 0\) is not a nonempty \[L, C\] grid"),
+    (np.zeros(3), r"feature map \(3,\) is not a nonempty \[L, C\] grid"),
+], ids=["nan", "inf", "minus_inf", "above_float32_max", "below_float32_min", "no_locations",
+        "no_channels", "rank_one"])
+
+
+@MAPS_LOAD_FEATURES_REJECTS
+def test_save_features_refuses_a_map_load_features_rejects(tmp_path, features, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused, not warned about
+        with pytest.raises(ValueError, match=message):
+            save_features(tmp_path / "x.fmap", features)
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("grid", [(0, 4), (3, 0)])
 def test_feature_empty_grid_names_the_file(tmp_path, grid):
     path = tmp_path / "x.fmap"
-    save_features(path, np.zeros(grid))
+    write_feature_file(path, np.zeros(grid))
     with pytest.raises(CorpusFormatError, match=rf"x\.fmap: empty feature grid \({grid[0]}, {grid[1]}\)"):
         load_features(path)
 
@@ -617,22 +648,7 @@ def test_save_corpus_requires_inline_features(tmp_path):
         save_corpus(tmp_path / "c.jsonl", [rec])
 
 
-def _with_value(value):
-    features = np.zeros((2, 3))
-    features[1, 2] = value
-    return features
-
-
-@pytest.mark.parametrize("features, message", [
-    (_with_value(np.nan), "a feature value is not finite as float32"),
-    (_with_value(-np.inf), "a feature value is not finite as float32"),
-    (_with_value(1e39), "a feature value is not finite as float32"),  # beyond float32's range
-    (_with_value(-1e39), "a feature value is not finite as float32"),
-    (np.zeros((0, 3)), r"feature map \(0, 3\) is not a nonempty \[L, C\] grid"),
-    (np.zeros((2, 0)), r"feature map \(2, 0\) is not a nonempty \[L, C\] grid"),
-    (np.zeros(3), r"feature map \(3,\) is not a nonempty \[L, C\] grid"),
-], ids=["nan", "minus_inf", "above_float32_max", "below_float32_min", "no_locations",
-        "no_channels", "rank_one"])
+@MAPS_LOAD_FEATURES_REJECTS
 def test_save_corpus_refuses_a_map_load_features_rejects_before_writing(tmp_path, features, message):
     records = [_record(id="a"), _record(id="b", feature_ref=features)]
     with warnings.catch_warnings():

@@ -31,7 +31,6 @@ from hdlm.tensor import (
     Tape,
     Tensor,
     backward,
-    flat_array,
     flat_views,
     gradient_audit,
     seeded_rng,
@@ -611,7 +610,7 @@ README_BATCH_GRADIENTS = """
 import hashlib
 from hdlm.data import SynthConfig, synth_corpus
 from hdlm.model import ModelConfig, ModelParams, compute_losses
-from hdlm.tensor import Tape, backward, flat_array, flat_views
+from hdlm.tensor import Tape, backward, flat_views
 
 synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
                     zipf_exponent=1.1, vocab_words=60, seed=9)
@@ -628,7 +627,7 @@ for dual in (True, False):
     with Tape() as tape:
         total = compute_losses(params, cfg, corpus.records[:16]).total
     backward(tape, total, {t: grads[n] for n, t in named.items()})
-    print(dual, hashlib.sha256(flat_array(grads.values()).tobytes()).hexdigest())
+    print(dual, hashlib.sha256(grads.flat.tobytes()).hexdigest())
 """
 # recorded with numpy's OpenBLAS 0.3.31 (DYNAMIC_ARCH, Haswell kernels) on
 # x86-64; another BLAS build or CPU may round matmuls differently
@@ -680,7 +679,7 @@ def test_loaded_readme_batch_matches_its_maps_widened_by_hand(tmp_path, dual):
         with Tape() as tape:
             total = compute_losses(params, cfg, batch).total
         backward(tape, total, {t: grads[n] for n, t in named.items()})
-        runs.append((total.item(), flat_array(grads.values()).tobytes()))
+        runs.append((total.item(), grads.flat.tobytes()))
     assert runs[0] == runs[1]
 
 

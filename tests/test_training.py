@@ -1,19 +1,22 @@
 """Optimizer math, the training loop's schedule and logging, and checkpoint
 round trips."""
 
+import ast
 import hashlib
 import math
 import re
 import struct
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdlm.cli
 import hdlm.training
 from hdlm.data import EOS_ID, ConfigError, ReportRecord
 from hdlm.model import ModelConfig, ModelParams, compute_losses
-from hdlm.tensor import Tensor, flat_array, flat_views, seeded_rng
+from hdlm.tensor import FlatStore, Tensor, flat_views, seeded_rng
 from hdlm.training import (
     _ADAM_BLOCK,
     AdamState,
@@ -62,6 +65,14 @@ def small_records(cfg, count=6, seed=0):
 # Adam
 
 
+def store_of(arrays) -> FlatStore:
+    """A flat_views store holding a copy of each named array, in order."""
+    store = flat_views({n: np.shape(a) for n, a in arrays.items()})
+    for n, view in store.items():
+        view[...] = arrays[n]
+    return store
+
+
 def adam_oracle(theta, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
     """Reference loop straight from the update equations."""
     theta = theta.copy()
@@ -80,11 +91,11 @@ def test_adam_matches_reference_equations():
     rng = seeded_rng(3)
     start = rng.normal(size=(2, 3))
     gs = [rng.normal(size=(2, 3)) for _ in range(7)]
-    p = Tensor(start.copy())
-    named = {"w": p}
+    named = store_of({"w": start})
+    p = Tensor(named["w"])
     state = AdamState.create(named)
     for g in gs:
-        adam_step(named, {"w": g}, state, learning_rate=0.01)
+        adam_step(named, store_of({"w": g}), state, learning_rate=0.01)
     assert np.allclose(p.data, adam_oracle(start, gs, 0.01), atol=1e-12)
     assert state.t == 7
 
@@ -107,21 +118,17 @@ def test_adam_and_clip_bitwise_equal_to_first_formulation():
     for grads in steps:
         grads.update({n: rng.normal(size=s) for n, s in edges.items()})
     shapes.update(edges)
-    store = flat_views(shapes)
-    for n, view in store.items():
-        view[...] = starts[n]
+    store = store_of(starts)
     ours = {n: Tensor(view) for n, view in store.items()}
     ref = {n: Tensor(a.copy()) for n, a in starts.items()}
     ours_state, ref_state = AdamState.create(ours), AdamState.create(ref)
-    assert flat_array(t.data for t in ours.values()).size > 5 * _ADAM_BLOCK
+    assert store.flat.size > 5 * _ADAM_BLOCK
     for step, grads in enumerate(steps):
         grads["still"] = np.zeros(shapes["still"])
         grads = {n: np.array(g) for n, g in grads.items()}  # "cell" as a 0-d array the clip can scale
-        ours_grads = flat_views(shapes)
-        for n, view in ours_grads.items():
-            view[...] = grads[n]
+        ours_grads = store_of(grads)
         assert clip_gradients(ours_grads, 4.0) == clip_gradients_reference(grads, 4.0)
-        adam_step(ours, ours_grads, ours_state, learning_rate=0.03)
+        adam_step(store, ours_grads, ours_state, learning_rate=0.03)
         adam_step_reference(ref, grads, ref_state, learning_rate=0.03)
         for n in shapes:
             assert ours_grads[n].tobytes() == grads[n].tobytes(), (step, n)
@@ -135,12 +142,13 @@ def test_adam_scratch_stays_block_sized():
     # numpy reports its buffers to tracemalloc: a parameter of 8 blocks must
     # be updated through block-sized scratch, not scratch of its own size
     shape = (8 * _ADAM_BLOCK // 64, 64)
-    named = {"w": Tensor(np.ones(shape))}
+    params = store_of({"w": np.ones(shape)})
+    named = {"w": Tensor(params["w"])}
     state = AdamState.create(named)
-    grads = {"w": np.full(shape, 0.5)}
+    grads = store_of({"w": np.full(shape, 0.5)})
     tracemalloc.start()
     try:
-        adam_step(named, grads, state, learning_rate=0.01)
+        adam_step(params, grads, state, learning_rate=0.01)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -149,43 +157,61 @@ def test_adam_scratch_stays_block_sized():
 
 
 def test_adam_first_step_is_signlike():
-    p = Tensor(np.array([1.0, -2.0]))
-    named = {"w": p}
+    named = store_of({"w": np.array([1.0, -2.0])})
+    p = Tensor(named["w"])
     g = np.array([0.3, -0.7])
-    adam_step(named, {"w": g}, AdamState.create(named), learning_rate=0.5)
+    adam_step(named, store_of({"w": g}), AdamState.create(named), learning_rate=0.5)
     want = np.array([1.0, -2.0]) - 0.5 * g / (np.abs(g) + 1e-8)
     assert np.allclose(p.data, want, atol=1e-12)
 
 
 def test_adam_zero_grad_fresh_state_is_exact_noop():
-    p = Tensor(np.array([0.1, -0.2, 0.3]))
+    named = store_of({"w": np.array([0.1, -0.2, 0.3])})
+    p = Tensor(named["w"])
     before = p.data.copy()
-    named = {"w": p}
     state = AdamState.create(named)
-    adam_step(named, {"w": np.zeros(3)}, state, learning_rate=1.0)
+    adam_step(named, store_of({"w": np.zeros(3)}), state, learning_rate=1.0)
     assert np.array_equal(p.data, before)
 
 
 def test_adam_refuses_stores_in_another_order():
     # moments laid out b before a would pair a's gradient with b's moments
     shapes, swapped = {"a": (2,), "b": (3,)}, {"b": (3,), "a": (2,)}
-    named = {n: Tensor(view) for n, view in flat_views(shapes).items()}
+    params = flat_views(shapes)
+    named = {n: Tensor(view) for n, view in params.items()}
     grads = flat_views(shapes)
     grads["a"][...], grads["b"][...] = 1.0, -1.0
     state = AdamState(m=flat_views(swapped), v=flat_views(swapped))
     with pytest.raises(ValueError, match="names in order"):
-        adam_step(named, grads, state, learning_rate=0.1)
+        adam_step(params, grads, state, learning_rate=0.1)
     # the same views, listed in the parameters' order but not in their layout's
     m, v = flat_views(swapped), flat_views(swapped)
     state = AdamState(m={"a": m["a"], "b": m["b"]}, v={"a": v["a"], "b": v["b"]})
-    with pytest.raises(ValueError, match="do not fill their flat array in order"):
-        adam_step(named, grads, state, learning_rate=0.1)
+    with pytest.raises(ValueError, match="flat_views stores"):
+        adam_step(params, grads, state, learning_rate=0.1)
     assert state.t == 0
     assert not any(a.any() for a in [*m.values(), *v.values(), *(t.data for t in named.values())])
     # in one layout, one step moves each moment by a tenth of its own gradient
     state = AdamState.create(named)
-    adam_step(named, grads, state, learning_rate=0.1)
+    adam_step(params, grads, state, learning_rate=0.1)
     assert np.allclose(state.m["a"], 0.1) and np.allclose(state.m["b"], -0.1)
+
+
+def test_adam_and_clip_refuse_a_plain_dict_of_one_arrays_views():
+    # views that fill one array in order, but in a plain dict, carry no
+    # flat array: both refuse them before anything changes
+    params, grads = flat_views({"a": (2,), "b": (3,)}), flat_views({"a": (2,), "b": (3,)})
+    grads.flat[...] = 7.0
+    state = AdamState.create(params)
+    for args in [(dict(params), grads, state), (params, dict(grads), state),
+                 (params, grads, AdamState(m=dict(state.m), v=state.v))]:
+        with pytest.raises(ValueError, match="flat_views stores"):
+            adam_step(*args, learning_rate=0.1)
+    with pytest.raises(ValueError, match="flat_views store"):
+        clip_gradients(dict(grads), max_norm=1.0)
+    assert state.t == 0
+    assert not params.flat.any() and not state.m.flat.any() and not state.v.flat.any()
+    assert np.all(grads.flat == 7.0)
 
 
 # ---------------------------------------------------------------------------
@@ -195,8 +221,8 @@ def test_adam_refuses_stores_in_another_order():
 def test_clip_scales_to_global_norm():
     # the gradients are views of one flat array, as training's store is;
     # arrays that fill no one array are refused
-    grads = dict(zip("ab", np.array([[3.0, 0.0], [0.0, 4.0]])))
-    with pytest.raises(ValueError, match="one float64 array"):
+    grads = store_of(dict(zip("ab", np.array([[3.0, 0.0], [0.0, 4.0]]))))
+    with pytest.raises(ValueError, match="flat_views store"):
         clip_gradients({n: g.copy() for n, g in grads.items()}, max_norm=2.5)
     norm = clip_gradients(grads, max_norm=2.5)
     assert abs(norm - 5.0) < 1e-12
@@ -207,7 +233,7 @@ def test_clip_scales_to_global_norm():
 
 def test_clip_leaves_small_gradients_untouched():
     g = np.array([0.3, 0.4])
-    grads = {"a": g.copy()}
+    grads = store_of({"a": g})
     norm = clip_gradients(grads, max_norm=5.0)
     assert abs(norm - 0.5) < 1e-12
     assert np.array_equal(grads["a"], g)
@@ -541,3 +567,72 @@ def test_fingerprint_reflects_dual_normalization():
     a = small_config(dual_enabled=False, lambda_abnormal=0.0)
     b = small_config(dual_enabled=False, lambda_abnormal=9.0)
     assert np.array_equal(config_fingerprint(a), config_fingerprint(b))
+
+
+# ---------------------------------------------------------------------------
+# the parameter store
+
+
+def assert_views_of_store(params):
+    for name, t in params.named_parameters().items():
+        assert t.data is params.store[name], name
+        assert np.shares_memory(t.data, params.store.flat), name
+
+
+def test_parameters_stay_views_of_their_store(tmp_path, monkeypatch):
+    # adam_step updates params.store.flat and trusts each tensor to be a
+    # view of it; a rebound t.data would train a copy nobody reads
+    cfg = small_config()
+    params = ModelParams.create(cfg, seed=2)
+    assert_views_of_store(params)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(path, ModelParams.create(cfg, seed=3), cfg, iteration=1)
+    load_checkpoint(path, params, cfg)
+    assert_views_of_store(params)
+    before = params.store.flat.copy()
+    assert train(params, cfg, small_records(cfg, count=4), TrainConfig(batch_size=2, epochs=1)).iterations == 2
+    assert_views_of_store(params)
+    assert not np.array_equal(params.store.flat, before)
+    # hdlm gradcheck scales every weight before its audit
+    created, create = [], ModelParams.create
+
+    def recorded_create(*args, **kwargs):
+        created.append(create(*args, **kwargs))
+        return created[-1]
+
+    def checked_audit(loss, named_params, **kwargs):
+        assert_views_of_store(created[-1])
+        return {name: (0.0, 1) for name in named_params}
+
+    monkeypatch.setattr(ModelParams, "create", staticmethod(recorded_create))
+    monkeypatch.setattr(hdlm.cli, "gradient_audit", checked_audit)
+    assert hdlm.cli.run(["gradcheck"]) == 0
+    assert len(created) == 1
+
+
+def test_only_the_constructors_rebind_a_data_attribute():
+    # nothing else in the package may assign to `.data`: a parameter's data
+    # rebound after ModelParams.create leaves the store that Adam updates
+    allowed = {"Tensor.__init__", "ModelParams.create"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            targets = (child.targets if isinstance(child, ast.Assign)
+                       else [child.target] if isinstance(child, ast.AnnAssign) else [])
+            while targets:  # `x.data = ...` or within `a, x.data = ...`, not `x.data[...] = ...`
+                target = targets.pop()
+                if isinstance(target, (ast.Tuple, ast.List)):
+                    targets += target.elts
+                elif isinstance(target, ast.Starred):
+                    targets.append(target.value)
+                elif isinstance(target, ast.Attribute) and target.attr == "data" and scope not in allowed:
+                    found.append(f"{path.name}:{target.lineno} in {scope or 'module'}")
+            visit(child, scope)
+
+    for path in sorted(Path(hdlm.training.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(encoding="utf-8")), "")
+    assert found == []
