@@ -8,6 +8,7 @@ sentences always end with EOS and never contain BOS.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -39,6 +40,16 @@ class ConfigError(ValueError):
 
 class CorpusFormatError(ValueError):
     """A corpus, feature, vocabulary, embedding, or run file is malformed."""
+
+
+def check_int_fields(config) -> None:
+    """Raise :class:`ConfigError` naming the first field of the dataclass
+    ``config`` declared ``int`` whose value is not an ``int``; a bool, a
+    float or a numpy integer is not one."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if f.type == "int" and type(value) is not int:
+            raise ConfigError(f"{f.name} must be an int, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +129,11 @@ def load_vocab(path) -> Vocabulary:
 class ReportRecord:
     """One image's paragraph plus its supervision signals.
 
-    ``feature_ref`` is the in-memory [L, C] map: float32 as ``load_corpus``
-    reads it from the record's map file (0.8 MB on the paper's 196 x 1024
-    grid), float64 as ``synth_corpus`` draws it; ``stack_features`` widens
-    either to float64 once per batch.  ``mti_labels`` holds the active
-    label indices (sparse multi-hot).
+    ``feature_ref`` is the in-memory [L, C] map, float32 whether
+    ``synth_corpus`` drew it or ``load_corpus`` read it from the record's map
+    file (0.8 MB on the paper's 196 x 1024 grid); ``stack_features`` widens
+    it to float64 once per batch.  ``mti_labels`` holds the active label
+    indices (sparse multi-hot).
     """
 
     id: str
@@ -294,6 +305,7 @@ class SynthConfig:
     channels: int = 24
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if not 0.0 <= self.abnormal_prob <= 1.0:
@@ -375,7 +387,7 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
 
     for i, (topics, flags) in enumerate(drawn):
         noise = rng.normal(size=(config.locations, config.channels)) * config.noise_scale
-        feature = patterns[topics].sum(axis=0) + noise
+        feature = _float32_map(patterns[topics].sum(axis=0) + noise)  # as its file holds it
         records.append(
             ReportRecord(
                 id=f"syn{i:05d}",
@@ -405,13 +417,14 @@ def split_corpus(records, train_fraction: float, seed: int = 0):
 
 
 def _float32_map(features) -> np.ndarray:
-    """``features`` as a feature file's float32 map; ``ValueError`` for one
-    ``load_features`` would refuse (an empty grid, a non-finite value)."""
+    """``features`` as a feature file's float32 map, itself when it is one
+    already; ``ValueError`` for one ``load_features`` would refuse (an empty
+    grid, a non-finite value)."""
     arr = np.asarray(features)
     if arr.ndim != 2 or 0 in arr.shape:
         raise ValueError(f"feature map {arr.shape} is not a nonempty [L, C] grid (rank 2, L and C >= 1)")
     with np.errstate(over="ignore"):  # beyond float32's range rounds to inf, refused here
-        arr = arr.astype("<f4")
+        arr = arr.astype("<f4", copy=False)
     if not np.isfinite(arr).all():
         raise ValueError("a feature value is not finite as float32")
     return arr
@@ -553,7 +566,6 @@ def save_corpus(path, records) -> None:
     Before any file is written, a record whose id or float32-rounded map
     loading would reject raises ``ValueError`` naming the record."""
     path = Path(path)
-    feat_dir = path.parent / "features"
     first_line = {}
     for k, r in enumerate(records):  # before any file is written; record k goes to line k + 1
         if not isinstance(r.feature_ref, np.ndarray):
@@ -563,9 +575,10 @@ def save_corpus(path, records) -> None:
             _float32_map(r.feature_ref)
         except ValueError as exc:
             raise ValueError(f"record {r.id!r}: {exc}") from None
+    if records:
+        (path.parent / "features").mkdir(parents=True, exist_ok=True)
     lines = []
     for r in records:
-        feat_dir.mkdir(parents=True, exist_ok=True)
         rel = f"features/{r.id}.fmap"
         save_features(path.parent / rel, r.feature_ref)
         lines.append({

@@ -35,7 +35,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .data import BOS_ID, ConfigError
+from .data import BOS_ID, ConfigError, check_int_fields
 from .layers import (
     AttentionParams,
     EmbeddingTable,
@@ -96,12 +96,13 @@ class ModelConfig:
     dual_enabled: bool = True
 
     def __post_init__(self):
+        check_int_fields(self)
         dims = (
             "vocab_size", "mti_labels", "channels", "embed_dim",
             "hidden_dim", "locations", "max_sentences", "max_words",
         )
         for name in dims:
-            if int(getattr(self, name)) < 1:
+            if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.vocab_size < 4:
             raise ConfigError(
@@ -179,9 +180,9 @@ class ModelParams:
 
 
 def stack_features(config: ModelConfig, records) -> np.ndarray:
-    """Stack every record's [L, C] feature map into one [B*L, C] float64
-    array; a float32 map (as ``load_features`` reads it) is widened, exactly,
-    in the same copy.
+    """Stack every record's float32 [L, C] feature map (as ``synth_corpus``
+    and ``load_corpus`` build it) into one [B*L, C] float64 array, widened
+    exactly in that one copy.
 
     Each map must match the model's grid; a record with a different ``L``
     would otherwise be silently grouped with its neighbours' locations.

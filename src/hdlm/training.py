@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ConfigError, open_replacing, read_jsonl
+from .data import ConfigError, check_int_fields, open_replacing, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
 from .tensor import FlatStore, Tape, Tensor, backward, flat_views, seeded_rng
 
@@ -159,6 +159,7 @@ class TrainConfig:
     evals_per_epoch: int = 1
 
     def __post_init__(self):
+        check_int_fields(self)
         # written so that NaN fails every range check
         if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning_rate must be positive and finite, got {self.learning_rate}")

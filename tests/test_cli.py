@@ -16,10 +16,10 @@ from hdlm.cli import (
     resolve_settings,
     run,
 )
-from hdlm.data import ConfigError, load_features, save_features
-from hdlm.model import ModelParams
+from hdlm.data import ConfigError, SynthConfig, load_features, save_features, split_corpus, synth_corpus
+from hdlm.model import ModelConfig, ModelParams
 from hdlm.selection import CheckpointRecord, load_history, save_history
-from hdlm.training import AdamState, load_checkpoint, save_checkpoint
+from hdlm.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 from oracles import write_feature_file
 
@@ -198,6 +198,55 @@ def test_train_outputs(pipeline):
            for line in (runs / "losses.jsonl").read_text().splitlines()]
     assert [entry["iteration"] for entry in log] == [1, 2, 3]
     assert all(entry["total"] > 0 for entry in log)
+
+
+# the README's settings file, at 2 epochs instead of 80
+README_SETTINGS = """\
+synth.records = 150
+synth.normal_pool = 30
+synth.abnormal_pool = 15
+synth.zipf_exponent = 1.1
+synth.vocab_words = 60
+synth.seed = 9
+model.embed_dim = 24
+model.hidden_dim = 24
+train.epochs = 2
+train.evals_per_epoch = 1
+"""
+
+
+def test_cli_run_is_the_readme_library_computation(tmp_path):
+    # hdlm synth and hdlm train, then the README's library snippet on the
+    # in-memory corpus: every logged loss term and the final parameters are
+    # the same bytes, since a synthetic record holds the float32 map its
+    # feature file holds
+    cfg, data, out = tmp_path / "run.cfg", tmp_path / "data", tmp_path / "run"
+    cfg.write_text(README_SETTINGS)
+    assert run(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+    assert run(["train", str(data), "--config", str(cfg), "--out", str(out)]) == 0
+
+    synth = SynthConfig(records=150, normal_pool=30, abnormal_pool=15,
+                        zipf_exponent=1.1, vocab_words=60, seed=9)
+    corpus = synth_corpus(synth)
+    train_recs, _ = split_corpus(corpus.records, 0.8, seed=9)
+    config = ModelConfig(
+        vocab_size=corpus.vocab.size, mti_labels=synth.tag_count, locations=synth.locations,
+        channels=synth.channels, embed_dim=24, hidden_dim=24,
+        max_sentences=synth.max_sentences + 1, max_words=synth.max_words + 3,
+    )
+    params = ModelParams.create(config, seed=0)
+    result = train(params, config, train_recs, TrainConfig(epochs=2, seed=0))
+
+    logged = [json.loads(line) for line in (out / "losses.jsonl").read_text().splitlines()]
+    assert len(logged) == len(result.history) == 16
+    assert len(load_history(out / "history.jsonl")) == 2
+    for line, entry in zip(logged, result.history):
+        terms = [key for key in line if not key.endswith("_ms")]
+        assert [float(line[k]).hex() for k in terms] == [float(entry[k]).hex() for k in terms]
+    cli_config = model_config_from(parse_config_file(out / "resolved.cfg"), {})
+    final = ModelParams.create(cli_config, seed=1)
+    load_checkpoint(out / "final.bin", final, cli_config)
+    assert final.store.flat.tobytes() == params.store.flat.tobytes()
 
 
 def test_generate_and_evaluate(pipeline, capsys):

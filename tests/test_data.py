@@ -41,6 +41,8 @@ from hdlm.data import (
     tokenize,
     write_jsonl,
 )
+from hdlm.model import ModelConfig
+from hdlm.training import TrainConfig
 
 from oracles import write_feature_file
 
@@ -405,6 +407,29 @@ def test_synth_config_validation():
         SynthConfig(min_sentences=3, max_sentences=2)
 
 
+INT_FIELDS = {
+    "synth": (SynthConfig, {}, (
+        "seed", "records", "normal_pool", "abnormal_pool", "vocab_words", "tag_count",
+        "min_sentences", "max_sentences", "min_words", "max_words", "locations", "channels")),
+    "model": (ModelConfig, {"vocab_size": 10}, (
+        "vocab_size", "mti_labels", "channels", "embed_dim", "hidden_dim", "locations",
+        "max_sentences", "max_words")),
+    "train": (TrainConfig, {}, ("batch_size", "epochs", "seed", "evals_per_epoch")),
+}
+
+
+@pytest.mark.parametrize("config, required, names", INT_FIELDS.values(), ids=INT_FIELDS)
+def test_config_sizes_must_be_ints(config, required, names):
+    # a float or a numpy integer passed the range checks and failed later,
+    # inside numpy or in json at the first checkpoint; a bool was refused,
+    # if at all, with a message about its range
+    config(**required)
+    for name in names:
+        for bad in (2.5, 2.0, True, np.int64(2), "2"):
+            with pytest.raises(ConfigError, match=f"^{name} must be an int, got "):
+                config(**{**required, name: bad})
+
+
 def test_split_corpus_deterministic_and_disjoint():
     records = synth_corpus(SynthConfig(seed=9, records=40)).records
     a = split_corpus(records, 0.5, seed=13)
@@ -583,10 +608,15 @@ def test_corpus_round_trip(tmp_path):
         assert got.sentences == orig.sentences
         assert got.abnormal_flags == orig.abnormal_flags
         assert got.mti_labels == orig.mti_labels
-        # features pass through f32 storage exactly once
-        assert np.array_equal(
-            got.feature_ref, orig.feature_ref.astype(np.float32).astype(np.float64)
-        )
+        # synth_corpus holds the float32 map its file holds
+        assert got.feature_ref.dtype == orig.feature_ref.dtype == np.float32
+        assert got.feature_ref.tobytes() == orig.feature_ref.tobytes()
+
+
+def test_save_corpus_of_no_records_writes_no_feature_directory(tmp_path):
+    save_corpus(tmp_path / "corpus.jsonl", [])
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]
+    assert load_corpus(tmp_path / "corpus.jsonl") == []
 
 
 def test_corpus_second_save_is_byte_identical(tmp_path):
