@@ -89,6 +89,7 @@ from .selection import (
     render_analysis,
     save_history,
     select_model,
+    selectable,
 )
 
 __version__ = "0.1.0"

@@ -51,6 +51,7 @@ from .selection import (
     render_analysis,
     save_history,
     select_model,
+    selectable,
 )
 from .tensor import gradient_audit, seeded_rng
 from .training import (
@@ -246,6 +247,10 @@ def _load_split(data_dir: Path):
 
 
 def cmd_train(args) -> int:
+    """Train on ``args.data``.  Each evaluation adds a row to ``history.jsonl``;
+    ``checkpoints/`` keeps only those that ``select_model`` chooses under some
+    gate, and a dropped one's row reads ``path: null``.  ``final.bin`` is
+    always written."""
     settings = resolve_settings(args)
     data_dir = Path(args.data)
     train_recs, val_recs, vocab = _load_split(data_dir)
@@ -263,7 +268,7 @@ def cmd_train(args) -> int:
     ckpt_dir.mkdir(exist_ok=True)
     params = ModelParams.create(model_config, seed=train_config.seed)
     history_path = out / "history.jsonl"
-    history: list[CheckpointRecord] = []
+    history: list[CheckpointRecord] = []  # a row with a path names a kept checkpoint
     save_history(history_path, history)  # then rewritten after each evaluation
 
     def evaluate_checkpoint(iteration, current):
@@ -271,14 +276,18 @@ def cmd_train(args) -> int:
         pairs = build_eval_pairs(reports, val_recs)
         metrics = compute_metrics(pairs, paragraphs=[r.sentences for r in reports])
         path = ckpt_dir / f"ckpt_{iteration:06d}.bin"
-        save_checkpoint(path, current, model_config, iteration)
-        history.append(CheckpointRecord(
-            iteration=iteration,
-            bleu4=metrics.bleu4,
-            distinct=tuple(metrics.distinct),
-            path=str(path),
-        ))
+        record = CheckpointRecord(iteration, metrics.bleu4, tuple(metrics.distinct), str(path))
+        kept = [r for r in history if r.path]
+        keep = selectable(kept + [record])
+        # in this order, history.jsonl never names a missing file
+        if record in keep:
+            save_checkpoint(path, current, model_config, iteration)
+        history[:] = [r if not r.path or r in keep else dataclasses.replace(r, path=None)
+                      for r in history + [record]]
         save_history(history_path, history)
+        for r in kept:
+            if r not in keep:
+                Path(r.path).unlink()
         print(f"iteration {iteration}: BLEU-4 {metrics.bleu4:.4f}, "
               f"distinct {list(metrics.distinct)}")
 
@@ -292,7 +301,8 @@ def cmd_train(args) -> int:
     save_checkpoint(out / "final.bin", params, model_config, result.iterations)
     last = result.history[-1]
     print(f"trained {result.iterations} iterations; final total loss {last['total']:.4f}")
-    print(f"history: {history_path} ({len(history)} checkpoints)")
+    kept = sum(1 for r in history if r.path)
+    print(f"history: {history_path} ({len(history)} evaluations, {kept} checkpoints kept)")
     return 0
 
 

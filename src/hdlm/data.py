@@ -387,7 +387,11 @@ def synth_corpus(config: SynthConfig) -> SynthResult:
 
     for i, (topics, flags) in enumerate(drawn):
         noise = rng.normal(size=(config.locations, config.channels)) * config.noise_scale
-        feature = _float32_map(patterns[topics].sum(axis=0) + noise)  # as its file holds it
+        try:
+            feature = _float32_map(patterns[topics].sum(axis=0) + noise)  # as its file holds it
+        except ValueError:
+            raise ConfigError("noise_scale must be small enough that every feature value is "
+                              f"finite as float32, got {config.noise_scale}") from None
         records.append(
             ReportRecord(
                 id=f"syn{i:05d}",

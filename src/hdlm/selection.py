@@ -17,7 +17,10 @@ from .data import ConfigError, json_float, json_int, read_jsonl, write_jsonl
 
 @dataclass(frozen=True)
 class CheckpointRecord:
-    """One evaluated checkpoint: where it came from and how it scored."""
+    """One evaluated checkpoint: where it came from and how it scored.
+
+    ``path`` names the checkpoint file, or is ``None`` when there is none:
+    ``hdlm train`` keeps only the checkpoints some gate can select."""
 
     iteration: int
     bleu4: float
@@ -85,6 +88,22 @@ def select_model(
         rejected=rejected,
         reason=f"selected iteration {chosen.iteration} (BLEU-4 {chosen.bleu4:.4f})",
     )
+
+
+def selectable(history) -> list[CheckpointRecord]:
+    """The records of ``history`` that :func:`select_model` chooses under
+    some gate, in order.
+
+    A record is chosen under some gate exactly when it is chosen at its own
+    strictest ones: its ``distinct[0]`` at position 0, or its smallest count
+    at every position.  A record no gate chooses stays unchosen as the
+    history grows, because what beats it stays; so ``selectable(kept + new)``
+    of the records kept so far equals ``selectable`` of the whole history.
+    """
+    history = list(history)
+    return [r for r in history if r.distinct and any(
+        select_model(history, minimum, every).chosen is r
+        for minimum, every in ((r.distinct[0], False), (min(r.distinct), True)))]
 
 
 def mode_baseline(records) -> list[list[int]]:

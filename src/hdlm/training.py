@@ -181,14 +181,11 @@ class TrainResult:
 
 def eval_boundaries(num_batches: int, evals_per_epoch: int) -> list[int]:
     """1-based batch indices after which the evaluation hook fires, spread
-    evenly across the epoch and deduplicated."""
-    if evals_per_epoch < 1:
-        return []
-    marks = {
-        math.ceil(num_batches * k / evals_per_epoch)
-        for k in range(1, evals_per_epoch + 1)
-    }
-    return sorted(m for m in marks if m >= 1)
+    evenly across the epoch; more evaluations than batches mark every batch
+    once."""
+    evals = min(evals_per_epoch, num_batches)
+    # at most one evaluation per batch, so the marks are distinct and increasing
+    return [math.ceil(num_batches * k / evals) for k in range(1, evals + 1)]
 
 
 def train(

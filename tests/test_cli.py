@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from hdlm.cli import (
 )
 from hdlm.data import ConfigError, SynthConfig, load_features, save_features, split_corpus, synth_corpus
 from hdlm.model import ModelConfig, ModelParams
-from hdlm.selection import CheckpointRecord, load_history, save_history
+from hdlm.selection import CheckpointRecord, load_history, save_history, select_model
 from hdlm.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
 
 from oracles import write_feature_file
@@ -198,6 +199,32 @@ def test_train_outputs(pipeline):
            for line in (runs / "losses.jsonl").read_text().splitlines()]
     assert [entry["iteration"] for entry in log] == [1, 2, 3]
     assert all(entry["total"] > 0 for entry in log)
+
+
+def test_train_keeps_only_the_checkpoints_some_gate_selects(tmp_path, tiny_cfg, capsys):
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(TINY.replace("train.epochs = 1", "train.epochs = 20")
+                      + "train.learning_rate = 0.1\n")
+    capsys.readouterr()
+    assert run(["train", str(data), "--config", str(longer), "--out", str(out)]) == 0
+    history = load_history(out / "history.jsonl")
+    named = [Path(r.path) for r in history if r.path]
+    assert [r.iteration for r in history] == list(range(3, 61, 3))
+    assert 1 < len(named) < len(history)
+    assert sorted((out / "checkpoints").iterdir()) == sorted(named)
+    assert capsys.readouterr().out.splitlines()[-1].endswith(
+        f"({len(history)} evaluations, {len(named)} checkpoints kept)")
+    restored = [dataclasses.replace(r, path=str(out / "checkpoints" / f"ckpt_{r.iteration:06d}.bin"))
+                for r in history]
+    top = max(c for r in history for c in r.distinct)
+    for minimum in range(top + 2):
+        for every in (False, True):
+            pruned = select_model(history, minimum, every).chosen
+            full = select_model(restored, minimum, every).chosen
+            assert (pruned and pruned.iteration) == (full and full.iteration)
+            assert pruned is None or Path(pruned.path).exists()
 
 
 # the README's settings file, at 2 epochs instead of 80
@@ -758,25 +785,33 @@ def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, corrupt,
 
 
 def test_failed_run_keeps_the_history_it_made(tmp_path, tiny_cfg, monkeypatch, capsys):
+    # ten evaluations, of which the first and a later one are kept before
+    # final.bin; the write of that later checkpoint fails
     data = tmp_path / "data"
     assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
-    three = tmp_path / "three.cfg"
-    three.write_text(TINY + "train.evals_per_epoch = 3\n")
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(TINY.replace("train.epochs = 1", "train.epochs = 10")
+                      + "train.learning_rate = 0.1\n")
     calls = []
 
-    def failing_third(*args, **kwargs):
-        calls.append(args[0])
-        if len(calls) == 3:
+    def failing_second(*args, **kwargs):
+        calls.append((args[0], args[3]))
+        if len(calls) == 2:
             raise OSError("disk full")
         return save_checkpoint(*args, **kwargs)
 
-    monkeypatch.setattr(hdlm.cli, "save_checkpoint", failing_third)
+    monkeypatch.setattr(hdlm.cli, "save_checkpoint", failing_second)
     out = tmp_path / "run"
-    assert run(["train", str(data), "--config", str(three), "--out", str(out)]) == 1
-    assert "error: disk full" in capsys.readouterr().err
+    assert run(["train", str(data), "--config", str(longer), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "error: disk full" in err
+    assert "Traceback" not in err
+    (first, _), (failed, iteration) = calls
+    assert failed.parent.name == "checkpoints" and iteration > 3
     history = load_history(out / "history.jsonl")
-    assert [r.iteration for r in history] == [1, 2]
-    assert [r.path for r in history] == [str(p) for p in calls[:2]]
+    assert [r.iteration for r in history] == list(range(3, iteration, 3))
+    assert [r.path for r in history if r.path] == [str(first)]
+    assert all(Path(r.path).exists() for r in history if r.path)
 
 
 def test_usage_error_exit_code():
@@ -788,9 +823,10 @@ def test_usage_error_exit_code():
 @pytest.mark.parametrize("setting", [
     "synth.records = 0", "train.clip_norm = nan", "train.learning_rate = inf",
     "model.lambda_mti = nan", "synth.zipf_exponent = nan", "synth.seed = -1", "train.seed = -1",
-    "select.min_distinct = -1",
+    "select.min_distinct = -1", "synth.noise_scale = 1e300", "synth.noise_scale = 1e38",
 ], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan",
-        "synth_seed_negative", "train_seed_negative", "min_distinct_negative"])
+        "synth_seed_negative", "train_seed_negative", "min_distinct_negative",
+        "noise_scale_past_float64_sums", "noise_scale_past_float32"])
 def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
     # a synth setting fails `hdlm synth`, a select setting `hdlm select` on
     # a one-line history; the rest fail `hdlm train`
@@ -809,7 +845,9 @@ def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
     capsys.readouterr()
     assert run([*argv, "--config", str(bad)]) == 4
     field = setting.split(".")[1].split()[0]
-    assert f"error: {field} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert f"error: {field} must be" in err
+    assert "Traceback" not in err
     assert not out.exists()
 
 

@@ -16,6 +16,7 @@ from hdlm.selection import (
     render_analysis,
     save_history,
     select_model,
+    selectable,
 )
 from hdlm.tensor import seeded_rng
 
@@ -91,6 +92,32 @@ def test_matches_brute_force_on_random_histories():
         want = (min(eligible, key=lambda r: (-r.bleu4, r.iteration))
                 if eligible else None)
         assert select_model(history).chosen is want
+
+
+def test_selectable_is_what_some_gate_chooses_and_stays_dropped():
+    # BLEU-4 from {0, 0.25, ..., 1}, 0-5 distinct counts at 0-4 positions;
+    # walking each history as hdlm train does, keeping selectable(kept + new),
+    # matches selectable of the whole prefix, and a dropped record never
+    # comes back
+    rng = seeded_rng(12)
+    for _ in range(300):
+        history = [
+            ckpt(int(i), float(rng.integers(0, 5)) / 4.0,
+                 [int(rng.integers(0, 6)) for _ in range(int(rng.integers(0, 5)))])
+            for i in rng.permutation(int(rng.integers(1, 13)))
+        ]
+        kept, dropped = [], set()
+        for n, record in enumerate(history, start=1):
+            prefix = history[:n]
+            top = max((c for r in prefix for c in r.distinct), default=0)
+            chosen = {id(select_model(prefix, m, every).chosen)
+                      for m in range(top + 2) for every in (False, True)}
+            want = [r for r in prefix if id(r) in chosen]
+            assert selectable(prefix) == want
+            assert not dropped & {id(r) for r in want}
+            dropped |= {id(r) for r in kept + [record]} - {id(r) for r in want}
+            kept = selectable(kept + [record])
+            assert kept == want
 
 
 # ---------------------------------------------------------------------------

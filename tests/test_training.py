@@ -6,6 +6,7 @@ import hashlib
 import math
 import re
 import struct
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -249,6 +250,17 @@ def test_eval_boundaries_spread_and_dedupe():
     assert eval_boundaries(1, 3) == [1]
     assert eval_boundaries(5, 2) == [3, 5]
     assert eval_boundaries(4, 0) == []
+
+
+def test_eval_boundaries_cost_follows_the_batches_not_the_setting():
+    # more evaluations than batches mark every batch once, at a cost that
+    # follows the batches: a loop over 10**7 requested evaluations takes
+    # about 1.4 s, and over 10**9 minutes per epoch
+    start = time.perf_counter()
+    assert eval_boundaries(8, 10**7) == list(range(1, 9))
+    assert time.perf_counter() - start < 0.1
+    assert eval_boundaries(8, 10**9) == eval_boundaries(8, 8) == list(range(1, 9))
+    assert eval_boundaries(0, 10**9) == []
 
 
 def test_train_config_validation():
