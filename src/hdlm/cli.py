@@ -14,8 +14,9 @@ Settings resolve in order: built-in toy profile, then ``--config`` file
 (flat ``section.key = value`` lines), then explicit flags.  Every command
 that owns an output directory echoes its resolved settings there.
 
-Exit codes: 0 success, 1 generic failure (including training divergence),
-2 usage, 3 missing file, 4 invalid configuration, 5 malformed data.
+Exit codes: 0 success, 1 generic failure (training divergence, an I/O error
+or a program fault), 2 usage, 3 missing file, 4 invalid configuration, 5
+malformed file.
 """
 
 from __future__ import annotations
@@ -266,6 +267,8 @@ def cmd_train(args) -> int:
     out = _out_dir(args)
     ckpt_dir = out / "checkpoints"
     ckpt_dir.mkdir(exist_ok=True)
+    for stale in ckpt_dir.glob("ckpt_*.bin"):  # an earlier run's, which this history will not name
+        stale.unlink()
     params = ModelParams.create(model_config, seed=train_config.seed)
     history_path = out / "history.jsonl"
     history: list[CheckpointRecord] = []  # a row with a path names a kept checkpoint
@@ -467,22 +470,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# the exit code of an exception, by the first kind it is; any other is a program fault
+EXIT_CODES = ((ConfigError, 4), ((FileNotFoundError, IsADirectoryError), 3), (CorpusFormatError, 5),
+              ((OSError, TrainingDivergedError), 1))
+
+
 def run(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (FileNotFoundError, IsADirectoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 5
-    except (OSError, TrainingDivergedError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        code = next((code for kinds, code in EXIT_CODES if isinstance(exc, kinds)), None)
+        print(f"error: {exc}" if code else f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return code or 1
 
 
 def main() -> None:

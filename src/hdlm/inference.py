@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import BOS_ID, EOS_ID, ConfigError, json_float, json_int, read_jsonl, write_jsonl
+from .data import BOS_ID, EOS_ID, ConfigError, check_int_fields, json_float, json_int, read_jsonl, write_jsonl
 from .layers import embed
 from .model import BRANCH_NAMES, ModelConfig, ModelParams, sentence_forward, word_step
 from .tensor import Tensor, zeros
@@ -34,6 +34,7 @@ class GenerationLimits:
     branch_threshold: float = 0.5
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.max_sentences < 1 or self.max_words < 1:
             raise ConfigError("max_sentences and max_words must be >= 1")
         for name in ("stop_threshold", "branch_threshold"):

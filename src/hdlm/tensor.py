@@ -30,32 +30,6 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "Tape",
-    "ShapeError",
-    "TapeError",
-    "FlatStore",
-    "attention",
-    "backward",
-    "flat_views",
-    "gradient_audit",
-    "linear",
-    "matmul",
-    "lstm",
-    "tanh",
-    "relu",
-    "slice_rows",
-    "concat_rows",
-    "sum_all",
-    "gather_rows",
-    "sigmoid_ce",
-    "softmax_ce",
-    "weighted_sum",
-    "zeros",
-    "seeded_rng",
-]
-
 
 class ShapeError(ValueError):
     """Operands whose shapes do not fit the operation."""
@@ -146,7 +120,11 @@ def _row_grad(g: np.ndarray, start: int, total: int):
     return g if start == 0 and len(g) == total else _Rows(g, start)
 
 
-_state = threading.local()
+class _Recording(threading.local):
+    tape: "Tape | None" = None  # the tape this thread records on
+
+
+_recording = _Recording()
 
 
 class Tape:
@@ -155,7 +133,9 @@ class Tape:
     Each entry is the tuple ``(output, inputs, grad_fn)`` and holds its
     tensors themselves; ``output`` is one tensor, or a tuple of them.
     :func:`backward` keys gradients by tensor identity, so leaves
-    (parameters, or constants) need no registration.
+    (parameters, or constants) need no registration.  A thread records on
+    one tape at a time: entering a tape while another records raises
+    ``TapeError``.
     """
 
     def __init__(self) -> None:
@@ -163,20 +143,18 @@ class Tape:
         self.walked = False
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_state, "stack", None)
-        if stack is None:
-            stack = _state.stack = []
-        stack.append(self)
+        if _recording.tape is not None:
+            raise TapeError("a tape is already recording on this thread; tapes do not nest")
+        _recording.tape = self
         return self
 
     def __exit__(self, *exc) -> None:
-        _state.stack.pop()
+        _recording.tape = None
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], grad_fn: Callable) -> None:
-    stack = getattr(_state, "stack", None)
-    if stack:
-        stack[-1].entries.append((out, inputs, grad_fn))
+    if _recording.tape is not None:
+        _recording.tape.entries.append((out, inputs, grad_fn))
 
 
 def backward(tape: Tape, loss: Tensor,
@@ -192,11 +170,12 @@ def backward(tape: Tape, loss: Tensor,
 
     An entry with a tuple of outputs is skipped when none of them has a
     gradient; otherwise its ``grad_fn`` gets one gradient, or ``None``, per
-    output.  A gradient for a range of an input's rows is added into an
-    array the input owns, started at zeros.  The walk uses the tape up: each
-    entry leaves the tape as it runs, which frees the forward values only it
-    held, and each intermediate gradient is dropped once its entry has read
-    it.  A second walk raises ``TapeError``.
+    output, and returns one per input: an array of the input's shape, a
+    ``_Rows`` for a range of its rows, which is added into an array the
+    input owns, started at zeros, or a weight's ``_Outer`` factors.  The walk
+    uses the tape up: each entry leaves the tape as it runs, which frees the
+    forward values only it held, and each intermediate gradient is dropped
+    once its entry has read it.  A second walk raises ``TapeError``.
     """
     if tape.walked:
         raise TapeError("backward already walked this tape; record a new one")
@@ -242,8 +221,6 @@ def backward(tape: Tape, loss: Tensor,
         if all(g is None for g in g_outs):
             continue
         for t, g_in in zip(inputs, grad_fn(*g_outs)):
-            if g_in is None:
-                continue
             if isinstance(g_in, _Outer):
                 outers.setdefault(t, []).append(g_in)
                 continue
@@ -348,7 +325,7 @@ def lstm(x_proj: Tensor, w_recur: Tensor, bias: Tensor, h: Tensor, c: Tensor,
                          f"weight, a [4H] bias and [S, H] states, got {X.shape}, {W.shape}, {b.shape}, "
                          f"{h0.shape} and {c0.shape}, steps {rows}")
     starts = np.cumsum([0, *rows[:-1]]).tolist()
-    saved = [] if getattr(_state, "stack", None) else None
+    saved = [] if _recording.tape is not None else None
     cell = slice(2 * hs, 3 * hs)
     half = np.full(4 * hs, 0.5)
     half[cell] = 1.0  # scaling by 1/2 or 1 is exact

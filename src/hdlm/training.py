@@ -32,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import ConfigError, check_int_fields, open_replacing, read_jsonl
+from .data import ConfigError, CorpusFormatError, check_int_fields, open_replacing, read_jsonl
 from .model import ModelConfig, ModelParams, compute_losses
 from .tensor import FlatStore, Tape, Tensor, backward, flat_views, seeded_rng
 
@@ -40,7 +40,7 @@ CHECKPOINT_MAGIC = b"HDLM"
 CHECKPOINT_VERSION = 1
 
 
-class CheckpointError(ValueError):
+class CheckpointError(CorpusFormatError):
     """A checkpoint file is malformed or does not match the model."""
 
 

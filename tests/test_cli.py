@@ -17,10 +17,12 @@ from hdlm.cli import (
     resolve_settings,
     run,
 )
-from hdlm.data import ConfigError, SynthConfig, load_features, save_features, split_corpus, synth_corpus
+from hdlm.data import (
+    ConfigError, CorpusFormatError, SynthConfig, load_features, save_features, split_corpus, synth_corpus,
+)
 from hdlm.model import ModelConfig, ModelParams
 from hdlm.selection import CheckpointRecord, load_history, save_history, select_model
-from hdlm.training import AdamState, TrainConfig, load_checkpoint, save_checkpoint, train
+from hdlm.training import AdamState, CheckpointError, TrainConfig, load_checkpoint, save_checkpoint, train
 
 from oracles import write_feature_file
 
@@ -227,6 +229,28 @@ def test_train_keeps_only_the_checkpoints_some_gate_selects(tmp_path, tiny_cfg, 
             assert pruned is None or Path(pruned.path).exists()
 
 
+def test_train_into_a_used_directory_keeps_only_its_own_checkpoints(tmp_path, tiny_cfg, capsys):
+    # a 20-evaluation run, then a 1-evaluation run into the same --out: the
+    # second history names one checkpoint, and no file of the first is left
+    data, out = tmp_path / "data", tmp_path / "run"
+    assert run(["synth", "--config", str(tiny_cfg), "--out", str(data)]) == 0
+    longer = tmp_path / "longer.cfg"
+    longer.write_text(TINY.replace("train.epochs = 1", "train.epochs = 20")
+                      + "train.learning_rate = 0.1\n")
+    assert run(["train", str(data), "--config", str(longer), "--out", str(out)]) == 0
+    first = sorted((out / "checkpoints").iterdir())
+    assert len(first) > 1
+    # a run that fails on its settings writes nothing, and removes nothing
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY + "train.clip_norm = nan\n")
+    assert run(["train", str(data), "--config", str(bad), "--out", str(out)]) == 4
+    assert sorted((out / "checkpoints").iterdir()) == first
+    assert run(["train", str(data), "--config", str(tiny_cfg), "--out", str(out)]) == 0
+    named = [Path(r.path) for r in load_history(out / "history.jsonl") if r.path]
+    assert [p.name for p in named] == ["ckpt_000003.bin"]
+    assert sorted((out / "checkpoints").iterdir()) == named
+
+
 # the README's settings file, at 2 epochs instead of 80
 README_SETTINGS = """\
 synth.records = 150
@@ -374,6 +398,24 @@ def test_missing_data_directory_exit_code(tmp_path):
                 "--out", str(tmp_path / "o")]) == 3
 
 
+def test_config_that_is_a_directory_exit_code(tmp_path, capsys):
+    assert run(["synth", "--config", str(tmp_path), "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert f"error: config file {tmp_path}: Is a directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_split_that_leaves_a_set_empty_exit_code(tmp_path, capsys):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("synth.records = 1\n")
+    assert run(["synth", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 4
+    err = capsys.readouterr().err
+    assert "error: split 0.8 leaves an empty train or val set" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_config_key_exit_code(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("bogus.key = 1\n")
@@ -426,6 +468,12 @@ def _train_flag_is_a_string(data, tmp):
     first = json.loads((data / "train.jsonl").read_text().splitlines()[0])
     where, _ = _edit_line(data / "train.jsonl", 1, abnormal=["false"] * len(first["sentences"]))
     return ["train", str(data), "--out", str(tmp / "run")], f"{where} abnormal flag 'false' is not true or false"
+
+
+def _val_record_has_no_sentences(data, tmp):
+    where, record = _edit_line(data / "val.jsonl", 1, sentences=[], abnormal=[])
+    return (["train", str(data), "--out", str(tmp / "run")],
+            f"{where} record {record['id']!r}: needs at least one sentence")
 
 
 def _val_id_is_a_list(data, tmp):
@@ -562,6 +610,10 @@ def _history_bleu4_is_a_string(data, tmp):
     return _history_with_bleu4(tmp, '"0.5"')
 
 
+def _history_bleu4_has_400_digits(data, tmp):
+    return _history_with_bleu4(tmp, "9" * 400)
+
+
 def _history_bleu4_is_nan(data, tmp):
     return _history_with_bleu4(tmp, "NaN")
 
@@ -672,7 +724,7 @@ def _vocab_token_repeated(data, tmp):
     _history_bleu4_is_a_bool, _history_bleu4_is_a_string, _history_bleu4_is_nan,
     _generated_stop_prob_is_a_bool, _history_iteration_has_5001_digits, _history_line_nested_100000_deep,
     _vocab_min_frequency_has_5001_digits, _vocab_is_invalid_utf8, _history_path_is_a_list,
-    _vocab_token_repeated,
+    _vocab_token_repeated, _val_record_has_no_sentences, _history_bleu4_has_400_digits,
     _val_feature_is_nan, _train_feature_is_infinite, _train_feature_has_no_locations,
 ], ids=lambda corrupt: corrupt.__name__.strip("_"))
 def test_malformed_file_exit_code(tmp_path, tiny_cfg, capsys, corrupt):
@@ -727,6 +779,10 @@ def _appended(extra: bytes):
     return lambda blob, runs, tmp: blob + extra
 
 
+def _version_is_2(blob, runs, tmp):
+    return blob[:4] + struct.pack("<I", 2) + blob[8:]
+
+
 def _first_entry_rank_is_max(blob, runs, tmp):
     (name_len,) = struct.unpack_from("<I", blob, 16)
     return blob[:20 + name_len] + struct.pack("<I", 0xFFFFFFFF) + blob[24 + name_len:]
@@ -769,9 +825,12 @@ def _first_weight_is_nan(blob, runs, tmp):
     (_appended(_entry(b"adam/t", (1,)) + struct.pack("<d", 3.0)),
      "optimizer state is missing 'adam/m/img_embed.weight'"),
     (_first_weight_is_nan, "'img_embed.weight' holds a value that is not finite"),
+    (_version_is_2, "unsupported checkpoint version 2"),
+    *((_appended(bytes(n)), "truncated while reading entry header") for n in (1, 2, 3)),
 ], ids=["adam_t_without_value", "name_not_utf8", "adam_t_infinite", "adam_t_nan", "adam_t_fractional",
         "first_rank_max", "name_length_max", "meta_config_repeated", "moments_without_adam_t",
-        "adam_t_without_moments", "weight_is_nan"])
+        "adam_t_without_moments", "weight_is_nan", "version_2", "header_1_byte", "header_2_bytes",
+        "header_3_bytes"])
 def test_corrupt_checkpoint_entry_exit_code(pipeline, tmp_path, capsys, corrupt, message):
     data, runs = pipeline / "data", pipeline / "run"
     bad = tmp_path / "final.bin"
@@ -824,9 +883,10 @@ def test_usage_error_exit_code():
     "synth.records = 0", "train.clip_norm = nan", "train.learning_rate = inf",
     "model.lambda_mti = nan", "synth.zipf_exponent = nan", "synth.seed = -1", "train.seed = -1",
     "select.min_distinct = -1", "synth.noise_scale = 1e300", "synth.noise_scale = 1e38",
+    "train.evals_per_epoch = -1",
 ], ids=["records_zero", "clip_norm_nan", "learning_rate_inf", "lambda_mti_nan", "zipf_exponent_nan",
         "synth_seed_negative", "train_seed_negative", "min_distinct_negative",
-        "noise_scale_past_float64_sums", "noise_scale_past_float32"])
+        "noise_scale_past_float64_sums", "noise_scale_past_float32", "evals_per_epoch_negative"])
 def test_invalid_setting_value_exit_code(tmp_path, tiny_cfg, capsys, setting):
     # a synth setting fails `hdlm synth`, a select setting `hdlm select` on
     # a one-line history; the rest fail `hdlm train`
@@ -923,3 +983,22 @@ def test_out_of_vocabulary_token_exit_code(tmp_path, tiny_cfg, capsys):
     assert run(["train", str(data), "--config", str(tiny_cfg), "--out", str(tmp_path / "run")]) == 5
     err = capsys.readouterr().err
     assert "train.jsonl" in err and repr(first["id"]) in err and "9999" in err
+
+
+def test_program_fault_exits_1_naming_its_type(monkeypatch, tmp_path, capsys):
+    # a ValueError that is no malformed file is a fault of the program, not
+    # of its input; a malformed checkpoint still exits 5
+    history = tmp_path / "history.jsonl"
+    history.write_text('{"iteration": 8, "bleu4": 0.5, "distinct": [4]}\n')
+    for error, code, shown in ((ValueError("boom"), 1, "error: ValueError: boom"),
+                               (KeyError("k"), 1, "error: KeyError: 'k'"),
+                               (CheckpointError("bad.bin: truncated"), 5, "error: bad.bin: truncated")):
+        def failing(args, error=error):
+            raise error
+
+        monkeypatch.setattr(hdlm.cli, "cmd_select", failing)
+        capsys.readouterr()
+        assert run(["select", str(history)]) == code
+        err = capsys.readouterr().err
+        assert err == shown + "\n"
+    assert issubclass(CheckpointError, CorpusFormatError) and issubclass(CheckpointError, ValueError)

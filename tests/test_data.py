@@ -322,6 +322,20 @@ def test_load_embeddings_rejects_non_numeric(tmp_path):
         load_embeddings(path)
 
 
+def test_load_embeddings_rejects_a_word_without_components(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("alpha 1.0 2.0\nbeta\n")
+    with pytest.raises(CorpusFormatError, match=r"emb\.txt:2: no vector components"):
+        load_embeddings(path)
+
+
+def test_load_embeddings_rejects_a_file_without_words(tmp_path):
+    path = tmp_path / "emb.txt"
+    path.write_text("\n  \n")
+    with pytest.raises(CorpusFormatError, match=r"emb\.txt: empty embedding file"):
+        load_embeddings(path)
+
+
 def test_load_embeddings_invalid_utf8_names_line(tmp_path):
     path = tmp_path / "emb.txt"
     path.write_bytes(b"alpha 1.0 2.0\n\nbeta\xff 0.5 -0.5\n")

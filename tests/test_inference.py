@@ -51,6 +51,16 @@ def test_limits_validate():
         GenerationLimits(max_sentences=1, max_words=5, stop_threshold=1.5)
 
 
+@pytest.mark.parametrize("caps, shown", [
+    ({"max_sentences": 2.5, "max_words": 5}, "max_sentences must be an int, got 2.5"),
+    ({"max_sentences": True, "max_words": 5}, "max_sentences must be an int, got True"),
+    ({"max_sentences": 2, "max_words": 5.0}, "max_words must be an int, got 5.0"),
+], ids=["fractional", "bool", "float_words"])
+def test_limits_take_only_integer_caps(caps, shown):
+    with pytest.raises(ConfigError, match=shown):
+        GenerationLimits(**caps)
+
+
 def test_zero_params_hit_both_caps():
     cfg = toy_config()
     params = zeroed(ModelParams.create(cfg, seed=0))

@@ -91,6 +91,12 @@ def test_bleu_rejects_empty_corpus():
         bleu([])
 
 
+@pytest.mark.parametrize("metric", [rouge_l, meteor_lite, cider_d], ids=lambda metric: metric.__name__)
+def test_corpus_metrics_reject_an_empty_corpus(metric):
+    with pytest.raises(ValueError, match=f"{metric.__name__} needs at least one pair"):
+        metric([])
+
+
 # ---------------------------------------------------------------------------
 # ROUGE-L
 

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import threading
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -334,6 +335,48 @@ def test_backward_twice_on_one_tape_raises():
         backward(tape, loss)
     assert tape.entries == []
     np.testing.assert_array_equal(grads[x], [2.0, 4.0])
+
+
+def test_a_tape_entered_inside_another_raises_and_the_outer_keeps_recording():
+    # a nested tape would take the inner ops, and the outer walk would
+    # silently miss w's gradient; refusing it keeps every op on one tape
+    rng = T.seeded_rng(3)
+    x = Tensor(rng.normal(size=(2, 4)))
+    w = Tensor(rng.normal(size=(4, 4)))
+    with Tape() as tape:
+        h = T.tanh(x)
+        with pytest.raises(T.TapeError, match="already recording"):
+            with Tape():
+                h = T.linear(h, w)
+        h = T.linear(h, w)
+        loss = T.sum_all(h)
+    grads = backward(tape, loss)
+    assert set(grads) == {x, w}
+    g = np.ones((2, 4))
+    np.testing.assert_array_equal(grads[w], g.T @ np.tanh(x.data))
+    np.testing.assert_array_equal(grads[x], (g @ w.data) * (1.0 - np.tanh(x.data) ** 2))
+    with Tape() as again:  # the slot is free once the outer tape exits
+        loss = T.sum_all(x)
+    assert set(backward(again, loss)) == {x}
+
+
+def test_each_thread_records_on_its_own_tape():
+    x = Tensor([1.0, 2.0])
+    seen = {}
+
+    def other():
+        with Tape() as tape:
+            seen["loss"] = T.sum_all(mul(x, x))
+        seen["grads"] = backward(tape, seen["loss"])
+
+    with Tape() as tape:
+        loss = T.sum_all(x)
+        worker = threading.Thread(target=other)
+        worker.start()
+        worker.join()
+    assert len(tape.entries) == 1
+    np.testing.assert_array_equal(backward(tape, loss)[x], [1.0, 1.0])
+    np.testing.assert_array_equal(seen["grads"][x], [2.0, 4.0])
 
 
 def test_backward_frees_outputs_before_their_gradients_and_returns_leaves_only():
@@ -991,6 +1034,26 @@ def test_forward_identical_with_and_without_tape():
     with Tape():
         taped = run()
     np.testing.assert_array_equal(bare, taped)
+
+
+def test_item_needs_a_single_element():
+    with pytest.raises(T.ShapeError, match=r"item\(\) needs a single-element tensor, got shape \(2,\)"):
+        Tensor([1.0, 2.0]).item()
+
+
+@pytest.mark.parametrize("op, message", [
+    (lambda x: T.slice_rows(x, 2, 2), r"slice_rows \[2:2\] invalid for shape \(3, 2\)"),
+    (lambda x: T.slice_rows(x, 1, 4), r"slice_rows \[1:4\] invalid for shape \(3, 2\)"),
+    (lambda x: T.slice_rows(Tensor(np.zeros(3)), 0, 1), r"slice_rows \[0:1\] invalid for shape \(3,\)"),
+    (lambda x: T.concat_rows([]), "concat_rows needs at least one part"),
+    (lambda x: T.concat_rows([x, Tensor(np.zeros((1, 3)))]), r"disagree beyond axis 0: \[\(2,\), \(3,\)\]"),
+    (lambda x: T.gather_rows(Tensor(np.zeros(3)), [0]), r"gather_rows needs .* got \(3,\)"),
+    (lambda x: T.gather_rows(x, [[0]]), r"gather_rows needs .* got \(3, 2\)"),
+], ids=["slice_empty", "slice_past_end", "slice_rank_1", "concat_no_parts", "concat_widths_differ",
+        "gather_rank_1_source", "gather_rank_2_indices"])
+def test_row_ops_reject_bad_shapes(op, message):
+    with pytest.raises(T.ShapeError, match=message):
+        op(Tensor(np.zeros((3, 2))))
 
 
 def test_gather_rows_out_of_range_names_id():

@@ -88,6 +88,14 @@ def adam_oracle(theta, gs, lr, b1=0.9, b2=0.999, eps=1e-8):
     return theta
 
 
+def test_adam_step_rejects_stores_of_other_shapes():
+    params = store_of({"w": np.zeros((2, 3))})
+    state = AdamState.create(params)
+    with pytest.raises(ValueError, match="stores of one size, got 6, 8, 6 and 6"):
+        adam_step(params, store_of({"w": np.zeros((2, 4))}), state, learning_rate=0.1)
+    assert state.t == 0 and not params.flat.any()
+
+
 def test_adam_matches_reference_equations():
     rng = seeded_rng(3)
     start = rng.normal(size=(2, 3))
